@@ -257,6 +257,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 2
 
     reports = evaluate(predictors, seasons)
+    reported = {r.model for r in reports}
+    for predictor in predictors:
+        if predictor.name not in reported:
+            print(f"model {predictor.name} produced no predictions", file=sys.stderr)
+            failed.append(predictor.name)
+    if not reports:
+        print("error: no usable models", file=sys.stderr)
+        return 2
     json_path, csv_path = write_reports(reports, cfg.output_dir)
     print(summary_table(reports), end="")
     if failed:

@@ -11,10 +11,12 @@ components swapped into the home team's frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
+import numpy as np
+
 from .data import CountVector, MatchRecord, Outcome, Prediction, Venue
-from .scoring import brier
 
 
 @dataclass(frozen=True)
@@ -244,15 +246,44 @@ def cv_select(
         )
         pending.append((match, outcome))
 
-    best: tuple[float, float, float] | None = None
-    for alpha in grid.alpha_points:
-        for w in grid.w_points:
-            cfg = MnDir2Config(alpha=alpha, weights=PoolWeights(w))
-            total = 0.0
-            for h, a, outcome in prepared:
-                total += brier(outcome, mn_dir2_predict(h, a, cfg))
-            key = (total, alpha, w)
-            if best is None or key < best:
-                best = key
-    assert best is not None
+    totals = _brier_totals(prepared, grid)
+    # Python tuples order (total, alpha, w) with the documented tie-break.
+    best = min(
+        (float(totals[i, j]), alpha, w)
+        for i, alpha in enumerate(grid.alpha_points)
+        for j, w in enumerate(grid.w_points)
+    )
     return MnDir2Config(alpha=best[1], weights=PoolWeights(best[2]))
+
+
+def _brier_totals(
+    prepared: Sequence[tuple[CountVector, CountVector, Outcome]], grid: GridSpec
+) -> np.ndarray:
+    """Summed Brier score of ``mn_dir2_predict`` per grid point, shape (alpha, w).
+
+    Bit-identical to the scalar loop ``total += brier(outcome,
+    mn_dir2_predict(h, a, cfg))`` over ``prepared``: each array operation
+    is the scalar code's operation, in its order, and the sum runs match by
+    match.
+    """
+    home = np.array([(h.wins, h.draws, h.losses) for h, _, _ in prepared], dtype=float)
+    away = np.array([(a.wins, a.draws, a.losses) for _, a, _ in prepared], dtype=float)
+    hit = np.array(
+        [(o is Outcome.HOME_WIN, o is Outcome.DRAW, o is Outcome.AWAY_WIN) for _, _, o in prepared],
+        dtype=float,
+    )
+    alpha = np.array(grid.alpha_points)[:, None, None]  # (alpha, match, outcome)
+    prior_total = alpha + alpha + alpha
+    home_view = (alpha + home) / (prior_total + home.sum(axis=1)[:, None])
+    away_view = (alpha + away) / (prior_total + away.sum(axis=1)[:, None])
+    w = np.array(grid.w_points)[None, :, None, None]  # (alpha, w, match, outcome)
+    # The away observer's (win, draw, loss) feeds the pool as (loss, draw, win).
+    pooled = w * home_view[:, None] + (1.0 - w) * away_view[:, None, :, ::-1]
+    diff = hit - pooled
+    # Python's float ``**`` calls the C library's pow, which is not always
+    # correctly rounded; NumPy squares by multiplying, so it can differ from
+    # ``brier`` in the last bit.  Square through Python to keep every bit.
+    sq = np.fromiter(map(pow, diff.ravel().tolist(), repeat(2.0)), float, diff.size)
+    sq = sq.reshape(diff.shape)
+    per_match = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+    return np.add.accumulate(per_match, axis=2)[..., -1]

@@ -300,7 +300,8 @@ def evaluate(
     they receive; a predictor failure on a matchday skips that matchday for
     that predictor (flagged) and the run continues.  Reports come back in
     the predictor order given, each covering all seasons with a per-year
-    breakdown.
+    breakdown.  A predictor that produced no prediction at all gets no
+    report, so one empty model never costs the others theirs.
     """
     ordered_seasons = sorted(seasons, key=lambda s: s.year)
     check_evaluable(ordered_seasons)
@@ -326,7 +327,7 @@ def evaluate(
                         continue
                     scored.append(score_match(match, prediction))
         if not scored:
-            raise ValueError(f"predictor {predictor.name!r} produced no predictions")
+            continue
 
         by_year: dict[int, list[ScoredMatch]] = {}
         for s in scored:

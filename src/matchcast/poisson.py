@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import poisson as poisson_dist
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .data import MatchRecord, Prediction, Season, first_half_rounds
 from .optimize import OptimSettings, minimize
@@ -119,15 +119,22 @@ class ScoreGrid:
         return float(np.triu(self.mass, 1).sum())
 
 
+def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
+    # The expression scipy.stats.poisson.pmf evaluates, without loading
+    # scipy.stats.
+    return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+
+
 def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
     # Trivariate reduction: (Y1, Y2) = (U + W, V + W) with independent
     # Poisson components, so the joint mass is a convolution over W.
     size = max_goals + 1
-    p_u = poisson_dist.pmf(np.arange(size), params.lambda1)
-    p_v = poisson_dist.pmf(np.arange(size), params.lambda2)
+    goals = np.arange(size, dtype=float)
+    p_u = _poisson_pmf(goals, params.lambda1)
+    p_v = _poisson_pmf(goals, params.lambda2)
     if params.lambda3 == 0.0:
         return np.outer(p_u, p_v)
-    p_w = poisson_dist.pmf(np.arange(size), params.lambda3)
+    p_w = _poisson_pmf(goals, params.lambda3)
     mass = np.zeros((size, size))
     for k in range(size):
         if p_w[k] == 0.0:
@@ -147,9 +154,17 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
         raise ValueError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
     m1 = params.lambda1 + params.lambda3
     m2 = params.lambda2 + params.lambda3
-    max_goals = 0
-    while poisson_dist.sf(max_goals, m1) + poisson_dist.sf(max_goals, m2) > tail_tol:
-        max_goals += 1
+    # pdtrc(k, m) = P(Y > k) for Y ~ Poisson(m).  Search blocks of goal
+    # counts, doubling the block until some count meets the tolerance; the
+    # first such count is where a goal-by-goal search would stop.
+    block = 32
+    while True:
+        k = np.arange(block, dtype=float)
+        above = pdtrc(k, m1) + pdtrc(k, m2) > tail_tol
+        if not above.all():
+            break
+        block *= 2
+    max_goals = int(np.argmin(above))
     mass = _joint_mass(params, max_goals)
     deficit = max(0.0, 1.0 - float(mass.sum()))
     return ScoreGrid(max_goals=max_goals, mass=mass, truncation_deficit=deficit)
@@ -286,8 +301,14 @@ class _PoissonObjective:
 
 
 def _masked_lgamma(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    safe = np.where(ok, values, 0.0)
-    return np.vectorize(lambda v: math.lgamma(v + 1.0))(safe)
+    """log(v!) for the non-negative integers ``values`` where ``ok``, 0 elsewhere.
+
+    Taken from a table of ``math.lgamma``: ``scipy.special.gammaln`` differs
+    from it in the last bit for some integers, which would move the fits.
+    """
+    safe = np.where(ok, values, 0.0).astype(int)
+    table = np.array([math.lgamma(j + 1.0) for j in range(int(safe.max()) + 1)])
+    return table[safe]
 
 
 def poisson_fit(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchcast
 from matchcast.cli import main
 from matchcast.data import serialize_matches
 from matchcast.selftest import simulate_played_season
@@ -256,6 +261,39 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert "bogus" in captured.err
         assert "failed models" in captured.out
+
+    def test_model_without_predictions_reported_others_kept(
+        self, matches_file, tmp_path, capsys
+    ):
+        # The forecast file covers another season only, so the external
+        # model predicts no fixture of the archive.
+        ext = tmp_path / "ext.csv"
+        ext.write_text("season,matchday,home,away,p1,p2,p3\n1999,6,t0,t1,0.5,0.3,0.2\n")
+        out_dir = tmp_path / "r"
+        code = main(
+            [
+                "evaluate",
+                "--matches",
+                str(matches_file),
+                "--models",
+                f"trivial,external:{ext}",
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert f"model external:{ext} produced no predictions" in captured.err
+        assert "failed models" in captured.out
+        assert set(json.loads((out_dir / "report.json").read_text())) == {"trivial"}
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start; only `matchcast selftest` needs it.
+    src = str(Path(matchcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, matchcast.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestConfig:

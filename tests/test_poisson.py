@@ -10,7 +10,10 @@ from matchcast.poisson import (
     BivPoissonParams,
     TeamStrengths,
     TrainingWindow,
+    _joint_mass,
+    _masked_lgamma,
     _PoissonObjective,
+    _poisson_pmf,
     bivpois_pmf,
     link_rates,
     outcome_probs,
@@ -139,13 +142,16 @@ class TestScoreGrid:
         assert grid.truncation_deficit <= tail_tol
 
     def test_grid_size_is_minimal_for_the_marginal_bound(self):
-        params = BivPoissonParams(1.3, 0.8, 0.2)
         tail_tol = 1e-8
-        grid = score_grid(params, tail_tol)
-        g = grid.max_goals
-        m1, m2 = 1.3 + 0.2, 0.8 + 0.2
-        assert poisson_dist.sf(g, m1) + poisson_dist.sf(g, m2) <= tail_tol
-        assert poisson_dist.sf(g - 1, m1) + poisson_dist.sf(g - 1, m2) > tail_tol
+        # The second case needs 81 goal counts, so the tail search doubles
+        # its block twice.
+        for params in (BivPoissonParams(1.3, 0.8, 0.2), BivPoissonParams(39.5, 1.0, 0.5)):
+            grid = score_grid(params, tail_tol)
+            g = grid.max_goals
+            m1 = params.lambda1 + params.lambda3
+            m2 = params.lambda2 + params.lambda3
+            assert poisson_dist.sf(g, m1) + poisson_dist.sf(g, m2) <= tail_tol
+            assert poisson_dist.sf(g - 1, m1) + poisson_dist.sf(g - 1, m2) > tail_tol
 
     def test_total_plus_deficit_is_one(self):
         grid = score_grid(BivPoissonParams(2.0, 1.5, 0.3), 1e-10)
@@ -166,6 +172,14 @@ class TestScoreGrid:
         for i in range(grid.max_goals + 1):
             want = float(poisson_dist.pmf(i, params.lambda1 + params.lambda3))
             assert abs(row_sums[i] - want) <= tail_tol
+
+    def test_marginal_pmf_bit_equal_to_scipy(self, rng):
+        for lam in np.exp(rng.uniform(-8.0, 4.0, 2000)):
+            k = np.arange(int(lam + 10 * math.sqrt(lam)) + 10)
+            assert np.array_equal(_poisson_pmf(k.astype(float), lam), poisson_dist.pmf(k, lam))
+        p_u = poisson_dist.pmf(np.arange(13), 1.7)
+        p_v = poisson_dist.pmf(np.arange(13), 0.9)
+        assert np.array_equal(_joint_mass(BivPoissonParams(1.7, 0.9), 12), np.outer(p_u, p_v))
 
     def test_tail_tol_range_enforced(self):
         with pytest.raises(ValueError):
@@ -293,6 +307,13 @@ class TestFit:
         strengths, _ = poisson_fit(records)
         assert float(np.array(list(strengths.attack.values())).sum()) == 0.0
         assert float(np.array(list(strengths.defense.values())).sum()) == 0.0
+
+    def test_masked_lgamma_equals_math_lgamma(self, rng):
+        values = rng.integers(-5, 40, size=(60, 7)).astype(float)
+        ok = values >= 0
+        got = _masked_lgamma(values, ok)
+        for v, flag, g in zip(values.ravel(), ok.ravel(), got.ravel()):
+            assert g == (math.lgamma(v + 1.0) if flag else 0.0)
 
     def test_unplayed_match_rejected(self):
         with pytest.raises(ValueError, match="played"):
