@@ -23,7 +23,7 @@ from .data import (
     serialize_matches,
     venue_counts,
 )
-from .davidson import BTParams, FitReport, FitSettings, bt_fit, bt_log_likelihood, bt_outcome_probs, bt_rolling_predict
+from .davidson import BTParams, FitReport, FitSettings, bt_fit, bt_log_likelihood, bt_outcome_probs
 from .dirichlet import (
     DirichletParams,
     GridSpec,
@@ -46,7 +46,6 @@ from .poisson import (
     link_rates,
     outcome_probs_from_grid,
     poisson_fit,
-    poisson_rolling_predict,
     score_grid,
 )
 from .scoring import (
@@ -90,7 +89,6 @@ __all__ = [
     "bt_fit",
     "bt_log_likelihood",
     "bt_outcome_probs",
-    "bt_rolling_predict",
     "build_season",
     "build_seasons",
     "calibration_curve",
@@ -108,7 +106,6 @@ __all__ = [
     "outcome_probs_from_grid",
     "parse_matches",
     "poisson_fit",
-    "poisson_rolling_predict",
     "pool",
     "posterior",
     "predictive",

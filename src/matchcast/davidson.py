@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Outcome, Prediction, Season, first_half_rounds, outcome_of
+from .data import MatchRecord, Outcome, Prediction
 from .optimize import OptimResult, OptimSettings, minimize
 
 WORTH_SUM_TOL = 1e-9
@@ -95,14 +95,24 @@ def bt_log_likelihood(
 
 
 class _DavidsonObjective:
-    """Negative log-likelihood and gradient over (r_2..r_T, log gamma, log nu)."""
+    """Negative log-likelihood and gradient over (r_2..r_T, log gamma, log nu).
+
+    Outcome masks, gradient targets and the scatter index depend on the
+    data only and are built once per fit.
+    """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[tuple[MatchRecord, Outcome]]):
         self.teams = list(teams)
         index = {t: k for k, t in enumerate(self.teams)}
         self.home_idx = np.array([index[m.home] for m, _ in matches])
         self.away_idx = np.array([index[m.away] for m, _ in matches])
-        self.outcome = np.array([o.value for _, o in matches])
+        self.team_idx = np.concatenate((self.home_idx, self.away_idx))
+        outcome = np.array([o.value for _, o in matches])
+        self.is_win = outcome == Outcome.HOME_WIN.value
+        self.is_draw = outcome == Outcome.DRAW.value
+        is_loss = outcome == Outcome.AWAY_WIN.value
+        self.target_home = self.is_win * 1.0 + self.is_draw * 0.5
+        self.target_away = is_loss * 1.0 + self.is_draw * 0.5
         self.n_teams = len(self.teams)
 
     @property
@@ -125,11 +135,7 @@ class _DavidsonObjective:
         top = stacked.max(axis=0)
         log_denom = top + np.log(np.exp(stacked - top).sum(axis=0))
 
-        chosen = np.where(
-            self.outcome == Outcome.HOME_WIN.value,
-            log_win,
-            np.where(self.outcome == Outcome.DRAW.value, log_draw, log_loss),
-        )
+        chosen = np.where(self.is_win, log_win, np.where(self.is_draw, log_draw, log_loss))
         nll = float(np.sum(log_denom - chosen))
 
         # Softmax weights of the three terms in each denominator.
@@ -137,19 +143,14 @@ class _DavidsonObjective:
         w_draw = np.exp(log_draw - log_denom)
         w_loss = np.exp(log_loss - log_denom)
 
-        is_win = self.outcome == Outcome.HOME_WIN.value
-        is_draw = self.outcome == Outcome.DRAW.value
-        is_loss = self.outcome == Outcome.AWAY_WIN.value
-
         # d(log denominator)/d(param) minus d(log numerator)/d(param).
-        d_home = (w_win + 0.5 * w_draw) - (is_win * 1.0 + is_draw * 0.5)
-        d_away = (w_loss + 0.5 * w_draw) - (is_loss * 1.0 + is_draw * 0.5)
-        d_gamma = float(np.sum(w_win - is_win))
-        d_nu = float(np.sum(w_draw - is_draw))
+        d_home = (w_win + 0.5 * w_draw) - self.target_home
+        d_away = (w_loss + 0.5 * w_draw) - self.target_away
+        d_gamma = float(np.sum(w_win - self.is_win))
+        d_nu = float(np.sum(w_draw - self.is_draw))
 
-        d_r = np.zeros(self.n_teams)
-        np.add.at(d_r, self.home_idx, d_home)
-        np.add.at(d_r, self.away_idx, d_away)
+        # bincount adds in index order from 0.0, as paired np.add.at calls do.
+        d_r = np.bincount(self.team_idx, np.concatenate((d_home, d_away)), self.n_teams)
 
         grad = np.concatenate((d_r[1:], [d_gamma, d_nu]))
         return nll, grad
@@ -211,26 +212,6 @@ def bt_fit(
         gradient_norm=result.grad_norm,
         boundary_flags=_boundary_flags(objective, result),
     )
-
-
-def bt_rolling_predict(
-    season: Season, matchday: int, settings: FitSettings | None = None
-) -> dict[MatchRecord, Prediction]:
-    """Refit on all earlier matchdays of the season and predict one matchday.
-
-    Requires a second-half matchday with every earlier match played, per the
-    evaluation protocol; predictions are keyed by the scheduled fixture.
-    """
-    if matchday <= first_half_rounds(season.rounds):
-        raise ValueError(f"matchday {matchday} is not in the second half")
-    earlier = [m for m in season.matches if m.matchday < matchday]
-    if any(not m.played for m in earlier):
-        raise ValueError(f"unplayed matches before matchday {matchday}")
-    fitted = bt_fit([(m, outcome_of(m)) for m in earlier], settings)
-    return {
-        m.scheduled_copy(): bt_outcome_probs(fitted.params, m.home, m.away)
-        for m in season.matches_of(matchday)
-    }
 
 
 def bt_params_to_csv(params: BTParams) -> str:

@@ -9,6 +9,7 @@ so there is no randomized restart logic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +39,11 @@ class OptimResult:
     at_bound: tuple[int, ...]
 
 
+def _norm(v: np.ndarray) -> float:
+    # What np.linalg.norm computes for a 1-D float array, without its checks.
+    return math.sqrt(float(v @ v))
+
+
 def _projected_gradient(x: np.ndarray, grad: np.ndarray, bound: float) -> np.ndarray:
     # Zero out components that point outward at an active box face:
     # there the objective cannot be decreased without leaving the box.
@@ -64,7 +70,8 @@ def minimize(
     x = np.clip(np.asarray(x0, dtype=float), -bound, bound)
     n = x.size
     f, grad = objective(x)
-    h_inv = np.eye(n)
+    eye = np.eye(n)
+    h_inv = eye
     iterations = 0
     c1 = 1e-4
 
@@ -74,7 +81,7 @@ def minimize(
         return OptimResult(
             x=x.copy(),
             fun=float(f),
-            grad_norm=float(np.linalg.norm(pg)),
+            grad_norm=_norm(pg),
             iterations=iterations,
             converged=converged,
             at_bound=tuple(int(i) for i in active),
@@ -82,13 +89,13 @@ def minimize(
 
     for iterations in range(1, cfg.max_iter + 1):
         pg = _projected_gradient(x, grad, bound)
-        if float(np.linalg.norm(pg)) <= cfg.tol:
+        if _norm(pg) <= cfg.tol:
             iterations -= 1
             return done(True, grad)
 
         direction = -h_inv @ grad
         if float(direction @ grad) >= 0.0:
-            h_inv = np.eye(n)
+            h_inv = eye
             direction = -grad
 
         # Backtracking Armijo search on the clamped candidate point.
@@ -97,7 +104,7 @@ def minimize(
         x_new = f_new = grad_new = None
         for _ in range(60):
             candidate = np.clip(x + step * direction, -bound, bound)
-            if not np.array_equal(candidate, x):
+            if (candidate != x).any():
                 f_cand, g_cand = objective(candidate)
                 if np.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
                     x_new, f_new, grad_new = candidate, f_cand, g_cand
@@ -105,19 +112,19 @@ def minimize(
             step *= 0.5
         if x_new is None:
             # No descent possible (boundary or numerically flat): stop here.
-            return done(float(np.linalg.norm(pg)) <= cfg.tol, grad)
+            return done(_norm(pg) <= cfg.tol, grad)
 
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-12 * _norm(s) * _norm(y):
             rho = 1.0 / sy
             sy_outer = np.outer(s, y)
             h_inv = (
-                (np.eye(n) - rho * sy_outer) @ h_inv @ (np.eye(n) - rho * sy_outer.T)
+                (eye - rho * sy_outer) @ h_inv @ (eye - rho * sy_outer.T)
                 + rho * np.outer(s, s)
             )
         x, f, grad = x_new, f_new, grad_new
 
     pg = _projected_gradient(x, grad, bound)
-    return done(float(np.linalg.norm(pg)) <= cfg.tol, grad)
+    return done(_norm(pg) <= cfg.tol, grad)

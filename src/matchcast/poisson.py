@@ -12,16 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Literal, Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .data import MatchRecord, Prediction, Season, first_half_rounds
+from .data import MatchRecord, Prediction, first_half_rounds
 from .optimize import OptimSettings, minimize
+
+if TYPE_CHECKING:
+    from .evaluation import PredictionContext
 
 STRENGTH_SUM_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
+# Far past any football score; a boundary fit can put an unseen pairing's
+# rate near 1e8, whose grid would exhaust memory.
+MAX_GRID_GOALS = 1024
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
     The grid size is chosen from the Poisson marginal tails (a certified
     upper bound on the mass outside the grid); the recorded deficit is the
-    exact missing mass 1 - sum(grid).
+    exact missing mass 1 - sum(grid).  Rates that would need more than
+    ``MAX_GRID_GOALS`` goals per side raise ``ValueError``.
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
@@ -163,6 +170,10 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
         above = pdtrc(k, m1) + pdtrc(k, m2) > tail_tol
         if not above.all():
             break
+        if block >= MAX_GRID_GOALS:
+            raise ValueError(
+                f"rates {m1!r}, {m2!r} need more than {MAX_GRID_GOALS} goals per side"
+            )
         block *= 2
     max_goals = int(np.argmin(above))
     mass = _joint_mass(params, max_goals)
@@ -208,6 +219,11 @@ class _PoissonObjective:
 
     The last team's attack and defence are minus the sum of the others, so
     the zero-sum identifiability constraints hold exactly at every iterate.
+
+    Every data-only term is built once here.  The shared-component sum of
+    the correlated model runs over the live cells k <= min(y1, y2) only,
+    row-major by match; its row sums are taken on the dense match x k
+    layout, whose reduction order fixes the rounding of the fits.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord], correlated: bool):
@@ -216,16 +232,32 @@ class _PoissonObjective:
         index = {t: k for k, t in enumerate(self.teams)}
         self.home_idx = np.array([index[m.home] for m in matches])
         self.away_idx = np.array([index[m.away] for m in matches])
+        # Gradient scatter: (home, away) for attack, (away, home) for defence.
+        self.att_idx = np.concatenate((self.home_idx, self.away_idx))
+        self.def_idx = np.concatenate((self.away_idx, self.home_idx))
         self.y1 = np.array([m.home_goals for m in matches], dtype=float)
         self.y2 = np.array([m.away_goals for m in matches], dtype=float)
         self.n_teams = len(self.teams)
-        # k-grid for the shared-component sum, masked past min(y1, y2).
-        kmax = int(min(self.y1.max(), self.y2.max()))
-        self.k = np.arange(kmax + 1, dtype=float)
-        self.k_ok = self.k[None, :] <= np.minimum(self.y1, self.y2)[:, None]
-        self.lgamma_y1k = _masked_lgamma(self.y1[:, None] - self.k[None, :], self.k_ok)
-        self.lgamma_y2k = _masked_lgamma(self.y2[:, None] - self.k[None, :], self.k_ok)
-        self.lgamma_k = np.array([math.lgamma(k + 1) for k in range(kmax + 1)])
+        self.lgamma_y1 = _masked_lgamma(self.y1, True)
+        self.lgamma_y2 = _masked_lgamma(self.y2, True)
+        if correlated:
+            n = len(self.y1)
+            n_cells = np.minimum(self.y1, self.y2).astype(int) + 1
+            # Dense width min(max y1, max y2) + 1, not the widest live row:
+            # BLAS rounds ``rel @ k`` differently at another width.
+            kmax = int(min(self.y1.max(), self.y2.max()))
+            self.k = np.arange(kmax + 1, dtype=float)
+            self.row_start = np.concatenate(([0], np.cumsum(n_cells)[:-1]))
+            self.rows = np.repeat(np.arange(n), n_cells)
+            k_cell = np.arange(int(n_cells.sum())) - self.row_start[self.rows]
+            self.dense_at = self.rows * self.k.size + k_cell
+            self.dense_shape = (n, self.k.size)
+            self.k_cell = k_cell.astype(float)
+            self.y1_cell = self.y1[self.rows] - self.k_cell
+            self.y2_cell = self.y2[self.rows] - self.k_cell
+            self.lgamma_y1_cell = _masked_lgamma(self.y1_cell, True)
+            self.lgamma_y2_cell = _masked_lgamma(self.y2_cell, True)
+            self.lgamma_k_cell = _masked_lgamma(self.k_cell, True)
 
     @property
     def n_params(self) -> int:
@@ -253,8 +285,8 @@ class _PoissonObjective:
                 -(l1 + l2)
                 + self.y1 * log_l1
                 + self.y2 * log_l2
-                - self.lgamma_y1k[:, 0]
-                - self.lgamma_y2k[:, 0]
+                - self.lgamma_y1
+                - self.lgamma_y2
             )
             s1 = self.y1 - l1  # d(log pmf)/d(log lambda1)
             s2 = self.y2 - l2
@@ -262,18 +294,18 @@ class _PoissonObjective:
             mean_k = None
         else:
             log_terms = (
-                (self.y1[:, None] - self.k[None, :]) * log_l1[:, None]
-                + (self.y2[:, None] - self.k[None, :]) * log_l2[:, None]
-                + self.k[None, :] * math.log(lambda3)
-                - self.lgamma_y1k
-                - self.lgamma_y2k
-                - self.lgamma_k[None, :]
+                self.y1_cell * log_l1[self.rows]
+                + self.y2_cell * log_l2[self.rows]
+                + self.k_cell * math.log(lambda3)
+                - self.lgamma_y1_cell
+                - self.lgamma_y2_cell
+                - self.lgamma_k_cell
             )
-            log_terms = np.where(self.k_ok, log_terms, -np.inf)
-            top = log_terms.max(axis=1)
+            # Every match has its k = 0 cell, so no row is empty.
+            top = np.maximum.reduceat(log_terms, self.row_start)
+            rel = np.zeros(self.dense_shape)
             with np.errstate(invalid="ignore"):
-                rel = np.exp(log_terms - top[:, None])
-            rel = np.where(self.k_ok, rel, 0.0)
+                rel.ravel()[self.dense_at] = np.exp(log_terms - top[self.rows])
             s = rel.sum(axis=1)
             log_sum = top + np.log(s)
             ll = -(l1 + l2 + lambda3) + log_sum
@@ -284,23 +316,18 @@ class _PoissonObjective:
 
         d_mu = -float((s1 + s2).sum())
         d_gamma = -float(s1.sum())
-        d_att = np.zeros(self.n_teams)
-        d_def = np.zeros(self.n_teams)
-        np.add.at(d_att, self.home_idx, -s1)
-        np.add.at(d_att, self.away_idx, -s2)
-        np.add.at(d_def, self.away_idx, s1)
-        np.add.at(d_def, self.home_idx, s2)
+        # bincount adds in index order from 0.0, as paired np.add.at calls do.
+        d_att = np.bincount(self.att_idx, np.concatenate((-s1, -s2)), self.n_teams)
+        d_def = np.bincount(self.def_idx, np.concatenate((s1, s2)), self.n_teams)
         # Chain rule through the eliminated last team.
-        grad = [d_mu, d_gamma]
-        grad.extend(d_att[:-1] - d_att[-1])
-        grad.extend(d_def[:-1] - d_def[-1])
+        parts = [[d_mu, d_gamma], d_att[:-1] - d_att[-1], d_def[:-1] - d_def[-1]]
         if self.correlated:
             assert mean_k is not None
-            grad.append(-float((mean_k - lambda3).sum()))
-        return nll, np.asarray(grad)
+            parts.append([-float((mean_k - lambda3).sum())])
+        return nll, np.concatenate(parts)
 
 
-def _masked_lgamma(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def _masked_lgamma(values: np.ndarray, ok: np.ndarray | bool) -> np.ndarray:
     """log(v!) for the non-negative integers ``values`` where ``ok``, 0 elsewhere.
 
     Taken from a table of ``math.lgamma``: ``scipy.special.gammaln`` differs
@@ -386,42 +413,21 @@ class TrainingWindow:
             return cls(kind="last_n_rounds", n_rounds=int(text.split(":", 1)[1]))
         raise ValueError(f"bad window spec {text!r}")
 
-    def select(
-        self,
-        season: Season,
-        matchday: int,
-        earlier_seasons: Sequence[MatchRecord] = (),
-    ) -> list[MatchRecord]:
-        current = [m for m in season.matches if m.matchday < matchday and m.played]
+    def training(self, ctx: PredictionContext) -> list[MatchRecord]:
+        """The played matches a refit for ``ctx``'s matchday may use.
+
+        Refits serve second-half matchdays only, as the evaluation
+        protocol prescribes.
+        """
+        if ctx.matchday <= first_half_rounds(ctx.season_rounds):
+            raise ValueError(f"matchday {ctx.matchday} is not in the second half")
+        if self.kind == "all":
+            return list(ctx.history)
+        current = list(ctx.current_season_history())
         if self.kind == "season":
             return current
-        if self.kind == "all":
-            return [m for m in earlier_seasons if m.played] + current
         assert self.n_rounds is not None
-        return [m for m in current if m.matchday >= matchday - self.n_rounds]
-
-
-def poisson_rolling_predict(
-    season: Season,
-    matchday: int,
-    correlated: bool = False,
-    window: TrainingWindow | None = None,
-    earlier_seasons: Sequence[MatchRecord] = (),
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    settings: PoissonSettings | None = None,
-) -> dict[MatchRecord, Prediction]:
-    """Refit on the window before ``matchday`` and predict its fixtures."""
-    if matchday <= first_half_rounds(season.rounds):
-        raise ValueError(f"matchday {matchday} is not in the second half")
-    if any(not m.played for m in season.matches if m.matchday < matchday):
-        raise ValueError(f"unplayed matches before matchday {matchday}")
-    training = (window or TrainingWindow("season")).select(season, matchday, earlier_seasons)
-    strengths, _ = poisson_fit(training, correlated=correlated, settings=settings)
-    predictions: dict[MatchRecord, Prediction] = {}
-    for m in season.matches_of(matchday):
-        rates = link_rates(strengths, m.home, m.away)
-        predictions[m.scheduled_copy()] = outcome_probs(rates, tail_tol)
-    return predictions
+        return [m for m in current if m.matchday >= ctx.matchday - self.n_rounds]
 
 
 def strengths_to_csv(strengths: TeamStrengths) -> str:

@@ -43,6 +43,7 @@ from .poisson import (
 )
 
 KNOWN_MODELS = ("trivial", "mn-dir1", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
+SEASON_WINDOW = TrainingWindow("season")
 
 
 class TrivialPredictor:
@@ -127,7 +128,7 @@ class DavidsonPredictor:
         self.last_fit = None
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        training = [(r, outcome_of(r)) for r in ctx.current_season_history()]
+        training = [(r, outcome_of(r)) for r in SEASON_WINDOW.training(ctx)]
         fitted = bt_fit(training, self.settings)
         self.last_fit = fitted
         return {
@@ -160,18 +161,9 @@ class PoissonPredictor:
         self.settings = settings or PoissonSettings()
         self.last_strengths = None
 
-    def _training(self, ctx: PredictionContext) -> list[MatchRecord]:
-        current = list(ctx.current_season_history())
-        if self.window.kind == "season":
-            return current
-        if self.window.kind == "all":
-            return list(ctx.history)
-        assert self.window.n_rounds is not None
-        return [m for m in current if m.matchday >= ctx.matchday - self.window.n_rounds]
-
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
         strengths, _ = poisson_fit(
-            self._training(ctx), correlated=self.correlated, settings=self.settings
+            self.window.training(ctx), correlated=self.correlated, settings=self.settings
         )
         self.last_strengths = strengths
         out = {}
@@ -274,7 +266,7 @@ def build_predictor(
         return PoissonPredictor(
             "poisson-lee",
             correlated=False,
-            window=TrainingWindow("season"),
+            window=SEASON_WINDOW,
             tail_tol=tail_tol,
             settings=poisson_settings,
         )

@@ -38,7 +38,7 @@ from .poisson import (
     poisson_fit,
     score_grid,
 )
-from .predictors import MnDir1Predictor, TrivialPredictor
+from .predictors import KNOWN_MODELS, build_predictor
 from .reports import write_reports
 from .scoring import brier, calibration_curve, chi_square_gof, log_score, spherical
 
@@ -531,7 +531,7 @@ def check_cv_select(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_determinism(seed: int = DEFAULT_SEED, workdir: str | None = None) -> CheckResult:
-    """Two identical evaluation runs write byte-identical reports."""
+    """Two identical evaluation runs of every model write byte-identical reports."""
     import tempfile
     from pathlib import Path
 
@@ -541,20 +541,23 @@ def check_determinism(seed: int = DEFAULT_SEED, workdir: str | None = None) -> C
         simulate_played_season(teams, 2004, _rng(seed, 13)),
     ]
 
-    def run(out_dir: Path) -> tuple[bytes, bytes]:
-        predictors = [TrivialPredictor(), MnDir1Predictor()]
-        reports = evaluate(predictors, seasons)
+    def run(out_dir: Path) -> tuple[list[str], bytes, bytes]:
+        reports = evaluate([build_predictor(spec) for spec in KNOWN_MODELS], seasons)
         json_path, csv_path = write_reports(reports, out_dir)
-        return json_path.read_bytes(), csv_path.read_bytes()
+        return [r.model for r in reports], json_path.read_bytes(), csv_path.read_bytes()
 
     base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="matchcast-selftest-"))
     first = run(base / "run1")
     second = run(base / "run2")
+    if first[0] != list(KNOWN_MODELS):
+        return CheckResult("determinism", False, f"reports only for {', '.join(first[0])}")
     passed = first == second
     return CheckResult(
         "determinism",
         passed,
-        "byte-identical JSON and CSV reports" if passed else "reports differ between runs",
+        f"byte-identical JSON and CSV reports for {len(KNOWN_MODELS)} models"
+        if passed
+        else "reports differ between runs",
     )
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchcast
-from matchcast.cli import main
+from matchcast.cli import DEFAULT_MODELS, main
 from matchcast.data import serialize_matches
 from matchcast.selftest import simulate_played_season
 
@@ -244,6 +245,25 @@ class TestEvaluate:
         main(args + ["--out", str(tmp_path / "b")])
         for name in ("report.json", "scores.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_predict_matches_evaluate_for_every_model(self, matches_file, tmp_path, capsys):
+        models = ",".join(DEFAULT_MODELS)
+        out_dir = tmp_path / "report"
+        args = ["--matches", str(matches_file), "--models", models]
+        assert main(["evaluate", *args, "--out", str(out_dir)]) == 0
+        scores = (out_dir / "scores.csv").read_text().splitlines()
+        evaluated = {tuple(row[:5]): row[5:8] for row in csv.reader(scores[1:])}
+        capsys.readouterr()
+        predicted = 0
+        for season, matchday in ((2013, 6), (2014, 6), (2014, 10)):
+            when = ["--season", str(season), "--matchday", str(matchday)]
+            assert main(["predict", *args, *when]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+            assert {row[0] for row in rows} == set(DEFAULT_MODELS)
+            for row in rows:
+                assert row[5:8] == evaluated[tuple(row[:5])]
+                predicted += 1
+        assert predicted == len(DEFAULT_MODELS) * 3 * 3
 
     def test_bad_model_spec_continues(self, matches_file, tmp_path, capsys):
         code = main(

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import matchcast.davidson as davidson_module
 from matchcast.data import MatchRecord, Outcome, outcome_of
 from matchcast.davidson import (
     BTParams,
@@ -11,8 +13,9 @@ from matchcast.davidson import (
     bt_log_likelihood,
     bt_outcome_probs,
     bt_params_to_csv,
-    bt_rolling_predict,
 )
+from matchcast.evaluation import context_for
+from matchcast.predictors import DavidsonPredictor
 from matchcast.selftest import double_round_robin, simulate_davidson_season
 
 
@@ -140,6 +143,79 @@ class TestGradient:
                 assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1.0) < 1e-5
 
 
+class _ReferenceObjective(_DavidsonObjective):
+    """The per-call formulation, kept as the kernel's reference.
+
+    It rebuilds the outcome masks on every call and scatters the gradient
+    with paired np.add.at calls.
+    """
+
+    def __init__(self, teams, matches):
+        super().__init__(teams, matches)
+        self.outcome = np.array([o.value for _, o in matches])
+
+    def __call__(self, theta):
+        r, log_gamma, log_nu = self.unpack(theta)
+        r_h = r[self.home_idx]
+        r_a = r[self.away_idx]
+        log_win = log_gamma + r_h
+        log_loss = r_a
+        log_draw = log_nu + 0.5 * (r_h + r_a)
+        stacked = np.stack([log_win, log_draw, log_loss])
+        top = stacked.max(axis=0)
+        log_denom = top + np.log(np.exp(stacked - top).sum(axis=0))
+        chosen = np.where(
+            self.outcome == Outcome.HOME_WIN.value,
+            log_win,
+            np.where(self.outcome == Outcome.DRAW.value, log_draw, log_loss),
+        )
+        nll = float(np.sum(log_denom - chosen))
+        w_win = np.exp(log_win - log_denom)
+        w_draw = np.exp(log_draw - log_denom)
+        w_loss = np.exp(log_loss - log_denom)
+        is_win = self.outcome == Outcome.HOME_WIN.value
+        is_draw = self.outcome == Outcome.DRAW.value
+        is_loss = self.outcome == Outcome.AWAY_WIN.value
+        d_home = (w_win + 0.5 * w_draw) - (is_win * 1.0 + is_draw * 0.5)
+        d_away = (w_loss + 0.5 * w_draw) - (is_loss * 1.0 + is_draw * 0.5)
+        d_gamma = float(np.sum(w_win - is_win))
+        d_nu = float(np.sum(w_draw - is_draw))
+        d_r = np.zeros(self.n_teams)
+        np.add.at(d_r, self.home_idx, d_home)
+        np.add.at(d_r, self.away_idx, d_away)
+        return nll, np.concatenate((d_r[1:], [d_gamma, d_nu]))
+
+
+class TestKernelMatchesReference:
+    """The precomputed objective returns the reference's bits exactly."""
+
+    def test_random_thetas(self, poisson_first_half, box_thetas):
+        matches = [(m, outcome_of(m)) for m in poisson_first_half]
+        teams = sorted({t for m, _ in matches for t in (m.home, m.away)})
+        fast = _DavidsonObjective(teams, matches)
+        reference = _ReferenceObjective(teams, matches)
+        for theta in box_thetas(fast.n_params):
+            nll, grad = fast(theta)
+            want_nll, want_grad = reference(theta)
+            assert nll == want_nll
+            assert np.array_equal(grad, want_grad)
+
+    def test_fits_equal_reference_fits(
+        self, poisson_first_half, monkeypatch, record_minimize
+    ):
+        matches = [(m, outcome_of(m)) for m in poisson_first_half]
+        results = record_minimize(davidson_module)
+        got = bt_fit(matches)
+        monkeypatch.setattr(davidson_module, "_DavidsonObjective", _ReferenceObjective)
+        want = bt_fit(matches)
+        fast, reference = results
+        assert np.array_equal(fast.x, reference.x)
+        assert (fast.fun, fast.iterations, fast.converged) == (
+            reference.fun, reference.iterations, reference.converged
+        )
+        assert got == want
+
+
 def _all_home_wins_season(teams):
     records = []
     for matchday, rnd in enumerate(double_round_robin(teams), start=1):
@@ -218,10 +294,15 @@ class TestFit:
         assert report.iterations <= 2
 
 
+def rolling_predict(seasons, season, matchday):
+    """One refit through the harness path: the matchday's context, then the predictor."""
+    return DavidsonPredictor().predict(context_for(seasons, season, matchday))
+
+
 class TestRollingPredict:
     def test_matches_direct_fit_composition(self, mid_season):
         matchday = 7
-        rolling = bt_rolling_predict(mid_season, matchday)
+        rolling = rolling_predict([mid_season], mid_season, matchday)
         earlier = [
             (m, outcome_of(m)) for m in mid_season.matches if m.matchday < matchday
         ]
@@ -232,16 +313,21 @@ class TestRollingPredict:
 
     def test_rejects_first_half_matchday(self, mid_season):
         with pytest.raises(ValueError, match="second half"):
-            bt_rolling_predict(mid_season, 2)
+            rolling_predict([mid_season], mid_season, 2)
 
-    def test_rejects_unplayed_prior_matches(self):
+    def test_rejects_unplayed_prior_matches(self, tmp_path, capsys):
+        # The context drops unplayed matches from the history, so the
+        # refusal lives where a matchday is requested: ``matchcast predict``.
+        from matchcast.cli import main
+        from matchcast.data import serialize_matches
+
         records = _all_home_wins_season(["a", "b", "c", "d"])
         records[0] = MatchRecord(2014, 1, records[0].home, records[0].away)
-        from matchcast.data import build_season
-
-        season = build_season(records)
-        with pytest.raises(ValueError, match="unplayed"):
-            bt_rolling_predict(season, 4)
+        path = tmp_path / "matches.csv"
+        path.write_text(serialize_matches(records))
+        code = main(["predict", "--matches", str(path), "--matchday", "4", "--models", "bt"])
+        assert code == 2
+        assert "unplayed matches before matchday 4" in capsys.readouterr().err
 
     def test_second_leg_differs_on_asymmetric_data(self, rng):
         # Construct a season where the data is asymmetric between the legs;
@@ -251,7 +337,7 @@ class TestRollingPredict:
         from matchcast.data import build_season
 
         season = build_season(records)
-        predictions = bt_rolling_predict(season, 6)
+        predictions = rolling_predict([season], season, 6)
         fixture = next(iter(predictions))
         reverse_home, reverse_away = fixture.away, fixture.home
         first_leg = [

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import poisson as poisson_dist
 
+import matchcast.poisson as poisson_module
 from matchcast.data import MatchRecord
 from matchcast.poisson import (
+    MAX_GRID_GOALS,
     BivPoissonParams,
     TeamStrengths,
     TrainingWindow,
@@ -19,10 +21,11 @@ from matchcast.poisson import (
     outcome_probs,
     outcome_probs_from_grid,
     poisson_fit,
-    poisson_rolling_predict,
     score_grid,
     strengths_to_csv,
 )
+from matchcast.evaluation import context_for
+from matchcast.predictors import PoissonPredictor
 from matchcast.selftest import double_round_robin, simulate_poisson_matches
 
 
@@ -181,6 +184,13 @@ class TestScoreGrid:
         p_v = poisson_dist.pmf(np.arange(13), 0.9)
         assert np.array_equal(_joint_mass(BivPoissonParams(1.7, 0.9), 12), np.outer(p_u, p_v))
 
+    def test_unbounded_grid_refused(self):
+        # A boundary fit can give an unseen pairing a rate near 1e8, whose
+        # block search would otherwise run through 2**27 goal counts.
+        with pytest.raises(ValueError, match="goals per side"):
+            score_grid(BivPoissonParams(8e7, 1.0, 0.6))
+        assert score_grid(BivPoissonParams(700.0, 1.0)).max_goals < MAX_GRID_GOALS
+
     def test_tail_tol_range_enforced(self):
         with pytest.raises(ValueError):
             score_grid(BivPoissonParams(1, 1, 0), 0.01)
@@ -326,6 +336,142 @@ class TestFit:
         assert first == second
 
 
+class _DenseObjective(_PoissonObjective):
+    """The dense formulation, kept as the kernel's reference.
+
+    It evaluates the shared-component sum on the whole match x k grid,
+    masked past min(y1, y2), and scatters the gradient with np.add.at.
+    """
+
+    def __init__(self, teams, matches, correlated):
+        super().__init__(teams, matches, correlated)
+        kmax = int(min(self.y1.max(), self.y2.max()))
+        self.k = np.arange(kmax + 1, dtype=float)
+        self.k_ok = self.k[None, :] <= np.minimum(self.y1, self.y2)[:, None]
+        self.lgamma_y1k = _masked_lgamma(self.y1[:, None] - self.k[None, :], self.k_ok)
+        self.lgamma_y2k = _masked_lgamma(self.y2[:, None] - self.k[None, :], self.k_ok)
+        self.lgamma_k = np.array([math.lgamma(k + 1) for k in range(kmax + 1)])
+
+    def __call__(self, theta):
+        mu, gamma, att, dfn, lambda3 = self.unpack(theta)
+        log_l1 = mu + att[self.home_idx] - dfn[self.away_idx] + gamma
+        log_l2 = mu + att[self.away_idx] - dfn[self.home_idx]
+        l1 = np.exp(log_l1)
+        l2 = np.exp(log_l2)
+        if lambda3 == 0.0:
+            ll = (
+                -(l1 + l2)
+                + self.y1 * log_l1
+                + self.y2 * log_l2
+                - self.lgamma_y1k[:, 0]
+                - self.lgamma_y2k[:, 0]
+            )
+            s1 = self.y1 - l1
+            s2 = self.y2 - l2
+            nll = -float(ll.sum())
+            mean_k = None
+        else:
+            log_terms = (
+                (self.y1[:, None] - self.k[None, :]) * log_l1[:, None]
+                + (self.y2[:, None] - self.k[None, :]) * log_l2[:, None]
+                + self.k[None, :] * math.log(lambda3)
+                - self.lgamma_y1k
+                - self.lgamma_y2k
+                - self.lgamma_k[None, :]
+            )
+            log_terms = np.where(self.k_ok, log_terms, -np.inf)
+            top = log_terms.max(axis=1)
+            with np.errstate(invalid="ignore"):
+                rel = np.exp(log_terms - top[:, None])
+            rel = np.where(self.k_ok, rel, 0.0)
+            s = rel.sum(axis=1)
+            log_sum = top + np.log(s)
+            ll = -(l1 + l2 + lambda3) + log_sum
+            nll = -float(ll.sum())
+            mean_k = (rel @ self.k) / s
+            s1 = (self.y1 - mean_k) - l1
+            s2 = (self.y2 - mean_k) - l2
+        d_mu = -float((s1 + s2).sum())
+        d_gamma = -float(s1.sum())
+        d_att = np.zeros(self.n_teams)
+        d_def = np.zeros(self.n_teams)
+        np.add.at(d_att, self.home_idx, -s1)
+        np.add.at(d_att, self.away_idx, -s2)
+        np.add.at(d_def, self.away_idx, s1)
+        np.add.at(d_def, self.home_idx, s2)
+        grad = [d_mu, d_gamma]
+        grad.extend(d_att[:-1] - d_att[-1])
+        grad.extend(d_def[:-1] - d_def[-1])
+        if self.correlated:
+            grad.append(-float((mean_k - lambda3).sum()))
+        return nll, np.asarray(grad)
+
+
+def _score_window(scores):
+    """Played matches with the given (home, away) goals, cycling over six teams."""
+    teams = [f"t{k}" for k in range(6)]
+    return [
+        MatchRecord(2014, 1 + i // 3, teams[i % 6], teams[(i + 1) % 6], y1, y2)
+        for i, (y1, y2) in enumerate(scores)
+    ]
+
+
+class TestKernelMatchesDenseReference:
+    """The live-cell objective returns the dense formulation's bits exactly."""
+
+    def _assert_same(self, matches, box_thetas):
+        teams = sorted({t for m in matches for t in (m.home, m.away)})
+        for correlated in (False, True):
+            fast = _PoissonObjective(teams, matches, correlated)
+            dense = _DenseObjective(teams, matches, correlated)
+            for theta in box_thetas(fast.n_params):
+                nll, grad = fast(theta)
+                want_nll, want_grad = dense(theta)
+                assert nll == want_nll
+                assert np.array_equal(grad, want_grad)
+
+    def test_simulated_seasons(self, rng, box_thetas):
+        records = simulate_poisson_matches(_true_strengths(0.2), list("abcd"), 6, rng)
+        self._assert_same(records, box_thetas)
+
+    def test_twenty_team_first_half(self, poisson_first_half, box_thetas):
+        self._assert_same(poisson_first_half, box_thetas)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            # min(y1, y2) = 0 everywhere: one live cell per match in a grid
+            # min(max y1, max y2) + 1 = 3 wide...
+            [(1, 0), (0, 2), (0, 0), (3, 0), (0, 1), (2, 0)] * 3,
+            # ...and, with no away goal at all, a grid one cell wide.
+            [(1, 0), (0, 0), (3, 0), (2, 0), (1, 0), (0, 0)] * 3,
+        ],
+    )
+    def test_no_match_with_both_sides_scoring(self, scores, box_thetas):
+        self._assert_same(_score_window(scores), box_thetas)
+
+    def test_wide_rows_use_the_pairwise_row_sum(self, box_thetas):
+        # An 8-8 and an 11-9 score give rows of 9 and 10 live cells, past
+        # the 8-element blocks of NumPy's pairwise summation.
+        scores = [(8, 8), (1, 1), (0, 2), (11, 9), (2, 3), (4, 4), (1, 0), (3, 5), (6, 2)] * 2
+        self._assert_same(_score_window(scores), box_thetas)
+
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_fits_equal_dense_reference_fits(
+        self, poisson_first_half, correlated, monkeypatch, record_minimize
+    ):
+        results = record_minimize(poisson_module)
+        got = poisson_fit(poisson_first_half, correlated=correlated)
+        monkeypatch.setattr(poisson_module, "_PoissonObjective", _DenseObjective)
+        want = poisson_fit(poisson_first_half, correlated=correlated)
+        fast, dense = results
+        assert np.array_equal(fast.x, dense.x)
+        assert (fast.fun, fast.iterations, fast.converged) == (
+            dense.fun, dense.iterations, dense.converged
+        )
+        assert got == want
+
+
 class TestTrainingWindow:
     def test_parse_forms(self):
         assert TrainingWindow.parse("season").kind == "season"
@@ -339,21 +485,28 @@ class TestTrainingWindow:
         earlier = [m for m in two_seasons[0].matches]
         season = two_seasons[1]
         md = 6
-        current = TrainingWindow("season").select(season, md)
+        ctx = context_for(two_seasons, season, md)
+        current = TrainingWindow("season").training(ctx)
         assert all(m.season == season.year and m.matchday < md for m in current)
         assert len(current) == 15  # matchdays 1..5, three matches each
 
-        everything = TrainingWindow("all").select(season, md, earlier)
+        everything = TrainingWindow("all").training(ctx)
         assert len(everything) == len(earlier) + len(current)
 
-        recent = TrainingWindow("last_n_rounds", 2).select(season, md)
+        recent = TrainingWindow("last_n_rounds", 2).training(ctx)
         assert sorted({m.matchday for m in recent}) == [4, 5]
+
+
+def rolling_predict(seasons, season, matchday, window=TrainingWindow("season")):
+    """One independent-Poisson refit through the harness path."""
+    predictor = PoissonPredictor("poisson", correlated=False, window=window)
+    return predictor.predict(context_for(seasons, season, matchday))
 
 
 class TestRollingPredict:
     def test_current_season_window_composition(self, mid_season):
         md = 7
-        rolling = poisson_rolling_predict(mid_season, md)
+        rolling = rolling_predict([mid_season], mid_season, md)
         training = [m for m in mid_season.matches if m.matchday < md]
         strengths, _ = poisson_fit(training)
         for fixture, prediction in rolling.items():
@@ -363,22 +516,19 @@ class TestRollingPredict:
     def test_cross_season_window_changes_fit(self, two_seasons):
         md = 6
         season = two_seasons[1]
-        earlier = list(two_seasons[0].matches)
-        lee_style = poisson_rolling_predict(season, md, window=TrainingWindow("season"))
-        pooled = poisson_rolling_predict(
-            season, md, window=TrainingWindow("all"), earlier_seasons=earlier
-        )
+        lee_style = rolling_predict(two_seasons, season, md, TrainingWindow("season"))
+        pooled = rolling_predict(two_seasons, season, md, TrainingWindow("all"))
         assert set(lee_style) == set(pooled)
         assert any(lee_style[f] != pooled[f] for f in lee_style)
 
     def test_repeat_call_is_bitwise_identical(self, mid_season):
-        a = poisson_rolling_predict(mid_season, 6)
-        b = poisson_rolling_predict(mid_season, 6)
+        a = rolling_predict([mid_season], mid_season, 6)
+        b = rolling_predict([mid_season], mid_season, 6)
         assert a == b
 
     def test_rejects_first_half(self, mid_season):
         with pytest.raises(ValueError, match="second half"):
-            poisson_rolling_predict(mid_season, 3)
+            rolling_predict([mid_season], mid_season, 3)
 
 
 class TestCsvExport:
