@@ -261,15 +261,24 @@ def venue_counts(
 
 
 def tally_records(records: Iterable[MatchRecord], team: str, role: Venue) -> CountVector:
-    """Tally played records where ``team`` occupies ``role``; order irrelevant."""
-    counts = CountVector()
+    """Tally played records where ``team`` occupies ``role``; order irrelevant.
+
+    One pass over plain ints, so the tally builds a single ``CountVector``
+    however many records it reads; the rule is :func:`outcome_of`'s.
+    """
+    home = role is Venue.HOME
+    wins = draws = losses = 0
     for m in records:
-        if not m.played:
+        home_goals = m.home_goals
+        if home_goals is None or (m.home if home else m.away) != team:
             continue
-        if (m.home if role is Venue.HOME else m.away) != team:
-            continue
-        counts = counts.add_outcome(outcome_of(m), role)
-    return counts
+        if home_goals == m.away_goals:
+            draws += 1
+        elif (home_goals > m.away_goals) == home:
+            wins += 1
+        else:
+            losses += 1
+    return CountVector(wins, draws, losses)
 
 
 def _parse_goals(text: str, line: int, field: str) -> int | None:

@@ -21,6 +21,7 @@ from .data import (
     Outcome,
     Prediction,
     Season,
+    first_half_rounds,
     outcome_of,
     second_half_matchdays,
 )
@@ -55,12 +56,11 @@ class PredictionContext:
     fixtures: tuple[MatchRecord, ...]
 
     def __post_init__(self) -> None:
+        year, matchday = self.season_year, self.matchday
         for r in self.history:
-            if not r.played:
+            if r.home_goals is None:
                 raise ValueError(f"history contains an unplayed match: {r}")
-            earlier = r.season < self.season_year or (
-                r.season == self.season_year and r.matchday < self.matchday
-            )
+            earlier = r.season < year or (r.season == year and r.matchday < matchday)
             if not earlier:
                 raise ValueError(
                     f"history leaks match data from matchday {r.matchday} "
@@ -93,7 +93,7 @@ def context_for(
     earlier: list[MatchRecord] = []
     for other in sorted(seasons, key=lambda s: s.year):
         if other.year < season.year:
-            earlier.extend(m for m in other.matches if m.played)
+            earlier.extend(m for m in other.matches if m.home_goals is not None)
     earlier.extend(season.played_before(matchday))
     fixtures = tuple(m.scheduled_copy() for m in season.matches_of(matchday))
     return PredictionContext(
@@ -277,15 +277,27 @@ def _year_summary(year: int, scored: Sequence[ScoredMatch]) -> YearSummary:
 
 
 def check_evaluable(seasons: Sequence[Season]) -> None:
-    """Every second-half match must be played before scoring can start."""
+    """A season with a second half must be fully played.
+
+    Second-half matches are scored, and every refit before them must see
+    the whole earlier record of its season, as ``matchcast predict``
+    demands: an unplayed first-half match would leave the refits and the
+    ``mn-dir2`` tuning short of it without any flag.
+    """
     for season in seasons:
-        for matchday in second_half_matchdays(season):
-            for m in season.matches_of(matchday):
-                if not m.played:
-                    raise ValueError(
-                        f"season {season.year} matchday {matchday}: unplayed match "
-                        f"{m.home} vs {m.away}"
-                    )
+        matchdays = second_half_matchdays(season)
+        m = next((m for m in season.matches if not m.played), None)
+        if m is None or not matchdays:
+            continue
+        if m.matchday > first_half_rounds(season.rounds):
+            raise ValueError(
+                f"season {season.year} matchday {m.matchday}: unplayed match "
+                f"{m.home} vs {m.away}"
+            )
+        raise ValueError(
+            f"season {season.year}: unplayed matches before matchday {matchdays[0]} "
+            f"({m.home} vs {m.away} on matchday {m.matchday})"
+        )
 
 
 def evaluate(
@@ -296,8 +308,10 @@ def evaluate(
 ) -> list[ModelReport]:
     """Score every predictor over the second half of every season.
 
-    Predictors are refit/updated per their own protocol through the context
-    they receive; a predictor failure on a matchday skips that matchday for
+    Each second-half matchday gets one context, handed to every predictor
+    in the order given, so all models are refit from the same earlier
+    results.  Predictors are refit/updated per their own protocol through
+    that context; a predictor failure on a matchday skips that matchday for
     that predictor (flagged) and the run continues.  Reports come back in
     the predictor order given, each covering all seasons with a per-year
     breakdown.  A predictor that produced no prediction at all gets no
@@ -305,27 +319,29 @@ def evaluate(
     """
     ordered_seasons = sorted(seasons, key=lambda s: s.year)
     check_evaluable(ordered_seasons)
-    reports = []
-    for predictor in predictors:
-        scored: list[ScoredMatch] = []
-        skipped: list[SkippedMatchday] = []
-        missing = 0
-        for season in ordered_seasons:
-            for matchday in second_half_matchdays(season):
-                ctx = context_for(ordered_seasons, season, matchday)
+    scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]
+    skipped_by: list[list[SkippedMatchday]] = [[] for _ in predictors]
+    missing_by = [0] * len(predictors)
+    for season in ordered_seasons:
+        for matchday in second_half_matchdays(season):
+            ctx = context_for(ordered_seasons, season, matchday)
+            matches = season.matches_of(matchday)
+            for i, predictor in enumerate(predictors):
                 try:
                     predictions = predictor.predict(ctx)
                 except Exception as exc:  # noqa: BLE001 - predictor failures are data
-                    skipped.append(
+                    skipped_by[i].append(
                         SkippedMatchday(season.year, matchday, f"{type(exc).__name__}: {exc}")
                     )
                     continue
-                for fixture, match in zip(ctx.fixtures, season.matches_of(matchday)):
+                for fixture, match in zip(ctx.fixtures, matches):
                     prediction = predictions.get(fixture)
                     if prediction is None:
-                        missing += 1
+                        missing_by[i] += 1
                         continue
-                    scored.append(score_match(match, prediction))
+                    scored_by[i].append(score_match(match, prediction))
+    reports = []
+    for predictor, scored, skipped, missing in zip(predictors, scored_by, skipped_by, missing_by):
         if not scored:
             continue
 

@@ -307,6 +307,19 @@ class TestEvaluate:
         assert "failed models" in captured.out
         assert set(json.loads((out_dir / "report.json").read_text())) == {"trivial"}
 
+    def test_unplayed_first_half_match_refused_as_predict_does(self, tmp_path, capsys, rng):
+        season = simulate_played_season([f"t{k}" for k in range(6)], 2014, rng)
+        records = list(season.matches)
+        records[0] = records[0].scheduled_copy()  # a matchday-1 match
+        path = tmp_path / "matches.csv"
+        path.write_text(serialize_matches(records), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["evaluate", "--out", str(tmp_path / "r")], ["predict", "--matchday", "6"]):
+            code = main(argv + ["--matches", str(path), "--models", "trivial"])
+            assert code == 2
+            assert "unplayed matches before matchday 6" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of a cold start; only `matchcast selftest` needs it.

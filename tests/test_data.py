@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from matchcast.data import (
@@ -16,6 +17,7 @@ from matchcast.data import (
     parse_matches_with_lines,
     second_half_matchdays,
     serialize_matches,
+    tally_records,
     venue_counts,
 )
 
@@ -177,6 +179,36 @@ class TestVenueCounts:
                 for t in small_season.teams
             )
             assert total == played
+
+
+def _brute_force_tally(records, team, role):
+    own = [
+        outcome_of(m)
+        for m in records
+        if m.played and (m.home if role is Venue.HOME else m.away) == team
+    ]
+    win = Outcome.HOME_WIN if role is Venue.HOME else Outcome.AWAY_WIN
+    wins, draws = own.count(win), own.count(Outcome.DRAW)
+    return CountVector(wins, draws, len(own) - wins - draws)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tally_records_matches_brute_force(seed):
+    # Scheduled matches mixed in; t5 never plays and "nobody" is unknown.
+    rng = np.random.default_rng(seed)
+    teams = [f"t{k}" for k in range(6)]
+    records = []
+    for i in range(int(rng.integers(0, 120))):
+        home, away = (str(t) for t in rng.choice(teams[:5], 2, replace=False))
+        goals = (None, None)
+        if rng.random() >= 0.2:
+            goals = tuple(int(g) for g in rng.integers(0, 4, 2))
+        records.append(MatchRecord(2014, 1 + i % 10, home, away, *goals))
+    for team in teams + ["nobody"]:
+        for role in Venue:
+            expected = _brute_force_tally(records, team, role)
+            assert tally_records(records, team, role) == expected
+            assert tally_records(iter(records), team, role) == expected
 
 
 class TestSeason:

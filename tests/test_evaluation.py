@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from matchcast.data import Prediction, build_season, outcome_of
+import matchcast.evaluation as evaluation
+from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
 from matchcast.evaluation import PredictionContext, context_for, evaluate
 from matchcast.predictors import (
     DavidsonPredictor,
@@ -160,6 +161,16 @@ class TestHarnessRobustness:
         with pytest.raises(ValueError, match="unplayed"):
             evaluate([TrivialPredictor()], [two_seasons[0], broken])
 
+    def test_unplayed_first_half_match_rejected(self, mid_season):
+        # The refits and the mn-dir2 tuning of every second-half matchday
+        # would silently miss the blanked match.
+        records = list(mid_season.matches)
+        victim = records.index(mid_season.matches_of(1)[0])
+        records[victim] = records[victim].scheduled_copy()
+        broken = build_season(records)
+        with pytest.raises(ValueError, match="unplayed matches before matchday 6"):
+            evaluate([TrivialPredictor()], [broken])
+
     def test_infinite_log_scores_flagged_not_crashed(self, tmp_path, two_seasons):
         # A vertex prediction on the WRONG outcome yields an infinite log score.
         season = two_seasons[0]
@@ -179,6 +190,63 @@ class TestHarnessRobustness:
         assert report.aggregates.log.infinite == 1
         assert report.aggregates.log.n == 29
         assert math.isfinite(report.aggregates.log.mean)
+
+
+class RecordingPredictor:
+    """Uniform forecasts; logs its name and every context it is handed."""
+
+    def __init__(self, name, calls):
+        self.name = name
+        self.calls = calls
+
+    def predict(self, ctx):
+        self.calls.append((self.name, ctx))
+        return {f: Prediction(1 / 3, 1 / 3, 1 / 3) for f in ctx.fixtures}
+
+
+class TestSharedContext:
+    @pytest.mark.parametrize("n_predictors", [1, 4])
+    def test_one_context_per_matchday_for_every_predictor(
+        self, two_seasons, monkeypatch, n_predictors
+    ):
+        built = []
+        real = evaluation.context_for
+
+        def counting(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(evaluation, "context_for", counting)
+        calls = []
+        predictors = [RecordingPredictor(f"r{k}", calls) for k in range(n_predictors)]
+        evaluate(predictors, two_seasons)
+        matchdays = [(s.year, d) for s in two_seasons for d in second_half_matchdays(s)]
+        assert [(c.season_year, c.matchday) for c in built] == matchdays
+        # Every predictor, in the order given, gets the matchday's one context.
+        expected = [(p.name, ctx) for ctx in built for p in predictors]
+        assert [name for name, _ in calls] == [name for name, _ in expected]
+        assert all(got is ctx for (_, got), (_, ctx) in zip(calls, expected))
+
+    def test_joint_run_matches_each_predictor_alone(self, two_seasons):
+        from matchcast.dirichlet import GridSpec
+
+        grid = GridSpec(w_points=(0.25, 0.5), alpha_points=(1.0, 2.0))
+        makers = [
+            lambda: MnDir2Predictor(grid),
+            lambda: FailingOn(bad_matchday=7),
+            DavidsonPredictor,
+        ]
+        joint = evaluate([make() for make in makers], two_seasons)
+        assert [r.model for r in joint] == ["mn-dir2", "flaky", "bt"]
+        for report, make in zip(joint, makers):
+            assert reports_to_json([report]) == reports_to_json(
+                evaluate([make()], two_seasons)
+            )
+        assert [(s.season, s.matchday) for s in joint[1].skipped_matchdays] == [
+            (2013, 7),
+            (2014, 7),
+        ]
+        assert not joint[0].skipped_matchdays and not joint[2].skipped_matchdays
 
 
 class TestReportContents:
