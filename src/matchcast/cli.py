@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import MatchDataError, build_seasons, parse_matches_with_lines
-from .davidson import FitSettings
 from .dirichlet import GridSpec
 from .evaluation import check_evaluable, context_for, evaluate
-from .poisson import DEFAULT_TAIL_TOL, PoissonSettings, TrainingWindow
+from .optimize import OptimSettings
+from .poisson import DEFAULT_TAIL_TOL, TrainingWindow
 from .predictors import build_predictor
 from .reports import summary_table, write_reports
 
@@ -37,14 +37,14 @@ class RunConfig:
     def _get(self, key: str, default: str) -> str:
         return self.raw.get(key, default)
 
-    def bt_settings(self) -> FitSettings:
-        return FitSettings(
+    def bt_settings(self) -> OptimSettings:
+        return OptimSettings(
             tol=float(self._get("bt.tol", "1e-8")),
             max_iter=int(self._get("bt.max_iter", "500")),
         )
 
-    def poisson_settings(self) -> PoissonSettings:
-        return PoissonSettings(
+    def poisson_settings(self) -> OptimSettings:
+        return OptimSettings(
             tol=float(self._get("poisson.tol", "1e-8")),
             max_iter=int(self._get("poisson.max_iter", "500")),
         )
@@ -215,10 +215,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 f"{spec},{fixture.season},{fixture.matchday},{fixture.home},"
                 f"{fixture.away},{p.p_home!r},{p.p_draw!r},{p.p_away!r}"
             )
-        if args.dump_params:
-            exporter = getattr(predictor, "export_params_csv", None)
-            if callable(exporter) and (text := exporter()) is not None:
-                param_dumps.append((spec, text))
+        fitted = getattr(predictor, "last_fit", None)
+        if args.dump_params and fitted is not None:
+            param_dumps.append((spec, fitted.params.to_csv()))
     output = "\n".join(rows) + "\n"
     if args.out:
         out_dir = Path(args.out)

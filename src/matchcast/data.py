@@ -244,22 +244,6 @@ def second_half_matchdays(season: Season) -> list[int]:
     return sorted({m.matchday for m in season.matches if m.matchday > half})
 
 
-def venue_counts(
-    season: Season, team: str, role: Venue, through_matchday: int
-) -> CountVector:
-    """Win/draw/loss tally for ``team`` in ``role`` over played matchdays <= cutoff."""
-    if team not in season.teams:
-        raise MatchDataError(f"unknown team {team!r}")
-    relevant = (
-        m
-        for m in season.matches
-        if m.played
-        and m.matchday <= through_matchday
-        and (m.home if role is Venue.HOME else m.away) == team
-    )
-    return tally_records(relevant, team, role)
-
-
 def tally_records(records: Iterable[MatchRecord], team: str, role: Venue) -> CountVector:
     """Tally played records where ``team`` occupies ``role``; order irrelevant.
 

@@ -13,14 +13,13 @@ positivity and sum-to-one identifiability constraints into the geometry.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import MatchRecord, Outcome, Prediction
-from .optimize import OptimResult, OptimSettings, minimize
+from .optimize import FitReport, OptimSettings, fit_report, minimize
 
 WORTH_SUM_TOL = 1e-9
 
@@ -46,21 +45,14 @@ class BTParams:
         if self.nu < 0.0:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
 
-
-@dataclass(frozen=True)
-class FitReport:
-    params: BTParams
-    log_likelihood: float
-    iterations: int
-    converged: bool
-    gradient_norm: float
-    boundary_flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class FitSettings:
-    tol: float = 1e-8
-    max_iter: int = 500
+    def to_csv(self) -> str:
+        """``team,worth`` rows with a ``gamma,nu`` footer."""
+        lines = ["team,worth"]
+        for team in sorted(self.worth):
+            lines.append(f"{team},{self.worth[team]!r}")
+        lines.append(f"gamma,{self.gamma!r}")
+        lines.append(f"nu,{self.nu!r}")
+        return "\n".join(lines) + "\n"
 
 
 def bt_outcome_probs(params: BTParams, home: str, away: str) -> Prediction:
@@ -77,23 +69,6 @@ def bt_outcome_probs(params: BTParams, home: str, away: str) -> Prediction:
     return Prediction(win / denom, draw / denom, loss / denom)
 
 
-def bt_log_likelihood(
-    params: BTParams, matches: Sequence[tuple[MatchRecord, Outcome]]
-) -> float:
-    """Sum of log outcome probabilities; -inf (with a warning) on zero-probability data."""
-    total = 0.0
-    for match, outcome in matches:
-        p = bt_outcome_probs(params, match.home, match.away).prob_of(outcome)
-        if p == 0.0:
-            warnings.warn(
-                f"{match.home} vs {match.away}: realized outcome has probability 0",
-                stacklevel=2,
-            )
-            return -math.inf
-        total += math.log(p)
-    return total
-
-
 class _DavidsonObjective:
     """Negative log-likelihood and gradient over (r_2..r_T, log gamma, log nu).
 
@@ -104,8 +79,8 @@ class _DavidsonObjective:
     def __init__(self, teams: Sequence[str], matches: Sequence[tuple[MatchRecord, Outcome]]):
         self.teams = list(teams)
         index = {t: k for k, t in enumerate(self.teams)}
-        self.home_idx = np.array([index[m.home] for m, _ in matches])
-        self.away_idx = np.array([index[m.away] for m, _ in matches])
+        self.home_idx = np.array([index[m.home] for m, _ in matches], dtype=int)
+        self.away_idx = np.array([index[m.away] for m, _ in matches], dtype=int)
         self.team_idx = np.concatenate((self.home_idx, self.away_idx))
         outcome = np.array([o.value for _, o in matches])
         self.is_win = outcome == Outcome.HOME_WIN.value
@@ -165,25 +140,10 @@ def _prepare(matches: Sequence[tuple[MatchRecord, Outcome]]) -> _DavidsonObjecti
     return _DavidsonObjective(teams, matches)
 
 
-BOUNDARY_DRIFT = 15.0
-
-
-def _boundary_flags(objective: _DavidsonObjective, result: OptimResult) -> tuple[str, ...]:
-    # Separable data sends log-scale parameters toward infinity; the gradient
-    # flattens well before the optimizer clamp, so flag both an active clamp
-    # and extreme drift (|log parameter| beyond any plausible finite MLE).
-    names = [f"worth:{t}" for t in objective.teams[1:]] + ["gamma", "nu"]
-    flagged = {names[i] for i in result.at_bound}
-    flagged.update(
-        name for name, value in zip(names, result.x) if abs(value) >= BOUNDARY_DRIFT
-    )
-    return tuple(sorted(flagged))
-
-
 def bt_fit(
     matches: Sequence[tuple[MatchRecord, Outcome]],
-    settings: FitSettings | None = None,
-) -> FitReport:
+    settings: OptimSettings | None = None,
+) -> FitReport[BTParams]:
     """Maximum-likelihood fit from the symmetric starting point.
 
     Initialization is equal worths with gamma = nu = 1, so repeated fits on
@@ -191,10 +151,9 @@ def bt_fit(
     (separable data, or no draws pushing nu to zero) come back flagged in
     ``boundary_flags`` rather than as an exception.
     """
-    cfg = settings or FitSettings()
     objective = _prepare(matches)
     x0 = np.zeros(objective.n_params)
-    result = minimize(objective, x0, OptimSettings(tol=cfg.tol, max_iter=cfg.max_iter))
+    result = minimize(objective, x0, settings)
 
     r, log_gamma, log_nu = objective.unpack(result.x)
     worths = np.exp(r)
@@ -204,21 +163,5 @@ def bt_fit(
         gamma=float(math.exp(log_gamma)),
         nu=float(math.exp(log_nu)),
     )
-    return FitReport(
-        params=params,
-        log_likelihood=-result.fun,
-        iterations=result.iterations,
-        converged=result.converged,
-        gradient_norm=result.grad_norm,
-        boundary_flags=_boundary_flags(objective, result),
-    )
-
-
-def bt_params_to_csv(params: BTParams) -> str:
-    """``team,worth`` rows with a ``gamma,nu`` footer."""
-    lines = ["team,worth"]
-    for team in sorted(params.worth):
-        lines.append(f"{team},{params.worth[team]!r}")
-    lines.append(f"gamma,{params.gamma!r}")
-    lines.append(f"nu,{params.nu!r}")
-    return "\n".join(lines) + "\n"
+    names = [f"worth:{t}" for t in objective.teams[1:]] + ["gamma", "nu"]
+    return fit_report(params, result, names)

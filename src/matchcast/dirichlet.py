@@ -127,24 +127,6 @@ def pool(
     )
 
 
-def mn_dir1_predict(
-    home_counts: CountVector,
-    away_counts: CountVector,
-    prior: DirichletParams | None = None,
-) -> Prediction:
-    """Equal-weight mixture of the two posterior predictives (flat prior).
-
-    ``home_counts`` tallies the home team's past home matches,
-    ``away_counts`` the away team's past away matches, each from that
-    team's own perspective.
-    """
-    if prior is None:
-        prior = DirichletParams.uniform()
-    home_view = predictive(posterior(prior, home_counts))
-    away_view = predictive(posterior(prior, away_counts))
-    return pool(home_view, away_view, PoolWeights(0.5))
-
-
 @dataclass(frozen=True)
 class MnDir2Config:
     """Tuned variant: symmetric prior concentration and a free pool weight."""
@@ -165,6 +147,19 @@ def mn_dir2_predict(
     home_view = predictive(posterior(prior, home_counts))
     away_view = predictive(posterior(prior, away_counts))
     return pool(home_view, away_view, cfg.weights)
+
+
+MN_DIR1 = MnDir2Config(1.0, PoolWeights(0.5))
+
+
+def mn_dir1_predict(home_counts: CountVector, away_counts: CountVector) -> Prediction:
+    """Equal-weight mixture of the two posterior predictives (flat prior).
+
+    ``home_counts`` tallies the home team's past home matches,
+    ``away_counts`` the away team's past away matches, each from that
+    team's own perspective.
+    """
+    return mn_dir2_predict(home_counts, away_counts, MN_DIR1)
 
 
 @dataclass(frozen=True)
@@ -191,14 +186,6 @@ class GridSpec:
         w = tuple(k / 19.0 for k in range(20))
         alpha = tuple(0.001 + k * (19.999 / 19.0) for k in range(20))
         return cls(w, alpha)
-
-
-def _outcome_indicator(outcome: Outcome) -> Prediction:
-    return Prediction(
-        1.0 if outcome is Outcome.HOME_WIN else 0.0,
-        1.0 if outcome is Outcome.DRAW else 0.0,
-        1.0 if outcome is Outcome.AWAY_WIN else 0.0,
-    )
 
 
 def cv_select(

@@ -1,4 +1,4 @@
-"""Box-clamped BFGS minimizer with backtracking line search.
+"""Box-clamped BFGS minimizer with backtracking line search, and the fit report.
 
 Both likelihood fits in this package are smooth, low-dimensional and
 unconstrained apart from a wide safety box that catches separable data
@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
 ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+P = TypeVar("P")
+
+BOX = 30.0          # iterates clamped to [-BOX, BOX]^d
+DRIFT_LIMIT = 15.0  # |x| past any plausible finite MLE on a log scale
 
 
 @dataclass(frozen=True)
 class OptimSettings:
     tol: float = 1e-8          # on the projected gradient norm
     max_iter: int = 500
-    bound: float = 30.0        # iterates clamped to [-bound, bound]^d
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1 or self.bound <= 0:
+        if self.tol <= 0 or self.max_iter < 1:
             raise ValueError(f"invalid optimizer settings: {self}")
 
 
@@ -39,17 +42,48 @@ class OptimResult:
     at_bound: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class FitReport(Generic[P]):
+    """A maximum-likelihood fit: its parameters and how the solver ended."""
+
+    params: P
+    log_likelihood: float
+    iterations: int
+    converged: bool
+    gradient_norm: float
+    boundary_flags: tuple[str, ...]
+
+
+def fit_report(params: P, result: OptimResult, names: Sequence[str]) -> FitReport[P]:
+    """The report of a fit whose free parameters, in order, are ``names``.
+
+    Separable data sends log-scale parameters toward infinity, and the
+    gradient flattens well before the box, so a parameter is flagged both
+    for an active clamp and for drift to ``DRIFT_LIMIT`` or beyond.
+    """
+    flagged = {names[i] for i in result.at_bound}
+    flagged.update(name for name, value in zip(names, result.x) if abs(value) >= DRIFT_LIMIT)
+    return FitReport(
+        params=params,
+        log_likelihood=-result.fun,
+        iterations=result.iterations,
+        converged=result.converged,
+        gradient_norm=result.grad_norm,
+        boundary_flags=tuple(sorted(flagged)),
+    )
+
+
 def _norm(v: np.ndarray) -> float:
     # What np.linalg.norm computes for a 1-D float array, without its checks.
     return math.sqrt(float(v @ v))
 
 
-def _projected_gradient(x: np.ndarray, grad: np.ndarray, bound: float) -> np.ndarray:
+def _projected_gradient(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # Zero out components that point outward at an active box face:
     # there the objective cannot be decreased without leaving the box.
     g = grad.copy()
-    g[(x >= bound) & (g < 0.0)] = 0.0
-    g[(x <= -bound) & (g > 0.0)] = 0.0
+    g[(x >= BOX) & (g < 0.0)] = 0.0
+    g[(x <= -BOX) & (g > 0.0)] = 0.0
     return g
 
 
@@ -66,8 +100,7 @@ def minimize(
     point.
     """
     cfg = settings or OptimSettings()
-    bound = cfg.bound
-    x = np.clip(np.asarray(x0, dtype=float), -bound, bound)
+    x = np.clip(np.asarray(x0, dtype=float), -BOX, BOX)
     n = x.size
     f, grad = objective(x)
     eye = np.eye(n)
@@ -76,8 +109,8 @@ def minimize(
     c1 = 1e-4
 
     def done(converged: bool, g: np.ndarray) -> OptimResult:
-        pg = _projected_gradient(x, g, bound)
-        active = np.nonzero((np.abs(x) >= bound - 1e-9) & (pg != g))[0]
+        pg = _projected_gradient(x, g)
+        active = np.nonzero((np.abs(x) >= BOX - 1e-9) & (pg != g))[0]
         return OptimResult(
             x=x.copy(),
             fun=float(f),
@@ -88,7 +121,7 @@ def minimize(
         )
 
     for iterations in range(1, cfg.max_iter + 1):
-        pg = _projected_gradient(x, grad, bound)
+        pg = _projected_gradient(x, grad)
         if _norm(pg) <= cfg.tol:
             iterations -= 1
             return done(True, grad)
@@ -103,7 +136,7 @@ def minimize(
         slope = float(grad @ direction)
         x_new = f_new = grad_new = None
         for _ in range(60):
-            candidate = np.clip(x + step * direction, -bound, bound)
+            candidate = np.clip(x + step * direction, -BOX, BOX)
             if (candidate != x).any():
                 f_cand, g_cand = objective(candidate)
                 if np.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
@@ -126,5 +159,5 @@ def minimize(
             )
         x, f, grad = x_new, f_new, grad_new
 
-    pg = _projected_gradient(x, grad, bound)
+    pg = _projected_gradient(x, grad)
     return done(_norm(pg) <= cfg.tol, grad)

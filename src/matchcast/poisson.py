@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .data import MatchRecord, Prediction, first_half_rounds
-from .optimize import OptimSettings, minimize
+from .optimize import FitReport, OptimSettings, fit_report, minimize
 
 if TYPE_CHECKING:
     from .evaluation import PredictionContext
@@ -62,6 +62,16 @@ class TeamStrengths:
                 raise ValueError(f"{name} strengths sum to {total!r}, not 0")
         if self.lambda3 < 0.0:
             raise ValueError("lambda3 must be non-negative")
+
+    def to_csv(self) -> str:
+        """``team,att,def`` rows with a ``mu,gamma,lambda3`` footer."""
+        lines = ["team,att,def"]
+        for team in sorted(self.attack):
+            lines.append(f"{team},{self.attack[team]!r},{self.defense[team]!r}")
+        lines.append(f"mu,{self.mu!r},")
+        lines.append(f"gamma,{self.gamma_home!r},")
+        lines.append(f"lambda3,{self.lambda3!r},")
+        return "\n".join(lines) + "\n"
 
 
 def link_rates(strengths: TeamStrengths, home: str, away: str) -> BivPoissonParams:
@@ -199,21 +209,6 @@ def outcome_probs(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) 
     return outcome_probs_from_grid(score_grid(params, tail_tol))
 
 
-@dataclass(frozen=True)
-class PoissonFitReport:
-    log_likelihood: float
-    iterations: int
-    converged: bool
-    gradient_norm: float
-    boundary_flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PoissonSettings:
-    tol: float = 1e-8
-    max_iter: int = 500
-
-
 class _PoissonObjective:
     """Negative log-likelihood over (mu, gamma, att_1..T-1, def_1..T-1[, log lambda3]).
 
@@ -341,9 +336,13 @@ def _masked_lgamma(values: np.ndarray, ok: np.ndarray | bool) -> np.ndarray:
 def poisson_fit(
     matches: Sequence[MatchRecord],
     correlated: bool = False,
-    settings: PoissonSettings | None = None,
-) -> tuple[TeamStrengths, PoissonFitReport]:
-    """Maximum-likelihood team strengths; ``correlated=False`` pins lambda3 = 0."""
+    settings: OptimSettings | None = None,
+) -> FitReport[TeamStrengths]:
+    """Maximum-likelihood team strengths; ``correlated=False`` pins lambda3 = 0.
+
+    Strengths running off toward infinity (separable data, or a shared
+    component the data rules out) come back flagged in ``boundary_flags``.
+    """
     if not matches:
         raise ValueError("need at least one match to fit")
     if any(not m.played for m in matches):
@@ -351,12 +350,11 @@ def poisson_fit(
     teams = sorted({t for m in matches for t in (m.home, m.away)})
     if len(teams) < 2:
         raise ValueError("need at least two teams")
-    cfg = settings or PoissonSettings()
     objective = _PoissonObjective(teams, matches, correlated)
     x0 = np.zeros(objective.n_params)
     if correlated:
         x0[-1] = math.log(0.1)  # small positive shared component to start
-    result = minimize(objective, x0, OptimSettings(tol=cfg.tol, max_iter=cfg.max_iter))
+    result = minimize(objective, x0, settings)
 
     mu, gamma, att, dfn, lambda3 = objective.unpack(result.x)
     strengths = TeamStrengths(
@@ -372,21 +370,7 @@ def poisson_fit(
         + [f"def:{t}" for t in teams[:-1]]
         + (["lambda3"] if correlated else [])
     )
-    # As in the paired-comparison fit: extreme drift marks a boundary MLE
-    # (separable data, or a shared component the data rules out) even when
-    # the flat tail satisfied the gradient tolerance.
-    flagged = {names[i] for i in result.at_bound}
-    flagged.update(
-        name for name, value in zip(names, result.x) if abs(value) >= 15.0
-    )
-    report = PoissonFitReport(
-        log_likelihood=-result.fun,
-        iterations=result.iterations,
-        converged=result.converged,
-        gradient_norm=result.grad_norm,
-        boundary_flags=tuple(sorted(flagged)),
-    )
-    return strengths, report
+    return fit_report(strengths, result, names)
 
 
 @dataclass(frozen=True)
@@ -428,14 +412,3 @@ class TrainingWindow:
             return current
         assert self.n_rounds is not None
         return [m for m in current if m.matchday >= ctx.matchday - self.n_rounds]
-
-
-def strengths_to_csv(strengths: TeamStrengths) -> str:
-    """``team,att,def`` rows with a ``mu,gamma,lambda3`` footer."""
-    lines = ["team,att,def"]
-    for team in sorted(strengths.attack):
-        lines.append(f"{team},{strengths.attack[team]!r},{strengths.defense[team]!r}")
-    lines.append(f"mu,{strengths.mu!r},")
-    lines.append(f"gamma,{strengths.gamma_home!r},")
-    lines.append(f"lambda3,{strengths.lambda3!r},")
-    return "\n".join(lines) + "\n"

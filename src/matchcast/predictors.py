@@ -29,17 +29,16 @@ from .data import (
     outcome_of,
     tally_records,
 )
-from .davidson import FitSettings, bt_fit, bt_outcome_probs, bt_params_to_csv
+from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import GridSpec, MnDir2Config, cv_select, mn_dir1_predict, mn_dir2_predict
 from .evaluation import PredictionContext
+from .optimize import OptimSettings
 from .poisson import (
     DEFAULT_TAIL_TOL,
-    PoissonSettings,
     TrainingWindow,
     link_rates,
     outcome_probs,
     poisson_fit,
-    strengths_to_csv,
 )
 
 KNOWN_MODELS = ("trivial", "mn-dir1", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
@@ -123,8 +122,8 @@ class DavidsonPredictor:
 
     name = "bt"
 
-    def __init__(self, settings: FitSettings | None = None):
-        self.settings = settings or FitSettings()
+    def __init__(self, settings: OptimSettings | None = None):
+        self.settings = settings
         self.last_fit = None
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
@@ -136,12 +135,6 @@ class DavidsonPredictor:
             for fixture in ctx.fixtures
         }
 
-    def export_params_csv(self) -> str | None:
-        """Fitted worths from the most recent refit, or None before any fit."""
-        if self.last_fit is None:
-            return None
-        return bt_params_to_csv(self.last_fit.params)
-
 
 class PoissonPredictor:
     """Goals model refit on a training window, scores summed into outcomes."""
@@ -152,31 +145,36 @@ class PoissonPredictor:
         correlated: bool,
         window: TrainingWindow,
         tail_tol: float = DEFAULT_TAIL_TOL,
-        settings: PoissonSettings | None = None,
+        settings: OptimSettings | None = None,
     ):
         self.name = name
         self.correlated = correlated
         self.window = window
         self.tail_tol = tail_tol
-        self.settings = settings or PoissonSettings()
-        self.last_strengths = None
+        self.settings = settings
+        self.last_fit = None
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        strengths, _ = poisson_fit(
+        """Outcome probabilities from a fresh fit.
+
+        A fixture whose rates no score grid can hold fails the matchday;
+        the error then names the fit's boundary parameters, if any.
+        """
+        fitted = poisson_fit(
             self.window.training(ctx), correlated=self.correlated, settings=self.settings
         )
-        self.last_strengths = strengths
+        self.last_fit = fitted
         out = {}
         for fixture in ctx.fixtures:
-            rates = link_rates(strengths, fixture.home, fixture.away)
-            out[fixture] = outcome_probs(rates, self.tail_tol)
+            rates = link_rates(fitted.params, fixture.home, fixture.away)
+            try:
+                out[fixture] = outcome_probs(rates, self.tail_tol)
+            except ValueError as exc:
+                if not fitted.boundary_flags:
+                    raise
+                flags = ", ".join(fitted.boundary_flags)
+                raise ValueError(f"{exc} (boundary fit: {flags})") from exc
         return out
-
-    def export_params_csv(self) -> str | None:
-        """Fitted strengths from the most recent refit, or None before any fit."""
-        if self.last_strengths is None:
-            return None
-        return strengths_to_csv(self.last_strengths)
 
 
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")
@@ -243,8 +241,8 @@ def build_predictor(
     spec: str,
     *,
     grid: GridSpec | None = None,
-    bt_settings: FitSettings | None = None,
-    poisson_settings: PoissonSettings | None = None,
+    bt_settings: OptimSettings | None = None,
+    poisson_settings: OptimSettings | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
     window: TrainingWindow | None = None,
     correlated: bool = True,

@@ -212,15 +212,16 @@ def write_reports(reports: Sequence[ModelReport], out_dir: str | Path) -> tuple[
 
 def summary_table(reports: Sequence[ModelReport]) -> str:
     """Per-model one-liners: mean scores, error proportion, goodness of fit."""
+    width = max([24] + [len(r.model) for r in reports])
     header = (
-        f"{'model':<24} {'n':>5} {'brier':>8} {'log':>8} {'spher':>8} "
+        f"{'model':<{width}} {'n':>5} {'brier':>8} {'log':>8} {'spher':>8} "
         f"{'errors':>8} {'gof':>8} {'df':>4} {'p':>8} {'flags':>6}"
     )
     lines = [header, "-" * len(header)]
     for r in reports:
         a = r.aggregates
         lines.append(
-            f"{r.model:<24} {a.n_scored:>5} {a.brier.mean:>8.4f} {a.log.mean:>8.4f} "
+            f"{r.model:<{width}} {a.n_scored:>5} {a.brier.mean:>8.4f} {a.log.mean:>8.4f} "
             f"{a.spherical.mean:>8.4f} {a.proportion_of_errors:>8.4f} "
             f"{r.gof.statistic:>8.2f} {r.gof.df:>4} {r.gof.p_value:>8.4f} "
             f"{r.flagged_count:>6}"

@@ -383,7 +383,8 @@ def check_poisson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
         lambda3=0.0,
     )
     records = simulate_poisson_matches(true, teams, replications=400, rng=_rng(seed, 8))
-    strengths, report = poisson_fit(records, correlated=False)
+    report = poisson_fit(records, correlated=False)
+    strengths = report.params
     errs = [abs(strengths.mu - true.mu), abs(strengths.gamma_home - true.gamma_home)]
     errs += [abs(strengths.attack[t] - true.attack[t]) for t in teams]
     errs += [abs(strengths.defense[t] - true.defense[t]) for t in teams]

@@ -31,6 +31,26 @@ def two_seasons(rng):
     ]
 
 
+@pytest.fixture
+def boundary_season():
+    """4-team double round robin whose first three matchdays fit to a boundary.
+
+    The correlated Poisson fit on them sends gamma to the -30 clamp and
+    def:t2 to -19.5, and gives t1 an away rate near 1e13 at t2.
+    """
+    from matchcast.data import MatchRecord
+    from matchcast.selftest import double_round_robin
+
+    rng = np.random.default_rng(3)
+    records = []
+    for matchday, pairs in enumerate(double_round_robin([f"t{k}" for k in range(4)]), start=1):
+        for home, away in pairs:
+            home_goals = int(rng.poisson(1.3))
+            away_goals = int(rng.poisson(1.0))
+            records.append(MatchRecord(2014, matchday, home, away, home_goals, away_goals))
+    return build_season(records)
+
+
 def make_season(records):
     return build_season(records)
 

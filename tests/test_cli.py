@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +308,23 @@ class TestEvaluate:
         assert "failed models" in captured.out
         assert set(json.loads((out_dir / "report.json").read_text())) == {"trivial"}
 
+    def test_summary_columns_align_past_long_model_names(self, matches_file, tmp_path, capsys):
+        ext_dir = tmp_path / "published-forecasts-from-a-long-directory-name"
+        ext_dir.mkdir()
+        ext = ext_dir / "ext.csv"
+        rows = ["season,matchday,home,away,p1,p2,p3"]
+        for row in list(csv.reader(matches_file.read_text().splitlines()))[1:]:
+            rows.append(",".join(row[:4]) + ",0.5,0.3,0.2")
+        ext.write_text("\n".join(rows) + "\n")
+        args = ["evaluate", "--matches", str(matches_file), "--out", str(tmp_path / "r")]
+        assert main(args + ["--models", f"trivial,external:{ext}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(next(line for line in lines if line.startswith("model ")))
+        table = [lines[header]] + lines[header + 2 : header + 4]
+        ends = [re.match(r"\S+\s+(\S+)", line).end(1) for line in table]
+        assert table[2].startswith(f"external:{ext} ")
+        assert len(set(ends)) == 1
+
     def test_unplayed_first_half_match_refused_as_predict_does(self, tmp_path, capsys, rng):
         season = simulate_played_season([f"t{k}" for k in range(6)], 2014, rng)
         records = list(season.matches)
@@ -372,6 +390,12 @@ class TestConfig:
         assert cfg.poisson_correlated() is False
         assert cfg.grid().w_points == (0.2, 0.8)
         assert cfg.grid().alpha_points == (1.0, 2.0)
+
+    def test_invalid_solver_setting_fails_the_build(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nmodels=bt\nout={tmp_path / 'r'}\nbt.tol=0\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "model bt failed to build: invalid optimizer settings" in capsys.readouterr().err
 
     def test_poisson_correlated_key_reaches_model(self):
         from matchcast.cli import RunConfig

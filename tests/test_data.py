@@ -18,7 +18,6 @@ from matchcast.data import (
     second_half_matchdays,
     serialize_matches,
     tally_records,
-    venue_counts,
 )
 
 GOOD_CSV = """season,matchday,home,away,home_goals,away_goals
@@ -143,27 +142,22 @@ def _mini_records():
 class TestVenueCounts:
     def test_hand_enumerated_window(self):
         season = build_season(_mini_records())
-        assert venue_counts(season, "h", Venue.HOME, 3) == CountVector(2, 1, 0)
+        assert tally_records(season.played_before(4), "h", Venue.HOME) == CountVector(2, 1, 0)
 
     def test_empty_window(self):
         season = build_season(_mini_records())
-        assert venue_counts(season, "h", Venue.HOME, 0) == CountVector()
+        assert tally_records(season.played_before(1), "h", Venue.HOME) == CountVector()
 
     def test_role_without_matches(self):
         season = build_season(_mini_records())
-        assert venue_counts(season, "x", Venue.HOME, 1) == CountVector()
-
-    def test_unknown_team(self):
-        season = build_season(_mini_records())
-        with pytest.raises(MatchDataError, match="unknown team"):
-            venue_counts(season, "nobody", Venue.HOME, 3)
+        assert tally_records(season.played_before(2), "x", Venue.HOME) == CountVector()
 
     def test_monotone_in_matchday(self, small_season):
         for team in sorted(small_season.teams):
             for role in Venue:
                 prev = CountVector()
                 for md in range(small_season.rounds + 1):
-                    cur = venue_counts(small_season, team, role, md)
+                    cur = tally_records(small_season.played_before(md + 1), team, role)
                     assert cur.wins >= prev.wins
                     assert cur.draws >= prev.draws
                     assert cur.losses >= prev.losses
@@ -175,7 +169,7 @@ class TestVenueCounts:
                 1 for m in small_season.matches if m.played and m.matchday <= md
             )
             total = sum(
-                venue_counts(small_season, t, Venue.HOME, md).total
+                tally_records(small_season.played_before(md + 1), t, Venue.HOME).total
                 for t in small_season.teams
             )
             assert total == played

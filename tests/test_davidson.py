@@ -5,16 +5,9 @@ import pytest
 
 import matchcast.davidson as davidson_module
 from matchcast.data import MatchRecord, Outcome, outcome_of
-from matchcast.davidson import (
-    BTParams,
-    FitSettings,
-    _DavidsonObjective,
-    bt_fit,
-    bt_log_likelihood,
-    bt_outcome_probs,
-    bt_params_to_csv,
-)
+from matchcast.davidson import BTParams, _DavidsonObjective, bt_fit, bt_outcome_probs
 from matchcast.evaluation import context_for
+from matchcast.optimize import OptimSettings
 from matchcast.predictors import DavidsonPredictor
 from matchcast.selftest import double_round_robin, simulate_davidson_season
 
@@ -30,6 +23,15 @@ def raw_probs(pi_h, pi_a, gamma, nu):
 
 def equal_worths(teams, gamma=1.0, nu=1.0):
     return BTParams(worth={t: 1.0 / len(teams) for t in teams}, gamma=gamma, nu=nu)
+
+
+def log_likelihood(params, matches):
+    """The fit's objective at ``params``: minus the negative log-likelihood."""
+    teams = sorted(params.worth)
+    ref = params.worth[teams[0]]
+    theta = [math.log(params.worth[t] / ref) for t in teams[1:]]
+    theta += [math.log(params.gamma), math.log(params.nu)]
+    return -_DavidsonObjective(teams, matches)(np.array(theta))[0]
 
 
 class TestOutcomeProbs:
@@ -100,27 +102,20 @@ class TestLogLikelihood:
     def test_single_match(self):
         params = equal_worths(["a", "b"], gamma=2.0)
         match = MatchRecord(2014, 1, "a", "b", 1, 0)
-        ll = bt_log_likelihood(params, [(match, Outcome.HOME_WIN)])
+        ll = log_likelihood(params, [(match, Outcome.HOME_WIN)])
         assert ll == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_empty_sum_is_zero(self):
-        assert bt_log_likelihood(equal_worths(["a", "b"]), []) == 0.0
+        assert log_likelihood(equal_worths(["a", "b"]), []) == 0.0
 
     def test_additivity(self):
         params = equal_worths(["a", "b", "c"], gamma=1.3, nu=0.7)
         m1 = (MatchRecord(2014, 1, "a", "b", 1, 0), Outcome.HOME_WIN)
         m2 = (MatchRecord(2014, 2, "b", "c", 0, 0), Outcome.DRAW)
-        assert bt_log_likelihood(params, [m1, m2]) == pytest.approx(
-            bt_log_likelihood(params, [m1]) + bt_log_likelihood(params, [m2]),
+        assert log_likelihood(params, [m1, m2]) == pytest.approx(
+            log_likelihood(params, [m1]) + log_likelihood(params, [m2]),
             abs=1e-12,
         )
-
-    def test_zero_probability_outcome_flagged(self):
-        params = BTParams(worth={"a": 0.5, "b": 0.5}, gamma=1.0, nu=0.0)
-        match = (MatchRecord(2014, 1, "a", "b", 0, 0), Outcome.DRAW)
-        with pytest.warns(UserWarning, match="probability 0"):
-            ll = bt_log_likelihood(params, [match])
-        assert ll == -math.inf
 
 
 class TestGradient:
@@ -257,7 +252,7 @@ class TestFit:
     def test_convergence_implies_small_gradient(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=30, rng=rng)
-        settings = FitSettings(tol=1e-8, max_iter=500)
+        settings = OptimSettings(tol=1e-8, max_iter=500)
         report = bt_fit([(m, outcome_of(m)) for m in records], settings)
         assert report.converged
         assert report.gradient_norm <= settings.tol
@@ -267,7 +262,7 @@ class TestFit:
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
         matches = [(m, outcome_of(m)) for m in records]
         report = bt_fit(matches)
-        baseline = bt_log_likelihood(equal_worths(["a", "b", "c", "d"]), matches)
+        baseline = log_likelihood(equal_worths(["a", "b", "c", "d"]), matches)
         assert report.log_likelihood >= baseline
 
     def test_deterministic_given_data(self, rng):
@@ -289,7 +284,7 @@ class TestFit:
     def test_iteration_cap_reports_nonconvergence(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
-        report = bt_fit([(m, outcome_of(m)) for m in records], FitSettings(max_iter=2))
+        report = bt_fit([(m, outcome_of(m)) for m in records], OptimSettings(max_iter=2))
         assert not report.converged
         assert report.iterations <= 2
 
@@ -359,7 +354,7 @@ class TestRollingPredict:
 class TestCsvExport:
     def test_round_trippable_shape(self):
         params = BTParams(worth={"b": 0.4, "a": 0.6}, gamma=1.5, nu=0.8)
-        text = bt_params_to_csv(params)
+        text = params.to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "team,worth"
         assert lines[1].startswith("a,")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from matchcast.optimize import OptimSettings, minimize
+import matchcast.davidson as davidson_module
+import matchcast.optimize as optimize_module
+import matchcast.poisson as poisson_module
+from matchcast.data import MatchRecord, outcome_of
+from matchcast.optimize import DRIFT_LIMIT, OptimSettings, minimize
+from matchcast.selftest import double_round_robin
 
 
 def quadratic(center):
@@ -44,11 +49,9 @@ class TestMinimize:
         assert result.x == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_box_clamp_flags_active_bound(self):
-        # Unconstrained minimum at 5, box at 2: the solution pins to the wall.
-        result = minimize(
-            quadratic(np.array([5.0])), np.zeros(1), OptimSettings(bound=2.0)
-        )
-        assert result.x == pytest.approx([2.0])
+        # Unconstrained minimum at 50, box at 30: the solution pins to the wall.
+        result = minimize(quadratic(np.array([50.0])), np.zeros(1))
+        assert result.x == pytest.approx([30.0])
         assert result.at_bound == (0,)
         assert result.converged  # projected gradient vanishes at the face
 
@@ -66,3 +69,46 @@ class TestMinimize:
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             OptimSettings(tol=0.0)
+
+
+def _bt_all_home_wins():
+    teams = ["a", "b", "c", "d"]
+    records = [
+        MatchRecord(2014, matchday, h, a, 1, 0)
+        for matchday, rnd in enumerate(double_round_robin(teams), start=1)
+        for h, a in rnd
+    ]
+    return davidson_module.bt_fit([(m, outcome_of(m)) for m in records])
+
+
+@pytest.mark.parametrize(
+    "module, fit, flags",
+    [
+        # gamma drifts to 21.4 inside the box.
+        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma",)),
+        # gamma is clamped at -30; def:t2 drifts to -19.5.
+        (
+            poisson_module,
+            lambda season: poisson_module.poisson_fit(season.played_before(4), correlated=True),
+            ("def:t2", "gamma"),
+        ),
+    ],
+    ids=["bt_fit", "poisson_fit"],
+)
+def test_boundary_flags_mark_clamp_and_drift(
+    module, fit, flags, boundary_season, monkeypatch, record_minimize
+):
+    results = record_minimize(module)
+    assert fit(boundary_season).boundary_flags == flags
+    result = results[-1]
+    drift_only = [
+        abs(x) for i, x in enumerate(result.x) if i not in result.at_bound and abs(x) >= DRIFT_LIMIT
+    ]
+    assert drift_only
+
+    # With the box inside the drift limit, only the clamp term can flag gamma.
+    monkeypatch.setattr(optimize_module, "BOX", 12.0)
+    report = fit(boundary_season)
+    result = results[-1]
+    assert result.at_bound and all(abs(result.x[i]) == 12.0 for i in result.at_bound)
+    assert "gamma" in report.boundary_flags

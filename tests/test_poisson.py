@@ -22,10 +22,9 @@ from matchcast.poisson import (
     outcome_probs_from_grid,
     poisson_fit,
     score_grid,
-    strengths_to_csv,
 )
-from matchcast.evaluation import context_for
-from matchcast.predictors import PoissonPredictor
+from matchcast.evaluation import context_for, evaluate
+from matchcast.predictors import PoissonPredictor, build_predictor
 from matchcast.selftest import double_round_robin, simulate_poisson_matches
 
 
@@ -266,7 +265,8 @@ class TestFit:
         for matchday, rnd in enumerate(double_round_robin(["a", "b", "c", "d"]), start=1):
             for h, a in rnd:
                 records.append(MatchRecord(2014, matchday, h, a, 1, 1))
-        strengths, report = poisson_fit(records)
+        report = poisson_fit(records)
+        strengths = report.params
         assert report.converged
         for team in strengths.attack:
             assert strengths.attack[team] == pytest.approx(0.0, abs=1e-6)
@@ -293,7 +293,8 @@ class TestFit:
     def test_recovers_known_strengths(self, rng):
         true = _true_strengths()
         records = simulate_poisson_matches(true, list("abcd"), 250, rng)
-        strengths, report = poisson_fit(records)
+        report = poisson_fit(records)
+        strengths = report.params
         assert report.converged
         assert strengths.mu == pytest.approx(true.mu, abs=0.06)
         assert strengths.gamma_home == pytest.approx(true.gamma_home, abs=0.06)
@@ -304,17 +305,17 @@ class TestFit:
     def test_recovers_shared_component(self, rng):
         true = _true_strengths(lambda3=0.2)
         records = simulate_poisson_matches(true, list("abcd"), 250, rng)
-        strengths, report = poisson_fit(records, correlated=True)
+        strengths = poisson_fit(records, correlated=True).params
         assert strengths.lambda3 == pytest.approx(0.2, abs=0.1)
 
     def test_independent_fit_pins_lambda3(self, rng):
         records = simulate_poisson_matches(_true_strengths(), list("abcd"), 5, rng)
-        strengths, _ = poisson_fit(records, correlated=False)
+        strengths = poisson_fit(records, correlated=False).params
         assert strengths.lambda3 == 0.0
 
     def test_zero_sum_exact_by_construction(self, rng):
         records = simulate_poisson_matches(_true_strengths(), list("abcd"), 20, rng)
-        strengths, _ = poisson_fit(records)
+        strengths = poisson_fit(records).params
         assert float(np.array(list(strengths.attack.values())).sum()) == 0.0
         assert float(np.array(list(strengths.defense.values())).sum()) == 0.0
 
@@ -331,8 +332,8 @@ class TestFit:
 
     def test_deterministic(self, rng):
         records = simulate_poisson_matches(_true_strengths(), list("abcd"), 10, rng)
-        first, _ = poisson_fit(records)
-        second, _ = poisson_fit(records)
+        first = poisson_fit(records)
+        second = poisson_fit(records)
         assert first == second
 
 
@@ -508,7 +509,7 @@ class TestRollingPredict:
         md = 7
         rolling = rolling_predict([mid_season], mid_season, md)
         training = [m for m in mid_season.matches if m.matchday < md]
-        strengths, _ = poisson_fit(training)
+        strengths = poisson_fit(training).params
         for fixture, prediction in rolling.items():
             direct = outcome_probs(link_rates(strengths, fixture.home, fixture.away))
             assert prediction == direct
@@ -530,10 +531,17 @@ class TestRollingPredict:
         with pytest.raises(ValueError, match="second half"):
             rolling_predict([mid_season], mid_season, 3)
 
+    def test_grid_refusal_names_the_boundary_fit(self, boundary_season):
+        report = evaluate([build_predictor("poisson-biv")], [boundary_season])[0]
+        (skipped,) = report.skipped_matchdays
+        assert skipped.matchday == 4
+        assert skipped.reason.startswith("ValueError: rates ")
+        assert skipped.reason.endswith("goals per side (boundary fit: def:t2, gamma)")
+
 
 class TestCsvExport:
     def test_shape(self):
-        text = strengths_to_csv(_true_strengths(0.1))
+        text = _true_strengths(0.1).to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "team,att,def"
         assert len(lines) == 1 + 4 + 3
