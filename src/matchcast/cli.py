@@ -71,15 +71,20 @@ class RunConfig:
         )
 
     def build(self, spec: str):
-        return build_predictor(
-            spec,
-            grid=self.grid(),
-            bt_settings=self.bt_settings(),
-            poisson_settings=self.poisson_settings(),
-            tail_tol=self.tail_tol(),
-            window=self.window(),
-            correlated=self.poisson_correlated(),
-        )
+        """Build one model, parsing only that model's own settings keys."""
+        if spec == "mn-dir2":
+            return build_predictor(spec, grid=self.grid())
+        if spec == "bt":
+            return build_predictor(spec, bt_settings=self.bt_settings())
+        if spec in ("poisson-lee", "poisson-biv"):
+            return build_predictor(
+                spec,
+                poisson_settings=self.poisson_settings(),
+                tail_tol=self.tail_tol(),
+                window=self.window(),
+                correlated=self.poisson_correlated(),
+            )
+        return build_predictor(spec)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -123,6 +128,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.seed = args.seed
     if not cfg.models:
         raise ValueError("no models configured")
+    repeated = next((m for i, m in enumerate(cfg.models) if m in cfg.models[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"model {repeated} listed twice")
     return cfg
 
 

@@ -156,7 +156,7 @@ class Prediction:
             raise ValueError(f"probabilities sum to {sum(ps)!r}, not 1")
 
     def prob_of(self, outcome: Outcome) -> float:
-        return (self.p_home, self.p_draw, self.p_away)[outcome.value - 1]
+        return (self.p_home, self.p_draw, self.p_away)[outcome - 1]
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_home, self.p_draw, self.p_away)

@@ -11,7 +11,7 @@ asked to forecast, because that information never crosses the interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -54,18 +54,25 @@ class PredictionContext:
     season_rounds: int
     history: tuple[MatchRecord, ...]
     fixtures: tuple[MatchRecord, ...]
+    _current: tuple[MatchRecord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         year, matchday = self.season_year, self.matchday
+        current = []
         for r in self.history:
             if r.home_goals is None:
                 raise ValueError(f"history contains an unplayed match: {r}")
-            earlier = r.season < year or (r.season == year and r.matchday < matchday)
-            if not earlier:
+            season = r.season
+            if season < year:
+                continue
+            if season == year and r.matchday < matchday:
+                current.append(r)
+            else:
                 raise ValueError(
                     f"history leaks match data from matchday {r.matchday} "
                     f"of season {r.season}"
                 )
+        object.__setattr__(self, "_current", tuple(current))
         for f in self.fixtures:
             if f.played:
                 raise ValueError(f"fixture carries a result: {f}")
@@ -73,7 +80,8 @@ class PredictionContext:
                 raise ValueError(f"fixture outside the target matchday: {f}")
 
     def current_season_history(self) -> tuple[MatchRecord, ...]:
-        return tuple(r for r in self.history if r.season == self.season_year)
+        """The history's records of the target season, in history order."""
+        return self._current
 
 
 @runtime_checkable
@@ -86,21 +94,35 @@ class Predictor(Protocol):
         ...
 
 
+def _played(season: Season) -> tuple[MatchRecord, ...]:
+    return tuple(m for m in season.matches if m.home_goals is not None)
+
+
 def context_for(
-    seasons: Sequence[Season], season: Season, matchday: int
+    seasons: Sequence[Season],
+    season: Season,
+    matchday: int,
+    earlier: tuple[MatchRecord, ...] | None = None,
 ) -> PredictionContext:
-    """Build the context for one matchday from a full dataset."""
-    earlier: list[MatchRecord] = []
-    for other in sorted(seasons, key=lambda s: s.year):
-        if other.year < season.year:
-            earlier.extend(m for m in other.matches if m.home_goals is not None)
-    earlier.extend(season.played_before(matchday))
+    """Build the context for one matchday from a full dataset.
+
+    ``earlier``, when given, must be the played records of every season
+    before ``season``'s year, in year order: what this function would
+    gather from ``seasons`` itself.
+    """
+    if earlier is None:
+        earlier = tuple(
+            m
+            for other in sorted(seasons, key=lambda s: s.year)
+            if other.year < season.year
+            for m in _played(other)
+        )
     fixtures = tuple(m.scheduled_copy() for m in season.matches_of(matchday))
     return PredictionContext(
         season_year=season.year,
         matchday=matchday,
         season_rounds=season.rounds,
-        history=tuple(earlier),
+        history=earlier + season.played_before(matchday),
         fixtures=fixtures,
     )
 
@@ -322,9 +344,14 @@ def evaluate(
     scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]
     skipped_by: list[list[SkippedMatchday]] = [[] for _ in predictors]
     missing_by = [0] * len(predictors)
+    earlier: tuple[MatchRecord, ...] = ()  # played records of the seasons before
+    folded = 0
     for season in ordered_seasons:
+        while ordered_seasons[folded].year < season.year:
+            earlier += _played(ordered_seasons[folded])
+            folded += 1
         for matchday in second_half_matchdays(season):
-            ctx = context_for(ordered_seasons, season, matchday)
+            ctx = context_for(ordered_seasons, season, matchday, earlier)
             matches = season.matches_of(matchday)
             for i, predictor in enumerate(predictors):
                 try:

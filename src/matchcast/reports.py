@@ -105,7 +105,7 @@ def _match_dict(s: ScoredMatch) -> dict:
         "p1": s.prediction.p_home,
         "p2": s.prediction.p_draw,
         "p3": s.prediction.p_away,
-        "outcome": s.outcome.value,
+        "outcome": int(s.outcome),
         "brier": s.brier,
         "log": _num(s.log),
         "spherical": s.spherical,
@@ -116,7 +116,8 @@ def _match_dict(s: ScoredMatch) -> dict:
     }
 
 
-def report_to_dict(report: ModelReport) -> dict:
+def _report_head(report: ModelReport) -> dict:
+    # A report's keys but its last, ``per_match``, written apart.
     agg = report.aggregates
     return {
         "aggregates": {
@@ -159,22 +160,52 @@ def report_to_dict(report: ModelReport) -> dict:
             "missing_predictions": report.missing_predictions,
             "flagged_count": report.flagged_count,
         },
-        "per_match": [_match_dict(s) for s in report.per_match],
     }
 
 
+# The per-match rows sit at depth 3 of report.json (payload, report,
+# per_match list, row); with this item separator one C-encoder call lays
+# out the inside of every row as ``indent=2`` would.
+_ROW_SEP = ",\n        "
+_encode_rows = json.JSONEncoder(allow_nan=False, separators=(_ROW_SEP, ": ")).encode
+
+
+def _per_match_json(rows: list[dict]) -> str:
+    text = _encode_rows(rows)
+    if text == "[]":
+        return text
+    # text is "[{...}" + "},\n        {" ... + "}]"; an encoded string never
+    # holds a raw newline, so the inner boundary cannot occur inside a value.
+    inner = text[2:-2].replace("}" + _ROW_SEP + "{", "\n      },\n      {\n        ")
+    return "[\n      {\n        " + inner + "\n      }\n    ]"
+
+
 def reports_to_json(reports: Sequence[ModelReport]) -> str:
-    payload = {report.model: report_to_dict(report) for report in reports}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """One object keyed by model name, laid out as ``json.dumps(indent=2)`` would.
 
-
-def _cell(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
+    Each report's head goes through the indenting encoder; its per-match
+    rows, most of the file, through one C-encoder call.  A repeated model
+    name keeps its first position and its last report, as a dict would.
+    NaN raises ``ValueError`` (``allow_nan=False``).
+    """
+    by_model = {report.model: report for report in reports}
+    if not by_model:
+        return "{}\n"
+    entries = []
+    for model, report in by_model.items():
+        head = json.dumps(_report_head(report), indent=2, allow_nan=False)
+        rows = _per_match_json([_match_dict(s) for s in report.per_match])
+        # Nest the head one level down and append per_match as its last key.
+        entries.append(
+            f"  {json.dumps(model)}: "
+            + head[:-2].replace("\n", "\n  ")
+            + f',\n    "per_match": {rows}\n  }}'
+        )
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def reports_to_csv(reports: Sequence[ModelReport]) -> str:
+    # The csv module writes a float as its repr: inf, -inf and nan included.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SCORES_CSV_HEADER)
@@ -187,13 +218,13 @@ def reports_to_csv(reports: Sequence[ModelReport]) -> str:
                     s.match.matchday,
                     s.match.home,
                     s.match.away,
-                    _cell(s.prediction.p_home),
-                    _cell(s.prediction.p_draw),
-                    _cell(s.prediction.p_away),
-                    s.outcome.value,
-                    _cell(s.brier),
-                    _cell(s.log),
-                    _cell(s.spherical),
+                    s.prediction.p_home,
+                    s.prediction.p_draw,
+                    s.prediction.p_away,
+                    int(s.outcome),
+                    s.brier,
+                    s.log,
+                    s.spherical,
                 ]
             )
     return out.getvalue()

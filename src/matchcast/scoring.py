@@ -24,7 +24,7 @@ def brier(outcome: Outcome, p: Prediction) -> float:
     """sum_i (I(x = i) - p_i)^2, in [0, 2]."""
     total = 0.0
     for i, p_i in enumerate(p.as_tuple(), start=1):
-        e_i = 1.0 if outcome.value == i else 0.0
+        e_i = 1.0 if outcome == i else 0.0
         total += (e_i - p_i) ** 2
     return total
 
@@ -70,7 +70,7 @@ def top_choice_error(outcome: Outcome, p: Prediction) -> tuple[int, bool]:
     ps = p.as_tuple()
     top = max(ps)
     tied_set = [i + 1 for i, p_i in enumerate(ps) if p_i == top]
-    error = 0 if outcome.value in tied_set else 1
+    error = 0 if outcome in tied_set else 1
     return error, len(tied_set) > 1
 
 
@@ -114,12 +114,11 @@ class CalibrationTable:
 
 
 def _unroll(scored: Sequence[tuple[Outcome, Prediction]]) -> tuple[np.ndarray, np.ndarray]:
-    probs, events = [], []
-    for outcome, p in scored:
-        for i, p_i in enumerate(p.as_tuple(), start=1):
-            probs.append(p_i)
-            events.append(1.0 if outcome.value == i else 0.0)
-    return np.asarray(probs), np.asarray(events)
+    # Three (probability, event indicator) pairs per prediction, in order.
+    probs = np.array([p.as_tuple() for _, p in scored]).reshape(-1)
+    outcomes = np.array([outcome for outcome, _ in scored], dtype=int)
+    events = (outcomes[:, None] == np.arange(1, 4)).astype(float).reshape(-1)
+    return probs, events
 
 
 def _binned(probs: np.ndarray, events: np.ndarray, bins: int) -> tuple[CalibrationBin, ...]:
@@ -147,20 +146,41 @@ def _binned(probs: np.ndarray, events: np.ndarray, bins: int) -> tuple[Calibrati
 
 _BANDWIDTHS = (0.02, 0.05, 0.1, 0.2)
 _LOO_CAP = 2000
+_LOO_BLOCK = 32
 
 
-def _loo_error(probs: np.ndarray, events: np.ndarray, bw: float) -> float:
-    # Leave-one-out squared error for the Nadaraya-Watson smoother,
-    # computed in closed form from the full weight matrix.
-    d = (probs[:, None] - probs[None, :]) / bw
-    w = np.exp(-0.5 * d * d)
-    num = w @ events - np.diag(w) * events
-    den = w.sum(axis=1) - np.diag(w)
-    ok = den > 0
-    if not ok.any():
-        return math.inf
-    resid = events[ok] - num[ok] / den[ok]
-    return float(np.mean(resid * resid))
+def _loo_errors(probs: np.ndarray, events: np.ndarray) -> list[float]:
+    """Leave-one-out squared error of the Nadaraya-Watson smoother, per bandwidth.
+
+    Closed form from the Gaussian weight matrix, built ``_LOO_BLOCK`` rows
+    at a time so no n x n array is held.  Each row's dot product and sum
+    still run over all n columns in order, so the errors equal the dense
+    computation bit for bit.  The diagonal weight is exp(-0.0) = 1.0.
+    """
+    n = probs.size
+    num = np.empty((len(_BANDWIDTHS), n))
+    den = np.empty((len(_BANDWIDTHS), n))
+    for start in range(0, n, _LOO_BLOCK):
+        rows = slice(start, start + _LOO_BLOCK)
+        diff = probs[rows, None] - probs[None, :]
+        for b, bw in enumerate(_BANDWIDTHS):
+            d = diff / bw
+            w = -0.5 * d
+            w *= d
+            np.exp(w, out=w)
+            num[b, rows] = w @ events
+            den[b, rows] = w.sum(axis=1)
+    num -= events
+    den -= 1.0
+    errors = []
+    for num_b, den_b in zip(num, den):
+        ok = den_b > 0
+        if not ok.any():
+            errors.append(math.inf)
+            continue
+        resid = events[ok] - num_b[ok] / den_b[ok]
+        errors.append(float(np.mean(resid * resid)))
+    return errors
 
 
 def _smoothed(
@@ -173,8 +193,7 @@ def _smoothed(
         sel_p, sel_e = probs[pick], events[pick]
     else:
         sel_p, sel_e = probs, events
-    errors = [(_loo_error(sel_p, sel_e, bw), bw) for bw in _BANDWIDTHS]
-    bw = min(errors)[1]
+    bw = min(zip(_loo_errors(sel_p, sel_e), _BANDWIDTHS))[1]
 
     d = (grid[:, None] - probs[None, :]) / bw
     w = np.exp(-0.5 * d * d)

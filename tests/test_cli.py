@@ -397,6 +397,51 @@ class TestConfig:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "model bt failed to build: invalid optimizer settings" in capsys.readouterr().err
 
+    def test_bad_setting_fails_only_its_own_model(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nbt.tol=0\n")
+        out = tmp_path / "r"
+        argv = ["evaluate", "--config", str(cfg), "--models", "trivial,bt", "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "model bt failed to build: invalid optimizer settings" in captured.err
+        assert "trivial" not in captured.err
+        assert "failed models (excluded from report): bt" in captured.out
+        assert set(json.loads((out / "report.json").read_text())) == {"trivial"}
+
+    def test_other_models_ignore_poisson_keys(self, matches_file, tmp_path, capsys):
+        runs = {}
+        for name, extra in (("plain", ""), ("bogus", "poisson.window=bogus\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"matches={matches_file}\nmodels=trivial,mn-dir1\n{extra}")
+            out = tmp_path / name
+            assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            runs[name] = (out / "report.json").read_bytes(), (out / "scores.csv").read_bytes()
+        assert runs["bogus"] == runs["plain"]
+
+    def test_each_model_parses_only_its_own_keys(self):
+        from matchcast.cli import RunConfig
+
+        bad_key = {"mn-dir2": "mn_dir2.w_grid", "bt": "bt.tol", "poisson": "poisson.tail_tol"}
+        for spec in DEFAULT_MODELS:
+            owner = "poisson" if spec.startswith("poisson-") else spec
+            for namespace, key in bad_key.items():
+                cfg = RunConfig(raw={key: "x"})
+                if namespace == owner:
+                    with pytest.raises(ValueError):
+                        cfg.build(spec)
+                else:
+                    assert cfg.build(spec).name == spec
+
+    def test_repeated_model_refused(self, matches_file, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["evaluate", "--matches", str(matches_file), "--out", str(out)]
+        assert main(argv + ["--models", "trivial,mn-dir1,trivial"]) == 2
+        assert "error: model trivial listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_poisson_correlated_key_reaches_model(self):
         from matchcast.cli import RunConfig
 

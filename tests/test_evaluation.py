@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from matchcast.predictors import (
 )
 from matchcast.poisson import TrainingWindow
 from matchcast.reports import reports_to_csv, reports_to_json
+from matchcast.selftest import simulate_played_season
 
 
 def oracle_csv(seasons):
@@ -65,6 +67,54 @@ class TestContext:
                 history=ctx.history + (leak,),
                 fixtures=ctx.fixtures,
             )
+
+    def test_later_season_in_history_rejected(self, two_seasons):
+        season = two_seasons[0]
+        ctx = context_for(two_seasons, season, 7)
+        with pytest.raises(ValueError, match="leaks match data from matchday 1 of season 2014"):
+            PredictionContext(
+                season_year=season.year,
+                matchday=7,
+                season_rounds=season.rounds,
+                history=ctx.history + two_seasons[1].matches_of(1),
+                fixtures=ctx.fixtures,
+            )
+
+    def test_evaluate_contexts_equal_fresh_ones(self, two_seasons, rng):
+        teams = [f"t{k}" for k in range(6)]
+        others = [f"u{k}" for k in range(6)]
+        # Years out of order, and two leagues sharing 2014 that must not see each other.
+        seasons = [
+            simulate_played_season(teams, 2015, rng),
+            two_seasons[1],
+            simulate_played_season(others, 2014, rng),
+            two_seasons[0],
+        ]
+        calls = []
+        evaluate([RecordingPredictor("r", calls)], seasons)
+        ordered = sorted(seasons, key=lambda s: s.year)
+        expected = [
+            context_for(seasons, season, matchday)
+            for season in ordered
+            for matchday in second_half_matchdays(season)
+        ]
+        assert [ctx for _, ctx in calls] == expected
+
+    def test_current_season_history_equals_the_filter(self, two_seasons):
+        s2013, s2014 = two_seasons
+        # Seasons out of order, the current season's records split around an earlier one's.
+        history = (
+            s2014.played_before(4)[:5]
+            + s2013.matches[10:20]
+            + s2014.played_before(4)[5:]
+            + s2013.matches[:10]
+        )
+        ctx = PredictionContext(2014, 4, s2014.rounds, history, ())
+        want = tuple(r for r in history if r.season == 2014)
+        assert len(want) == 9
+        assert ctx.current_season_history() == want
+        assert dataclasses.replace(ctx).current_season_history() == want
+        assert PredictionContext(2015, 1, 10, history, ()).current_season_history() == ()
 
     def test_played_fixture_rejected(self, two_seasons):
         season = two_seasons[1]

@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from matchcast.data import MatchRecord, Outcome, Prediction
 from matchcast.scoring import (
+    _BANDWIDTHS,
+    _LOO_CAP,
+    CalibrationTable,
+    SmoothedPoint,
+    _binned,
+    _loo_errors,
+    _unroll,
     brier,
     calibration_curve,
     chi_square_gof,
@@ -263,6 +271,107 @@ class TestCalibration:
     def test_bandwidth_chosen_from_candidates(self, rng):
         table = calibration_curve(_calibrated_pairs(rng, 500))
         assert table.bandwidth in (0.02, 0.05, 0.1, 0.2)
+
+
+# Reference copies of the calibration kernels as first written: one
+# Python loop per pair, and the dense n x n weight matrix per bandwidth.
+# The shipped kernels must equal them bit for bit.
+
+def _unroll_loop(scored):
+    probs, events = [], []
+    for outcome, p in scored:
+        for i, p_i in enumerate(p.as_tuple(), start=1):
+            probs.append(p_i)
+            events.append(1.0 if outcome.value == i else 0.0)
+    return np.asarray(probs), np.asarray(events)
+
+
+def _loo_error_dense(probs, events, bw):
+    d = (probs[:, None] - probs[None, :]) / bw
+    w = np.exp(-0.5 * d * d)
+    num = w @ events - np.diag(w) * events
+    den = w.sum(axis=1) - np.diag(w)
+    ok = den > 0
+    if not ok.any():
+        return math.inf
+    resid = events[ok] - num[ok] / den[ok]
+    return float(np.mean(resid * resid))
+
+
+def _calibration_curve_dense(scored, bins=10):
+    probs, events = _unroll_loop(scored)
+    grid = np.linspace(0.05, 0.95, 19)
+    if probs.size > _LOO_CAP:
+        order = np.argsort(probs, kind="stable")
+        pick = order[np.linspace(0, probs.size - 1, _LOO_CAP).astype(int)]
+        sel_p, sel_e = probs[pick], events[pick]
+    else:
+        sel_p, sel_e = probs, events
+    errors = [(_loo_error_dense(sel_p, sel_e, bw), bw) for bw in _BANDWIDTHS]
+    bw = min(errors)[1]
+    d = (grid[:, None] - probs[None, :]) / bw
+    w = np.exp(-0.5 * d * d)
+    den = w.sum(axis=1)
+    points = []
+    for g, w_row, den_g in zip(grid, w, den):
+        if den_g < 1e-8:
+            continue
+        est = float(w_row @ events / den_g)
+        var = float(w_row @ (w_row * est * (1.0 - est))) / (den_g * den_g)
+        points.append(SmoothedPoint(prob=float(g), estimate=est, se=math.sqrt(max(var, 0.0))))
+    return CalibrationTable(
+        bins=_binned(probs, events, bins),
+        smoothed=tuple(points),
+        bandwidth=bw,
+        n_pairs=int(probs.size),
+    )
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("n_scored", [0, 1, 7, 500])
+    def test_unroll_equals_the_pair_loop(self, n_scored):
+        rng = np.random.default_rng(n_scored)
+        scored = [
+            (Outcome(int(rng.integers(1, 4))), random_prediction(rng)) for _ in range(n_scored)
+        ]
+        probs, events = _unroll(scored)
+        ref_probs, ref_events = _unroll_loop(scored)
+        assert probs.dtype == ref_probs.dtype and events.dtype == ref_events.dtype
+        assert np.array_equal(probs, ref_probs) and np.array_equal(events, ref_events)
+
+    @pytest.mark.parametrize("n", [30, 31, 999, 1140, 2000])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_blocked_loo_equals_dense(self, n, ordered):
+        rng = np.random.default_rng(n)
+        probs = rng.dirichlet((1.0, 1.0, 1.0), size=n // 3 + 1).reshape(-1)[:n]
+        events = (rng.random(n) < probs).astype(float)
+        if ordered:
+            order = np.argsort(probs, kind="stable")
+            probs, events = probs[order], events[order]
+        assert _loo_errors(probs, events) == [
+            _loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS
+        ]
+
+    def test_blocked_loo_equals_dense_for_the_uniform_forecast(self):
+        probs, events = _unroll_loop(
+            [(Outcome((k % 3) + 1), UNIFORM) for k in range(400)]
+        )
+        assert _loo_errors(probs, events) == [
+            _loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS
+        ]
+
+    def test_two_far_points_give_infinite_errors(self):
+        probs, events = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        errors = _loo_errors(probs, events)
+        assert errors == [_loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS]
+        assert errors[:3] == [math.inf] * 3
+
+    @pytest.mark.parametrize("n_scored", [40, 4000])
+    def test_calibration_table_equals_dense(self, n_scored):
+        scored = _calibrated_pairs(np.random.default_rng(n_scored), n_scored)
+        table = calibration_curve(scored)
+        assert table == _calibration_curve_dense(scored)
+        assert (table.n_pairs > _LOO_CAP) == (n_scored == 4000)
 
 
 def _round_of_20_teams():
