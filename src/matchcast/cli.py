@@ -14,81 +14,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import MatchDataError, build_seasons, parse_matches_with_lines
-from .dirichlet import GridSpec
 from .evaluation import check_evaluable, context_for, evaluate
-from .optimize import OptimSettings
-from .poisson import DEFAULT_TAIL_TOL, TrainingWindow
-from .predictors import build_predictor
+from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
 
-DEFAULT_MODELS = ("trivial", "mn-dir1", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
-DEFAULT_SEED = 20062014
 CONFIG_ENV_VAR = "MATCHCAST_CONFIG"
 
 
 @dataclass
 class RunConfig:
     matches_path: str | None = None
-    models: tuple[str, ...] = DEFAULT_MODELS
+    models: tuple[str, ...] = KNOWN_MODELS
     output_dir: str = "matchcast-report"
-    seed: int = DEFAULT_SEED
+    seed: int | None = None  # selftest's own default when unset
     raw: dict[str, str] = field(default_factory=dict)
 
-    def _get(self, key: str, default: str) -> str:
-        return self.raw.get(key, default)
-
-    def bt_settings(self) -> OptimSettings:
-        return OptimSettings(
-            tol=float(self._get("bt.tol", "1e-8")),
-            max_iter=int(self._get("bt.max_iter", "500")),
-        )
-
-    def poisson_settings(self) -> OptimSettings:
-        return OptimSettings(
-            tol=float(self._get("poisson.tol", "1e-8")),
-            max_iter=int(self._get("poisson.max_iter", "500")),
-        )
-
-    def tail_tol(self) -> float:
-        return float(self._get("poisson.tail_tol", repr(DEFAULT_TAIL_TOL)))
-
-    def poisson_correlated(self) -> bool:
-        value = self._get("poisson.correlated", "true").lower()
-        if value not in ("true", "false"):
-            raise ValueError(f"poisson.correlated must be true or false, got {value!r}")
-        return value == "true"
-
-    def window(self) -> TrainingWindow:
-        return TrainingWindow.parse(self._get("poisson.window", "all"))
-
-    def grid(self) -> GridSpec:
-        default = GridSpec.default()
-        w = self.raw.get("mn_dir2.w_grid")
-        alpha = self.raw.get("mn_dir2.alpha_grid")
-        return GridSpec(
-            w_points=_parse_floats(w) if w else default.w_points,
-            alpha_points=_parse_floats(alpha) if alpha else default.alpha_points,
-        )
-
     def build(self, spec: str):
-        """Build one model, parsing only that model's own settings keys."""
-        if spec == "mn-dir2":
-            return build_predictor(spec, grid=self.grid())
-        if spec == "bt":
-            return build_predictor(spec, bt_settings=self.bt_settings())
-        if spec in ("poisson-lee", "poisson-biv"):
-            return build_predictor(
-                spec,
-                poisson_settings=self.poisson_settings(),
-                tail_tol=self.tail_tol(),
-                window=self.window(),
-                correlated=self.poisson_correlated(),
-            )
-        return build_predictor(spec)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+        """Build one model from the config's settings (see ``build_predictor``)."""
+        return build_predictor(spec, self.raw)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -281,10 +224,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_all
+    from .selftest import DEFAULT_SEED, run_all
 
     cfg = load_config(args)
-    results = run_all(seed=cfg.seed)
+    results = run_all(DEFAULT_SEED if cfg.seed is None else cfg.seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
@@ -302,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matches", help="match CSV path")
         p.add_argument("--models", help="comma-separated model list")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="run seed")
         p.add_argument("--config", help=f"config file (or ${CONFIG_ENV_VAR})")
 
     p_validate = sub.add_parser("validate", help="check a match CSV")
@@ -327,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="run the acceptance checks")
     common(p_selftest)
+    p_selftest.add_argument("--seed", type=int, help="simulation seed (default: the frozen one)")
     p_selftest.set_defaults(func=cmd_selftest)
 
     return parser

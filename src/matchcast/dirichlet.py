@@ -44,15 +44,6 @@ class DirichletParams:
             raise ValueError("counts must be non-negative")
 
     @classmethod
-    def of(cls, a_win: float, a_draw: float, a_loss: float) -> "DirichletParams":
-        return cls(a_win, a_draw, a_loss)
-
-    @classmethod
-    def uniform(cls) -> "DirichletParams":
-        """The flat prior over the simplex: all concentrations 1."""
-        return cls(1.0, 1.0, 1.0)
-
-    @classmethod
     def symmetric(cls, alpha: float) -> "DirichletParams":
         return cls(alpha, alpha, alpha)
 

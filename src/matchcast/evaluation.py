@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class PredictionContext:
         return self._current
 
 
-@runtime_checkable
 class Predictor(Protocol):
     """A named model that maps a context to one prediction per fixture."""
 
@@ -337,8 +336,13 @@ def evaluate(
     that predictor (flagged) and the run continues.  Reports come back in
     the predictor order given, each covering all seasons with a per-year
     breakdown.  A predictor that produced no prediction at all gets no
-    report, so one empty model never costs the others theirs.
+    report, so one empty model never costs the others theirs.  Predictor
+    names key the reports, so a repeated name is refused before any runs.
     """
+    names = [p.name for p in predictors]
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"predictor name {repeated!r} given twice")
     ordered_seasons = sorted(seasons, key=lambda s: s.year)
     check_evaluable(ordered_seasons)
     scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]

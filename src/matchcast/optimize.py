@@ -39,7 +39,6 @@ class OptimResult:
     grad_norm: float
     iterations: int
     converged: bool
-    at_bound: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,19 @@ def fit_report(params: P, result: OptimResult, names: Sequence[str]) -> FitRepor
     """The report of a fit whose free parameters, in order, are ``names``.
 
     Separable data sends log-scale parameters toward infinity, and the
-    gradient flattens well before the box, so a parameter is flagged both
-    for an active clamp and for drift to ``DRIFT_LIMIT`` or beyond.
+    gradient flattens well before the box, so a parameter is flagged once
+    it drifts to ``DRIFT_LIMIT`` or beyond; that covers a clamped one too,
+    as ``DRIFT_LIMIT < BOX``.
     """
-    flagged = {names[i] for i in result.at_bound}
-    flagged.update(name for name, value in zip(names, result.x) if abs(value) >= DRIFT_LIMIT)
     return FitReport(
         params=params,
         log_likelihood=-result.fun,
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.grad_norm,
-        boundary_flags=tuple(sorted(flagged)),
+        boundary_flags=tuple(
+            sorted(name for name, value in zip(names, result.x) if abs(value) >= DRIFT_LIMIT)
+        ),
     )
 
 
@@ -109,15 +109,12 @@ def minimize(
     c1 = 1e-4
 
     def done(converged: bool, g: np.ndarray) -> OptimResult:
-        pg = _projected_gradient(x, g)
-        active = np.nonzero((np.abs(x) >= BOX - 1e-9) & (pg != g))[0]
         return OptimResult(
             x=x.copy(),
             fun=float(f),
-            grad_norm=_norm(pg),
+            grad_norm=_norm(_projected_gradient(x, g)),
             iterations=iterations,
             converged=converged,
-            at_bound=tuple(int(i) for i in active),
         )
 
     for iterations in range(1, cfg.max_iter + 1):

@@ -237,45 +237,65 @@ class ExternalPredictor:
         return out
 
 
-def build_predictor(
-    spec: str,
-    *,
-    grid: GridSpec | None = None,
-    bt_settings: OptimSettings | None = None,
-    poisson_settings: OptimSettings | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    window: TrainingWindow | None = None,
-    correlated: bool = True,
-):
-    """Instantiate a predictor from its command-line identifier.
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
-    ``window`` and ``correlated`` configure the ``poisson-biv`` model only;
+
+def _grid(settings: Mapping[str, str]) -> GridSpec:
+    default = GridSpec.default()
+    w = settings.get("mn_dir2.w_grid")
+    alpha = settings.get("mn_dir2.alpha_grid")
+    return GridSpec(
+        w_points=_parse_floats(w) if w else default.w_points,
+        alpha_points=_parse_floats(alpha) if alpha else default.alpha_points,
+    )
+
+
+def _optim_settings(settings: Mapping[str, str], prefix: str) -> OptimSettings:
+    default = OptimSettings()
+    return OptimSettings(
+        tol=float(settings.get(f"{prefix}.tol", default.tol)),
+        max_iter=int(settings.get(f"{prefix}.max_iter", default.max_iter)),
+    )
+
+
+def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
+    """Instantiate a predictor from its identifier and ``key=value`` settings.
+
+    Each model reads only its own keys; an absent key takes its default.
+
+        mn-dir2      mn_dir2.w_grid, mn_dir2.alpha_grid (GridSpec.default())
+        bt           bt.tol, bt.max_iter (OptimSettings())
+        poisson-lee  poisson.tol, poisson.max_iter (OptimSettings()),
+                     poisson.tail_tol (DEFAULT_TAIL_TOL)
+        poisson-biv  the poisson-lee keys, poisson.window (all),
+                     poisson.correlated (true)
+
     ``poisson-lee`` is pinned to an independent fit on the current season.
+    A bad value raises ``ValueError`` here, at build time.
     """
+    if settings is None:
+        settings = {}
     if spec == "trivial":
         return TrivialPredictor()
     if spec == "mn-dir1":
         return MnDir1Predictor()
     if spec == "mn-dir2":
-        return MnDir2Predictor(grid)
+        return MnDir2Predictor(_grid(settings))
     if spec == "bt":
-        return DavidsonPredictor(bt_settings)
-    if spec == "poisson-lee":
-        return PoissonPredictor(
-            "poisson-lee",
-            correlated=False,
-            window=SEASON_WINDOW,
-            tail_tol=tail_tol,
-            settings=poisson_settings,
-        )
-    if spec == "poisson-biv":
-        return PoissonPredictor(
-            "poisson-biv",
-            correlated=correlated,
-            window=window or TrainingWindow("all"),
-            tail_tol=tail_tol,
-            settings=poisson_settings,
-        )
+        return DavidsonPredictor(_optim_settings(settings, "bt"))
+    if spec in ("poisson-lee", "poisson-biv"):
+        solver = _optim_settings(settings, "poisson")
+        tail_tol = float(settings.get("poisson.tail_tol", DEFAULT_TAIL_TOL))
+        if spec == "poisson-lee":
+            return PoissonPredictor(
+                spec, correlated=False, window=SEASON_WINDOW, tail_tol=tail_tol, settings=solver
+            )
+        window = TrainingWindow.parse(settings.get("poisson.window", "all"))
+        correlated = settings.get("poisson.correlated", "true").lower()
+        if correlated not in ("true", "false"):
+            raise ValueError(f"poisson.correlated must be true or false, got {correlated!r}")
+        return PoissonPredictor(spec, correlated == "true", window, tail_tol, solver)
     if spec.startswith("external:"):
         return ExternalPredictor(spec.split(":", 1)[1])
     raise ValueError(f"unknown model {spec!r}; known: {', '.join(KNOWN_MODELS)} or external:<path>")

@@ -74,14 +74,6 @@ def top_choice_error(outcome: Outcome, p: Prediction) -> tuple[int, bool]:
     return error, len(tied_set) > 1
 
 
-def proportion_of_errors(scored: Sequence[tuple[Outcome, Prediction]]) -> float:
-    """Fraction of matches whose realized outcome was not the modal prediction."""
-    if not scored:
-        raise ValueError("need at least one scored prediction")
-    errors = sum(top_choice_error(outcome, p)[0] for outcome, p in scored)
-    return errors / len(scored)
-
-
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------

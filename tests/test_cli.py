@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import matchcast
-from matchcast.cli import DEFAULT_MODELS, main
+import matchcast.selftest as selftest
+from matchcast.cli import main
 from matchcast.data import serialize_matches
+from matchcast.predictors import KNOWN_MODELS
 from matchcast.selftest import simulate_played_season
 
 
@@ -248,7 +250,7 @@ class TestEvaluate:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_predict_matches_evaluate_for_every_model(self, matches_file, tmp_path, capsys):
-        models = ",".join(DEFAULT_MODELS)
+        models = ",".join(KNOWN_MODELS)
         out_dir = tmp_path / "report"
         args = ["--matches", str(matches_file), "--models", models]
         assert main(["evaluate", *args, "--out", str(out_dir)]) == 0
@@ -260,11 +262,11 @@ class TestEvaluate:
             when = ["--season", str(season), "--matchday", str(matchday)]
             assert main(["predict", *args, *when]) == 0
             rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
-            assert {row[0] for row in rows} == set(DEFAULT_MODELS)
+            assert {row[0] for row in rows} == set(KNOWN_MODELS)
             for row in rows:
                 assert row[5:8] == evaluated[tuple(row[:5])]
                 predicted += 1
-        assert predicted == len(DEFAULT_MODELS) * 3 * 3
+        assert predicted == len(KNOWN_MODELS) * 3 * 3
 
     def test_bad_model_spec_continues(self, matches_file, tmp_path, capsys):
         code = main(
@@ -384,12 +386,13 @@ class TestConfig:
                 "mn_dir2.alpha_grid": "1.0,2.0",
             }
         )
-        assert cfg.bt_settings().tol == 1e-6
-        assert cfg.bt_settings().max_iter == 100
-        assert cfg.window().n_rounds == 4
-        assert cfg.poisson_correlated() is False
-        assert cfg.grid().w_points == (0.2, 0.8)
-        assert cfg.grid().alpha_points == (1.0, 2.0)
+        bt, biv, grid = cfg.build("bt"), cfg.build("poisson-biv"), cfg.build("mn-dir2").grid
+        assert bt.settings.tol == 1e-6
+        assert bt.settings.max_iter == 100
+        assert biv.window.n_rounds == 4
+        assert biv.correlated is False
+        assert grid.w_points == (0.2, 0.8)
+        assert grid.alpha_points == (1.0, 2.0)
 
     def test_invalid_solver_setting_fails_the_build(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -424,12 +427,17 @@ class TestConfig:
     def test_each_model_parses_only_its_own_keys(self):
         from matchcast.cli import RunConfig
 
-        bad_key = {"mn-dir2": "mn_dir2.w_grid", "bt": "bt.tol", "poisson": "poisson.tail_tol"}
-        for spec in DEFAULT_MODELS:
-            owner = "poisson" if spec.startswith("poisson-") else spec
-            for namespace, key in bad_key.items():
+        owners = {
+            "mn_dir2.w_grid": {"mn-dir2"},
+            "bt.tol": {"bt"},
+            "poisson.tail_tol": {"poisson-lee", "poisson-biv"},
+            "poisson.window": {"poisson-biv"},
+            "poisson.correlated": {"poisson-biv"},
+        }
+        for spec in KNOWN_MODELS:
+            for key, owned_by in owners.items():
                 cfg = RunConfig(raw={key: "x"})
-                if namespace == owner:
+                if spec in owned_by:
                     with pytest.raises(ValueError):
                         cfg.build(spec)
                 else:
@@ -448,3 +456,31 @@ class TestConfig:
         cfg = RunConfig(raw={"poisson.correlated": "false"})
         predictor = cfg.build("poisson-biv")
         assert predictor.correlated is False
+
+
+class TestSeed:
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(selftest, "run_all", lambda seed: seen.append(seed) or [])
+        return seen
+
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["predict", "--season", "2014", "--matchday", "6"], ["evaluate"]],
+        ids=lambda command: command[0],
+    )
+    def test_only_selftest_takes_a_seed(self, command, matches_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--matches", str(matches_file), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_selftest_seed_flag_and_config_key(self, tmp_path, seeds):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\n")
+        assert main(["selftest"]) == 0
+        assert main(["selftest", "--seed", "11"]) == 0
+        assert main(["selftest", "--config", str(cfg)]) == 0
+        assert main(["selftest", "--config", str(cfg), "--seed", "11"]) == 0
+        assert seeds == [selftest.DEFAULT_SEED, 11, 7, 11]

@@ -45,11 +45,11 @@ def dirichlet_mean_by_quadrature(a1, a2, a3, cells=400):
 
 class TestPosterior:
     def test_table_counts_home(self):
-        post = posterior(DirichletParams.uniform(), CountVector(6, 2, 1))
+        post = posterior(DirichletParams.symmetric(1.0), CountVector(6, 2, 1))
         assert (post.a_win, post.a_draw, post.a_loss) == (7.0, 3.0, 2.0)
 
     def test_table_counts_away(self):
-        post = posterior(DirichletParams.uniform(), CountVector(2, 3, 4))
+        post = posterior(DirichletParams.symmetric(1.0), CountVector(2, 3, 4))
         assert (post.a_win, post.a_draw, post.a_loss) == (3.0, 4.0, 5.0)
 
     def test_empty_counts_is_identity(self):
@@ -70,7 +70,7 @@ class TestPosterior:
 
 class TestPredictive:
     def test_uniform_prior_gives_uniform_prediction(self):
-        p = predictive(DirichletParams.uniform())
+        p = predictive(DirichletParams.symmetric(1.0))
         assert p.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
 
     @pytest.mark.parametrize(

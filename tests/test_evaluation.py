@@ -277,6 +277,15 @@ class TestSharedContext:
         assert [name for name, _ in calls] == [name for name, _ in expected]
         assert all(got is ctx for (_, got), (_, ctx) in zip(calls, expected))
 
+    def test_repeated_name_refused_before_any_predictor_runs(self, two_seasons):
+        # Reports are keyed by name: report.json would keep one of the two.
+        calls = []
+        twin = RecordingPredictor("r", calls)
+        predictors = [twin, TrivialPredictor(), RecordingPredictor("r", calls)]
+        with pytest.raises(ValueError, match="predictor name 'r' given twice"):
+            evaluate(predictors, two_seasons)
+        assert calls == []
+
     def test_joint_run_matches_each_predictor_alone(self, two_seasons):
         from matchcast.dirichlet import GridSpec
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import matchcast.davidson as davidson_module
-import matchcast.optimize as optimize_module
 import matchcast.poisson as poisson_module
 from matchcast.data import MatchRecord, outcome_of
-from matchcast.optimize import DRIFT_LIMIT, OptimSettings, minimize
+from matchcast.optimize import BOX, DRIFT_LIMIT, OptimSettings, fit_report, minimize
 from matchcast.selftest import double_round_robin
 
 
@@ -51,9 +50,13 @@ class TestMinimize:
     def test_box_clamp_flags_active_bound(self):
         # Unconstrained minimum at 50, box at 30: the solution pins to the wall.
         result = minimize(quadratic(np.array([50.0])), np.zeros(1))
-        assert result.x == pytest.approx([30.0])
-        assert result.at_bound == (0,)
+        assert result.x[0] == 30.0
+        assert fit_report(None, result, ["x"]).boundary_flags == ("x",)
         assert result.converged  # projected gradient vanishes at the face
+
+    def test_drift_limit_inside_the_box(self):
+        # The boundary flags rely on this: a clamped parameter has drifted.
+        assert DRIFT_LIMIT < BOX
 
     def test_iteration_cap_respected(self):
         result = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimSettings(max_iter=3))
@@ -82,33 +85,26 @@ def _bt_all_home_wins():
 
 
 @pytest.mark.parametrize(
-    "module, fit, flags",
+    "module, fit, flags, gamma_at, gamma_clamped",
     [
         # gamma drifts to 21.4 inside the box.
-        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma",)),
+        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma",), -2, False),
         # gamma is clamped at -30; def:t2 drifts to -19.5.
         (
             poisson_module,
             lambda season: poisson_module.poisson_fit(season.played_before(4), correlated=True),
             ("def:t2", "gamma"),
+            1,
+            True,
         ),
     ],
     ids=["bt_fit", "poisson_fit"],
 )
 def test_boundary_flags_mark_clamp_and_drift(
-    module, fit, flags, boundary_season, monkeypatch, record_minimize
+    module, fit, flags, gamma_at, gamma_clamped, boundary_season, record_minimize
 ):
     results = record_minimize(module)
     assert fit(boundary_season).boundary_flags == flags
-    result = results[-1]
-    drift_only = [
-        abs(x) for i, x in enumerate(result.x) if i not in result.at_bound and abs(x) >= DRIFT_LIMIT
-    ]
-    assert drift_only
-
-    # With the box inside the drift limit, only the clamp term can flag gamma.
-    monkeypatch.setattr(optimize_module, "BOX", 12.0)
-    report = fit(boundary_season)
-    result = results[-1]
-    assert result.at_bound and all(abs(result.x[i]) == 12.0 for i in result.at_bound)
-    assert "gamma" in report.boundary_flags
+    x = np.abs(results[-1].x)
+    assert ((x >= DRIFT_LIMIT) & (x < BOX)).any()  # drift inside the box is flagged
+    assert (x[gamma_at] == BOX) == gamma_clamped  # and so is a clamped gamma

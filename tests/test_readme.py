@@ -1,9 +1,12 @@
-"""The README's library example runs against the package as documented."""
+"""The README's library example and config block match the package."""
 
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import matchcast
+from matchcast.cli import RunConfig, parse_config_file
+from matchcast.predictors import KNOWN_MODELS, build_predictor
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -24,3 +27,52 @@ def test_worked_example_gives_stated_probabilities():
     stated = re.search(r"p_home=([\d.]+), p_draw=([\d.]+), p_away=([\d.]+)", code).groups()
     got = tuple(round(p, 4) for p in namespace["p"].as_tuple())
     assert got == tuple(float(x) for x in stated) == (0.5, 0.2917, 0.2083)
+
+
+RUN_KEYS = {"matches", "models", "out", "seed"}
+
+
+class RecordingSettings(Mapping):
+    """Empty settings that remember every key looked up in them."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+
+def _config_block():
+    section = README.split("### Config file", 1)[1]
+    return re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+
+def test_config_block_lists_the_keys_the_models_read():
+    settings = RecordingSettings()
+    for spec in KNOWN_MODELS:
+        build_predictor(spec, settings)
+    listed = {
+        line.split("=", 1)[0]
+        for line in _config_block().splitlines()
+        if line and not line.startswith("#")
+    }
+    assert settings.read | RUN_KEYS == listed
+
+
+def test_config_block_builds_every_model_with_the_defaults(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(_config_block(), encoding="utf-8")
+    cfg = RunConfig(raw=parse_config_file(path))
+    built = [cfg.build(spec) for spec in KNOWN_MODELS]
+    assert [p.name for p in built] == list(KNOWN_MODELS)
+    # The values shown are the defaults, except for the mn-dir2 grids.
+    for predictor in built:
+        if predictor.name != "mn-dir2":
+            assert vars(predictor) == vars(build_predictor(predictor.name))

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from matchcast.data import MatchRecord, Outcome, Prediction
+from matchcast.evaluation import _aggregate, evaluate, score_match
 from matchcast.scoring import (
     _BANDWIDTHS,
     _LOO_CAP,
@@ -20,7 +21,6 @@ from matchcast.scoring import (
     cond_home_win_given_no_draw,
     entropy,
     log_score,
-    proportion_of_errors,
     spherical,
     top_choice_error,
 )
@@ -183,19 +183,27 @@ class TestCondHomeWin:
         assert cond_home_win_given_no_draw(Prediction(0.0, 1.0, 0.0)) is None
 
 
+def _scored(outcomes, p):
+    """score_match rows: one match per outcome, each forecast ``p``."""
+    goals = {Outcome.HOME_WIN: (1, 0), Outcome.DRAW: (0, 0), Outcome.AWAY_WIN: (0, 1)}
+    return [
+        score_match(MatchRecord(2014, k, f"h{k}", f"a{k}", *goals[outcome]), p)
+        for k, outcome in enumerate(outcomes, start=1)
+    ]
+
+
 class TestProportionOfErrors:
     def test_perfect_top_choice(self):
-        scored = [(Outcome.HOME_WIN, Prediction(0.6, 0.3, 0.1))] * 4
-        assert proportion_of_errors(scored) == 0.0
+        scored = _scored([Outcome.HOME_WIN] * 4, Prediction(0.6, 0.3, 0.1))
+        assert _aggregate(scored).proportion_of_errors == 0.0
 
     def test_always_wrong(self):
-        scored = [(Outcome.AWAY_WIN, Prediction(0.6, 0.3, 0.1))] * 4
-        assert proportion_of_errors(scored) == 1.0
+        scored = _scored([Outcome.AWAY_WIN] * 4, Prediction(0.6, 0.3, 0.1))
+        assert _aggregate(scored).proportion_of_errors == 1.0
 
     def test_counting(self):
-        right = (Outcome.HOME_WIN, Prediction(0.6, 0.3, 0.1))
-        wrong = (Outcome.DRAW, Prediction(0.6, 0.3, 0.1))
-        assert proportion_of_errors([right, right, right, wrong]) == 0.25
+        outcomes = [Outcome.HOME_WIN] * 3 + [Outcome.DRAW]
+        assert _aggregate(_scored(outcomes, Prediction(0.6, 0.3, 0.1))).proportion_of_errors == 0.25
 
     def test_tie_attained_is_not_an_error_but_flagged(self):
         error, tied = top_choice_error(Outcome.DRAW, UNIFORM)
@@ -208,9 +216,16 @@ class TestProportionOfErrors:
         assert error == 1
         assert tied
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            proportion_of_errors([])
+    def test_empty_rejected(self, two_seasons):
+        # A model with no scored match gets no report, so nothing aggregates
+        # an empty list.
+        class Silent:
+            name = "silent"
+
+            def predict(self, ctx):
+                return {}
+
+        assert evaluate([Silent()], two_seasons) == []
 
 
 def _calibrated_pairs(rng, n):
