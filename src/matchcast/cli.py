@@ -15,10 +15,11 @@ from pathlib import Path
 
 from .data import MatchDataError, build_seasons, parse_matches_with_lines
 from .evaluation import check_evaluable, context_for, evaluate
-from .predictors import KNOWN_MODELS, build_predictor
+from .predictors import KNOWN_MODELS, build_predictor, settings_keys
 from .reports import summary_table, write_reports
 
 CONFIG_ENV_VAR = "MATCHCAST_CONFIG"
+RUN_KEYS = frozenset({"matches", "models", "out", "seed"})
 
 
 @dataclass
@@ -53,6 +54,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         cfg.raw = parse_config_file(config_path)
+        unknown = sorted(set(cfg.raw) - RUN_KEYS - settings_keys())
+        if unknown:
+            raise ValueError(f"{config_path}: unknown config key {', '.join(unknown)}")
         if "matches" in cfg.raw:
             cfg.matches_path = cfg.raw["matches"]
         if "models" in cfg.raw:
@@ -241,19 +245,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--matches", help="match CSV path")
-        p.add_argument("--models", help="comma-separated model list")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help=f"config file (or ${CONFIG_ENV_VAR})")
+    flag_help = {
+        "matches": "match CSV path",
+        "models": "comma-separated model list",
+        "out": "output directory",
+        "config": f"config file (or ${CONFIG_ENV_VAR})",
+    }
+
+    def flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(f"--{name}", help=flag_help[name])
 
     p_validate = sub.add_parser("validate", help="check a match CSV")
-    common(p_validate)
+    flags(p_validate, "matches", "config")
     p_validate.add_argument("--strict", action="store_true", help="reject irregular seasons")
     p_validate.set_defaults(func=cmd_validate)
 
     p_predict = sub.add_parser("predict", help="predict one matchday")
-    common(p_predict)
+    flags(p_predict, "matches", "models", "out", "config")
     p_predict.add_argument("--matchday", type=int, required=True)
     p_predict.add_argument("--season", type=int, help="season year (if several in the file)")
     p_predict.add_argument(
@@ -264,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_evaluate = sub.add_parser("evaluate", help="score models over second halves")
-    common(p_evaluate)
+    flags(p_evaluate, "matches", "models", "out", "config")
     p_evaluate.set_defaults(func=cmd_evaluate)
 
     p_selftest = sub.add_parser("selftest", help="run the acceptance checks")
-    common(p_selftest)
+    flags(p_selftest, "config")
     p_selftest.add_argument("--seed", type=int, help="simulation seed (default: the frozen one)")
     p_selftest.set_defaults(func=cmd_selftest)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class _DavidsonObjective:
     """Negative log-likelihood and gradient over (r_2..r_T, log gamma, log nu).
 
     Outcome masks, gradient targets and the scatter index depend on the
-    data only and are built once per fit.
+    data only and are built once per fit.  A call returns the value and a
+    callable that finishes the gradient from that call's arrays.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[tuple[MatchRecord, Outcome]]):
@@ -98,7 +99,7 @@ class _DavidsonObjective:
         r = np.concatenate(([0.0], theta[: self.n_teams - 1]))
         return r, float(theta[-2]), float(theta[-1])
 
-    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def __call__(self, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
         r, log_gamma, log_nu = self.unpack(theta)
         r_h = r[self.home_idx]
         r_a = r[self.away_idx]
@@ -113,22 +114,23 @@ class _DavidsonObjective:
         chosen = np.where(self.is_win, log_win, np.where(self.is_draw, log_draw, log_loss))
         nll = float(np.sum(log_denom - chosen))
 
-        # Softmax weights of the three terms in each denominator.
-        w_win = np.exp(log_win - log_denom)
-        w_draw = np.exp(log_draw - log_denom)
-        w_loss = np.exp(log_loss - log_denom)
+        def gradient() -> np.ndarray:
+            # Softmax weights of the three terms in each denominator.
+            w_win = np.exp(log_win - log_denom)
+            w_draw = np.exp(log_draw - log_denom)
+            w_loss = np.exp(log_loss - log_denom)
 
-        # d(log denominator)/d(param) minus d(log numerator)/d(param).
-        d_home = (w_win + 0.5 * w_draw) - self.target_home
-        d_away = (w_loss + 0.5 * w_draw) - self.target_away
-        d_gamma = float(np.sum(w_win - self.is_win))
-        d_nu = float(np.sum(w_draw - self.is_draw))
+            # d(log denominator)/d(param) minus d(log numerator)/d(param).
+            d_home = (w_win + 0.5 * w_draw) - self.target_home
+            d_away = (w_loss + 0.5 * w_draw) - self.target_away
+            d_gamma = float(np.sum(w_win - self.is_win))
+            d_nu = float(np.sum(w_draw - self.is_draw))
 
-        # bincount adds in index order from 0.0, as paired np.add.at calls do.
-        d_r = np.bincount(self.team_idx, np.concatenate((d_home, d_away)), self.n_teams)
+            # bincount adds in index order from 0.0, as paired np.add.at calls do.
+            d_r = np.bincount(self.team_idx, np.concatenate((d_home, d_away)), self.n_teams)
+            return np.concatenate((d_r[1:], [d_gamma, d_nu]))
 
-        grad = np.concatenate((d_r[1:], [d_gamma, d_nu]))
-        return nll, grad
+        return nll, gradient
 
 
 def _prepare(matches: Sequence[tuple[MatchRecord, Outcome]]) -> _DavidsonObjective:

@@ -5,6 +5,11 @@ unconstrained apart from a wide safety box that catches separable data
 (parameters running to infinity).  Determinism matters more than raw
 speed here: the same data and settings must always produce the same fit,
 so there is no randomized restart logic.
+
+An objective returns its value and a zero-argument callable that finishes
+the gradient from the arrays that same call built.  The solver calls it at
+the start point and at accepted line-search points only, so a rejected
+trial costs a value and nothing more.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
-ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# x -> (value, gradient): calling ``gradient()`` gives the gradient at x.
+ObjectiveFn = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 P = TypeVar("P")
 
 BOX = 30.0          # iterates clamped to [-BOX, BOX]^d
@@ -78,12 +84,21 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _clamp(x: np.ndarray) -> np.ndarray:
+    # np.clip's values, without its dispatch overhead.
+    return np.minimum(np.maximum(x, -BOX), BOX)
+
+
 def _projected_gradient(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # Zero out components that point outward at an active box face:
     # there the objective cannot be decreased without leaving the box.
+    upper = x >= BOX
+    lower = x <= -BOX
+    if not (upper.any() or lower.any()):
+        return grad
     g = grad.copy()
-    g[(x >= BOX) & (g < 0.0)] = 0.0
-    g[(x <= -BOX) & (g > 0.0)] = 0.0
+    g[upper & (g < 0.0)] = 0.0
+    g[lower & (g > 0.0)] = 0.0
     return g
 
 
@@ -92,17 +107,18 @@ def minimize(
     x0: np.ndarray,
     settings: OptimSettings | None = None,
 ) -> OptimResult:
-    """Minimize ``objective`` (value and gradient) from ``x0``.
+    """Minimize ``objective`` (value and gradient callable) from ``x0``.
 
     Convergence is declared when the 2-norm of the projected gradient drops
     to ``settings.tol``; a stalled line search also terminates the run, in
     which case ``converged`` reflects whatever the gradient norm is at that
-    point.
+    point.  The gradient is taken at ``x0`` and at each accepted point.
     """
     cfg = settings or OptimSettings()
-    x = np.clip(np.asarray(x0, dtype=float), -BOX, BOX)
+    x = _clamp(np.asarray(x0, dtype=float))
     n = x.size
-    f, grad = objective(x)
+    f, gradient = objective(x)
+    grad = gradient()
     eye = np.eye(n)
     h_inv = eye
     iterations = 0
@@ -133,11 +149,11 @@ def minimize(
         slope = float(grad @ direction)
         x_new = f_new = grad_new = None
         for _ in range(60):
-            candidate = np.clip(x + step * direction, -BOX, BOX)
+            candidate = _clamp(x + step * direction)
             if (candidate != x).any():
-                f_cand, g_cand = objective(candidate)
-                if np.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
-                    x_new, f_new, grad_new = candidate, f_cand, g_cand
+                f_cand, gradient = objective(candidate)
+                if math.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
+                    x_new, f_new, grad_new = candidate, f_cand, gradient()
                     break
             step *= 0.5
         if x_new is None:
@@ -149,11 +165,10 @@ def minimize(
         sy = float(s @ y)
         if sy > 1e-12 * _norm(s) * _norm(y):
             rho = 1.0 / sy
-            sy_outer = np.outer(s, y)
-            h_inv = (
-                (eye - rho * sy_outer) @ h_inv @ (eye - rho * sy_outer.T)
-                + rho * np.outer(s, s)
-            )
+            left = eye - rho * np.outer(s, y)
+            # eye is symmetric, so this copy is bitwise eye - rho * outer(s, y).T.
+            right = np.ascontiguousarray(left.T)
+            h_inv = left @ h_inv @ right + rho * np.outer(s, s)
         x, f, grad = x_new, f_new, grad_new
 
     pg = _projected_gradient(x, grad)

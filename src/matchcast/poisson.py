@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
@@ -218,7 +218,9 @@ class _PoissonObjective:
     Every data-only term is built once here.  The shared-component sum of
     the correlated model runs over the live cells k <= min(y1, y2) only,
     row-major by match; its row sums are taken on the dense match x k
-    layout, whose reduction order fixes the rounding of the fits.
+    layout, whose reduction order fixes the rounding of the fits.  A call
+    returns the value and a callable that finishes the gradient from that
+    call's arrays.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord], correlated: bool):
@@ -263,12 +265,16 @@ class _PoissonObjective:
         mu, gamma = float(theta[0]), float(theta[1])
         att_free = theta[2 : 2 + t - 1]
         def_free = theta[2 + t - 1 : 2 + 2 * (t - 1)]
-        att = np.concatenate((att_free, [-att_free.sum()]))
-        dfn = np.concatenate((def_free, [-def_free.sum()]))
+        att = np.empty(t)
+        att[:-1] = att_free
+        att[-1] = -att_free.sum()
+        dfn = np.empty(t)
+        dfn[:-1] = def_free
+        dfn[-1] = -def_free.sum()
         lambda3 = math.exp(float(theta[-1])) if self.correlated else 0.0
         return mu, gamma, att, dfn, lambda3
 
-    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def __call__(self, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
         mu, gamma, att, dfn, lambda3 = self.unpack(theta)
         log_l1 = mu + att[self.home_idx] - dfn[self.away_idx] + gamma
         log_l2 = mu + att[self.away_idx] - dfn[self.home_idx]
@@ -283,10 +289,8 @@ class _PoissonObjective:
                 - self.lgamma_y1
                 - self.lgamma_y2
             )
-            s1 = self.y1 - l1  # d(log pmf)/d(log lambda1)
-            s2 = self.y2 - l2
             nll = -float(ll.sum())
-            mean_k = None
+            rel = s = None
         else:
             log_terms = (
                 self.y1_cell * log_l1[self.rows]
@@ -305,21 +309,34 @@ class _PoissonObjective:
             log_sum = top + np.log(s)
             ll = -(l1 + l2 + lambda3) + log_sum
             nll = -float(ll.sum())
-            mean_k = (rel @ self.k) / s
-            s1 = (self.y1 - mean_k) - l1
-            s2 = (self.y2 - mean_k) - l2
 
-        d_mu = -float((s1 + s2).sum())
-        d_gamma = -float(s1.sum())
-        # bincount adds in index order from 0.0, as paired np.add.at calls do.
-        d_att = np.bincount(self.att_idx, np.concatenate((-s1, -s2)), self.n_teams)
-        d_def = np.bincount(self.def_idx, np.concatenate((s1, s2)), self.n_teams)
-        # Chain rule through the eliminated last team.
-        parts = [[d_mu, d_gamma], d_att[:-1] - d_att[-1], d_def[:-1] - d_def[-1]]
-        if self.correlated:
-            assert mean_k is not None
-            parts.append([-float((mean_k - lambda3).sum())])
-        return nll, np.concatenate(parts)
+        def gradient() -> np.ndarray:
+            if rel is None:
+                s1 = self.y1 - l1  # d(log pmf)/d(log lambda1)
+                s2 = self.y2 - l2
+                mean_k = None
+            else:
+                mean_k = (rel @ self.k) / s
+                s1 = (self.y1 - mean_k) - l1
+                s2 = (self.y2 - mean_k) - l2
+            d_mu = -float((s1 + s2).sum())
+            d_gamma = -float(s1.sum())
+            # bincount adds in index order from 0.0, as paired np.add.at calls do.
+            d_att = np.bincount(self.att_idx, np.concatenate((-s1, -s2)), self.n_teams)
+            d_def = np.bincount(self.def_idx, np.concatenate((s1, s2)), self.n_teams)
+            # Chain rule through the eliminated last team.
+            t = self.n_teams
+            grad = np.empty(self.n_params)
+            grad[0] = d_mu
+            grad[1] = d_gamma
+            grad[2 : t + 1] = d_att[:-1] - d_att[-1]
+            grad[t + 1 : 2 * t] = d_def[:-1] - d_def[-1]
+            if self.correlated:
+                assert mean_k is not None
+                grad[-1] = -float((mean_k - lambda3).sum())
+            return grad
+
+        return nll, gradient
 
 
 def _masked_lgamma(values: np.ndarray, ok: np.ndarray | bool) -> np.ndarray:

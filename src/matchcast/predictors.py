@@ -299,3 +299,28 @@ def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
     if spec.startswith("external:"):
         return ExternalPredictor(spec.split(":", 1)[1])
     raise ValueError(f"unknown model {spec!r}; known: {', '.join(KNOWN_MODELS)} or external:<path>")
+
+
+class _KeyRecorder(Mapping[str, str]):
+    """Empty settings that remember every key looked up in them."""
+
+    def __init__(self) -> None:
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+
+def settings_keys() -> frozenset[str]:
+    """Every key ``build_predictor`` reads for some model in ``KNOWN_MODELS``."""
+    recorder = _KeyRecorder()
+    for spec in KNOWN_MODELS:
+        build_predictor(spec, recorder)
+    return frozenset(recorder.read)

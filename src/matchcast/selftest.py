@@ -322,7 +322,7 @@ def check_davidson_gradient(seed: int = DEFAULT_SEED) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         theta = rng.uniform(-1.5, 1.5, size=objective.n_params)
-        _, grad = objective(theta)
+        grad = objective(theta)[1]()
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             up = theta.copy()

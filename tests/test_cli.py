@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchcast
+import matchcast.predictors as predictors
 import matchcast.selftest as selftest
 from matchcast.cli import main
 from matchcast.data import serialize_matches
@@ -443,6 +444,36 @@ class TestConfig:
                 else:
                     assert cfg.build(spec).name == spec
 
+    @pytest.mark.parametrize("key", ["bt.tols", "poisson.windw", "window"])
+    def test_misspelled_key_refused(self, key, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nmodels=bt\n{key}=0\n")
+        out = tmp_path / "r"
+        for command in (
+            ["validate"],
+            ["predict", "--season", "2014", "--matchday", "6"],
+            ["evaluate", "--out", str(out)],
+            ["selftest"],
+        ):
+            assert main([*command, "--config", str(cfg)]) == 2
+            assert f"unknown config key {key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_accepted_keys_follow_build_predictor(self, matches_file, tmp_path, monkeypatch):
+        real = predictors.build_predictor
+
+        def reading_one_more(spec, settings=None):
+            if spec == "bt" and settings is not None:
+                settings.get("bt.extra")
+            return real(spec, settings)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial\nbt.extra=1\n")
+        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        monkeypatch.setattr(predictors, "build_predictor", reading_one_more)
+        assert main(argv) == 0
+
     def test_repeated_model_refused(self, matches_file, tmp_path, capsys):
         out = tmp_path / "r"
         argv = ["evaluate", "--matches", str(matches_file), "--out", str(out)]
@@ -484,3 +515,19 @@ class TestSeed:
         assert main(["selftest", "--config", str(cfg)]) == 0
         assert main(["selftest", "--config", str(cfg), "--seed", "11"]) == 0
         assert seeds == [selftest.DEFAULT_SEED, 11, 7, 11]
+
+    @pytest.mark.parametrize("flag", ["--matches", "--models", "--out"])
+    def test_selftest_takes_only_config_and_seed(self, flag, seeds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+        assert seeds == []
+
+
+@pytest.mark.parametrize("flag", ["--models", "--out"])
+def test_validate_refuses_flags_it_would_ignore(flag, matches_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--matches", str(matches_file), flag, "x"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err

@@ -1,12 +1,11 @@
 """The README's library example and config block match the package."""
 
 import re
-from collections.abc import Mapping
 from pathlib import Path
 
 import matchcast
-from matchcast.cli import RunConfig, parse_config_file
-from matchcast.predictors import KNOWN_MODELS, build_predictor
+from matchcast.cli import RUN_KEYS, RunConfig, parse_config_file
+from matchcast.predictors import KNOWN_MODELS, build_predictor, settings_keys
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -29,41 +28,18 @@ def test_worked_example_gives_stated_probabilities():
     assert got == tuple(float(x) for x in stated) == (0.5, 0.2917, 0.2083)
 
 
-RUN_KEYS = {"matches", "models", "out", "seed"}
-
-
-class RecordingSettings(Mapping):
-    """Empty settings that remember every key looked up in them."""
-
-    def __init__(self):
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-
 def _config_block():
     section = README.split("### Config file", 1)[1]
     return re.search(r"```\n(.*?)```", section, re.S).group(1)
 
 
 def test_config_block_lists_the_keys_the_models_read():
-    settings = RecordingSettings()
-    for spec in KNOWN_MODELS:
-        build_predictor(spec, settings)
     listed = {
         line.split("=", 1)[0]
         for line in _config_block().splitlines()
         if line and not line.startswith("#")
     }
-    assert settings.read | RUN_KEYS == listed
+    assert settings_keys() | RUN_KEYS == listed
 
 
 def test_config_block_builds_every_model_with_the_defaults(tmp_path):
