@@ -26,7 +26,7 @@ RUN_KEYS = frozenset({"matches", "models", "out", "seed"})
 class RunConfig:
     matches_path: str | None = None
     models: tuple[str, ...] = KNOWN_MODELS
-    output_dir: str = "matchcast-report"
+    output_dir: str | None = None  # evaluate: matchcast-report; predict: stdout
     seed: int | None = None  # selftest's own default when unset
     raw: dict[str, str] = field(default_factory=dict)
 
@@ -174,8 +174,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.dump_params and fitted is not None:
             param_dumps.append((spec, fitted.params.to_csv()))
     output = "\n".join(rows) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
+    if cfg.output_dir:
+        out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"predictions_matchday{matchday}.csv"
         path.write_text(output, encoding="utf-8")
@@ -219,7 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not reports:
         print("error: no usable models", file=sys.stderr)
         return 2
-    json_path, csv_path = write_reports(reports, cfg.output_dir)
+    json_path, csv_path = write_reports(reports, cfg.output_dir or "matchcast-report")
     print(summary_table(reports), end="")
     if failed:
         print(f"failed models (excluded from report): {', '.join(failed)}")

@@ -1,8 +1,10 @@
-"""Match-result data model, CSV ingestion and venue-split count extraction.
+"""Match-result data model, CSV ingestion and the venue tally.
 
 Every predictor in this package consumes the same primitives defined here:
 normalized team identifiers, immutable match records keyed by matchday,
-win/draw/loss count vectors per venue role, and points on the 2-simplex.
+win/draw/loss count vectors and points on the 2-simplex.  The count
+models read one input, :func:`tally_records`: every team's record at home
+and away, taken in one pass over the played matches.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterable, Sequence
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
@@ -50,13 +52,6 @@ class Outcome(IntEnum):
     HOME_WIN = 1
     DRAW = 2
     AWAY_WIN = 3
-
-
-class Venue(Enum):
-    """Role a team occupied in a match."""
-
-    HOME = "home"
-    AWAY = "away"
 
 
 @dataclass(frozen=True)
@@ -129,15 +124,6 @@ class CountVector:
             self.draws + other.draws,
             self.losses + other.losses,
         )
-
-    def add_outcome(self, outcome: Outcome, role: Venue) -> "CountVector":
-        """Tally one result from the perspective of a team in the given role."""
-        if outcome is Outcome.DRAW:
-            return CountVector(self.wins, self.draws + 1, self.losses)
-        won = (outcome is Outcome.HOME_WIN) == (role is Venue.HOME)
-        if won:
-            return CountVector(self.wins + 1, self.draws, self.losses)
-        return CountVector(self.wins, self.draws, self.losses + 1)
 
 
 @dataclass(frozen=True)
@@ -244,25 +230,37 @@ def second_half_matchdays(season: Season) -> list[int]:
     return sorted({m.matchday for m in season.matches if m.matchday > half})
 
 
-def tally_records(records: Iterable[MatchRecord], team: str, role: Venue) -> CountVector:
-    """Tally played records where ``team`` occupies ``role``; order irrelevant.
+def tally_records(
+    records: Iterable[MatchRecord],
+) -> tuple[dict[str, CountVector], dict[str, CountVector]]:
+    """Every team's (home, away) record over the played ``records``.
 
-    One pass over plain ints, so the tally builds a single ``CountVector``
-    however many records it reads; the rule is :func:`outcome_of`'s.
+    One pass; order is irrelevant and scheduled records are skipped.  The
+    first dict holds each team's home record, the second its away record,
+    both from that team's side; a team absent from a dict played no match
+    in that role.  The rule is :func:`outcome_of`'s.
     """
-    home = role is Venue.HOME
-    wins = draws = losses = 0
+    home: dict[str, list[int]] = {}
+    away: dict[str, list[int]] = {}
     for m in records:
         home_goals = m.home_goals
-        if home_goals is None or (m.home if home else m.away) != team:
+        if home_goals is None:
             continue
-        if home_goals == m.away_goals:
-            draws += 1
-        elif (home_goals > m.away_goals) == home:
-            wins += 1
+        h = home.setdefault(m.home, [0, 0, 0])
+        a = away.setdefault(m.away, [0, 0, 0])
+        if home_goals > m.away_goals:
+            h[0] += 1
+            a[2] += 1
+        elif home_goals == m.away_goals:
+            h[1] += 1
+            a[1] += 1
         else:
-            losses += 1
-    return CountVector(wins, draws, losses)
+            h[2] += 1
+            a[0] += 1
+    return (
+        {team: CountVector(*c) for team, c in home.items()},
+        {team: CountVector(*c) for team, c in away.items()},
+    )
 
 
 def _parse_goals(text: str, line: int, field: str) -> int | None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CountVector, MatchRecord, Outcome, Prediction, Venue
+from .data import CountVector, MatchRecord, Outcome, Prediction, outcome_of, tally_records
 
 
 @dataclass(frozen=True)
@@ -179,50 +179,30 @@ class GridSpec:
         return cls(w, alpha)
 
 
-def cv_select(
-    first_half: Sequence[tuple[MatchRecord, Outcome]], grid: GridSpec
-) -> MnDir2Config:
+def cv_select(first_half: Sequence[MatchRecord], grid: GridSpec) -> MnDir2Config:
     """Pick the (w, alpha) grid point with the smallest total first-half Brier.
 
-    Scoring is sequential: each match is predicted from the venue counts of
-    matchdays strictly before its own (the symmetric prior alone before the
-    first matchday), then its outcome is added to the running tallies.
-    Ties are broken toward the smallest alpha, then the smallest w, so the
-    result does not depend on grid enumeration order.
+    ``first_half`` holds played records.  Scoring is sequential: each match
+    is predicted from the :func:`~matchcast.data.tally_records` counts of
+    the half's matchdays strictly before its own (the symmetric prior alone
+    on the first matchday) and scored against its own result.  Ties are
+    broken toward the smallest alpha, then the smallest w, so the result
+    does not depend on grid enumeration order.
     """
     if not first_half:
         raise ValueError("first_half must be non-empty")
 
-    # Counts are grid-independent; accumulate them once per match.
-    ordered = sorted(enumerate(first_half), key=lambda item: (item[1][0].matchday, item[0]))
-    home_tallies: dict[str, CountVector] = {}
-    away_tallies: dict[str, CountVector] = {}
+    # Counts are grid-independent; tally them once per matchday.  The sort
+    # is stable, so matches keep their given order within a matchday.
+    ordered = sorted(first_half, key=lambda m: m.matchday)
+    empty = CountVector()
     prepared: list[tuple[CountVector, CountVector, Outcome]] = []
-    current_matchday: int | None = None
-    pending: list[tuple[MatchRecord, Outcome]] = []
-
-    def flush() -> None:
-        for match, outcome in pending:
-            home_tallies[match.home] = home_tallies.get(match.home, CountVector()).add_outcome(
-                outcome, Venue.HOME
-            )
-            away_tallies[match.away] = away_tallies.get(match.away, CountVector()).add_outcome(
-                outcome, Venue.AWAY
-            )
-        pending.clear()
-
-    for _, (match, outcome) in ordered:
-        if current_matchday is not None and match.matchday != current_matchday:
-            flush()
-        current_matchday = match.matchday
+    for i, match in enumerate(ordered):
+        if i == 0 or match.matchday != ordered[i - 1].matchday:
+            home, away = tally_records(ordered[:i])
         prepared.append(
-            (
-                home_tallies.get(match.home, CountVector()),
-                away_tallies.get(match.away, CountVector()),
-                outcome,
-            )
+            (home.get(match.home, empty), away.get(match.away, empty), outcome_of(match))
         )
-        pending.append((match, outcome))
 
     totals = _brier_totals(prepared, grid)
     # Python tuples order (total, alpha, w) with the documented tie-break.

@@ -324,8 +324,6 @@ def check_evaluable(seasons: Sequence[Season]) -> None:
 def evaluate(
     predictors: Sequence[Predictor],
     seasons: Sequence[Season],
-    *,
-    calibration_bins: int = 10,
 ) -> list[ModelReport]:
     """Score every predictor over the second half of every season.
 
@@ -387,7 +385,7 @@ def evaluate(
         pairs = [(s.outcome, s.prediction) for s in scored]
         calibration = None
         if len(pairs) * 3 >= 30:
-            calibration = calibration_curve(pairs, bins=calibration_bins)
+            calibration = calibration_curve(pairs)
 
         settings: Mapping[int, Mapping[str, str]] = {}
         exporter = getattr(predictor, "settings_by_year", None)

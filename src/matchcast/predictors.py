@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Mapping
 
 from .data import (
+    CountVector,
     MatchRecord,
     Prediction,
     TRIVIAL_PREDICTION,
-    Venue,
     first_half_rounds,
     normalize_team,
     outcome_of,
@@ -54,19 +54,27 @@ class TrivialPredictor:
         return {fixture: TRIVIAL_PREDICTION for fixture in ctx.fixtures}
 
 
+def _count_predictions(ctx: PredictionContext, predict) -> dict[MatchRecord, Prediction]:
+    """``predict(home team's home record, away team's away record)`` per fixture.
+
+    The season's venue counts are tallied once for the whole matchday; a
+    team with no record yet in its role gets empty counts, so the prior.
+    """
+    home, away = tally_records(ctx.current_season_history())
+    empty = CountVector()
+    return {
+        fixture: predict(home.get(fixture.home, empty), away.get(fixture.away, empty))
+        for fixture in ctx.fixtures
+    }
+
+
 class MnDir1Predictor:
     """Equal-weight mixture of home-venue and away-venue count posteriors."""
 
     name = "mn-dir1"
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        current = ctx.current_season_history()
-        out = {}
-        for fixture in ctx.fixtures:
-            home_counts = tally_records(current, fixture.home, Venue.HOME)
-            away_counts = tally_records(current, fixture.away, Venue.AWAY)
-            out[fixture] = mn_dir1_predict(home_counts, away_counts)
-        return out
+        return _count_predictions(ctx, mn_dir1_predict)
 
 
 class MnDir2Predictor:
@@ -89,23 +97,13 @@ class MnDir2Predictor:
             half = first_half_rounds(ctx.season_rounds)
             if ctx.matchday <= half:
                 raise ValueError("mn-dir2 needs the completed first half for tuning")
-            first_half = [
-                (r, outcome_of(r))
-                for r in ctx.current_season_history()
-                if r.matchday <= half
-            ]
+            first_half = [r for r in ctx.current_season_history() if r.matchday <= half]
             self._selected[year] = cv_select(first_half, self.grid)
         return self._selected[year]
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
         cfg = self._config_for(ctx)
-        current = ctx.current_season_history()
-        out = {}
-        for fixture in ctx.fixtures:
-            home_counts = tally_records(current, fixture.home, Venue.HOME)
-            away_counts = tally_records(current, fixture.away, Venue.AWAY)
-            out[fixture] = mn_dir2_predict(home_counts, away_counts, cfg)
-        return out
+        return _count_predictions(ctx, lambda h, a: mn_dir2_predict(h, a, cfg))
 
     def settings_by_year(self) -> dict[int, dict[str, str]]:
         return {

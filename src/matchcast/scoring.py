@@ -204,22 +204,19 @@ def calibration_curve(
     scored: Sequence[tuple[Outcome, Prediction]],
     *,
     bins: int = 10,
-    grid: Sequence[float] | None = None,
 ) -> CalibrationTable:
     """Reliability estimates: equal-width bins plus a kernel smoother.
 
     Each prediction contributes its three (probability, event indicator)
     pairs.  The smoother is Nadaraya-Watson with a Gaussian kernel whose
     bandwidth minimizes leave-one-out squared error over a small candidate
-    set.  Requires at least 30 pairs.
+    set; it is evaluated at 0.05, 0.10, ..., 0.95.  Requires at least 30
+    pairs.
     """
     probs, events = _unroll(scored)
     if probs.size < 30:
         raise ValueError(f"need >= 30 probability/event pairs, got {probs.size}")
-    grid_arr = (
-        np.linspace(0.05, 0.95, 19) if grid is None else np.asarray(list(grid), dtype=float)
-    )
-    smoothed, bw = _smoothed(probs, events, grid_arr)
+    smoothed, bw = _smoothed(probs, events, np.linspace(0.05, 0.95, 19))
     return CalibrationTable(
         bins=_binned(probs, events, bins),
         smoothed=smoothed,

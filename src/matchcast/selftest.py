@@ -487,24 +487,23 @@ def check_leakage_guard(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def _cv_brute_force(
-    first_half: list[tuple[MatchRecord, Outcome]], grid: GridSpec
-) -> MnDir2Config:
+def _cv_brute_force(first_half: list[MatchRecord], grid: GridSpec) -> MnDir2Config:
     # Independent re-scoring: venue counts recomputed from scratch per match,
     # and the grid walked in transposed order to exercise the claim that the
     # tie-break makes selection independent of enumeration order.
-    from .data import Venue, tally_records
+    from .data import tally_records
 
     best = None
     for w in grid.w_points:
         for alpha in grid.alpha_points:
             cfg = MnDir2Config(alpha=alpha, weights=PoolWeights(w))
             total = 0.0
-            for match, outcome in first_half:
-                earlier = [m for m, _ in first_half if m.matchday < match.matchday]
-                h = tally_records(earlier, match.home, Venue.HOME)
-                a = tally_records(earlier, match.away, Venue.AWAY)
-                total += brier(outcome, mn_dir2_predict(h, a, cfg))
+            for match in first_half:
+                earlier = [m for m in first_half if m.matchday < match.matchday]
+                home, away = tally_records(earlier)
+                h = home.get(match.home, CountVector())
+                a = away.get(match.away, CountVector())
+                total += brier(outcome_of(match), mn_dir2_predict(h, a, cfg))
             key = (total, alpha, w)
             if best is None or key < best:
                 best = key
@@ -516,9 +515,7 @@ def check_cv_select(seed: int = DEFAULT_SEED) -> CheckResult:
     grid = GridSpec.default()
     for k in range(20):
         season = simulate_played_season([f"t{i}" for i in range(4)], 2002, _rng(seed, 100 + k))
-        first_half = [
-            (m, outcome_of(m)) for m in season.matches if m.matchday <= 3
-        ]
+        first_half = [m for m in season.matches if m.matchday <= 3]
         fast = cv_select(first_half, grid)
         slow = _cv_brute_force(first_half, grid)
         if (fast.alpha, fast.weights.w_home) != (slow.alpha, slow.weights.w_home):

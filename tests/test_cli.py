@@ -186,6 +186,25 @@ class TestPredict:
         assert written.exists()
         assert written.read_text().startswith("model,season,matchday")
 
+    def test_out_config_key_writes_csv_as_the_flag_does(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "t1.csv"
+        path.write_text(count_scenario_csv())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={path}\nmodels=trivial\nout={tmp_path / 'cfg-out'}\n")
+        assert main(["predict", "--config", str(cfg), "--matchday", "20"]) == 0
+        written = tmp_path / "cfg-out" / "predictions_matchday20.csv"
+        assert capsys.readouterr().out == f"wrote {written}\n"
+        assert written.read_text().startswith("model,season,matchday")
+
+        # Without out, predict prints the same CSV and writes nothing.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg.write_text(f"matches={path}\nmodels=trivial\n")
+        assert main(["predict", "--config", str(cfg), "--matchday", "20"]) == 0
+        assert capsys.readouterr().out == written.read_text()
+        assert not any(work.iterdir())
+
     def test_dump_params_exports_fitted_values(self, tmp_path, capsys):
         path = tmp_path / "t1.csv"
         path.write_text(count_scenario_csv())
@@ -359,6 +378,13 @@ class TestConfig:
         )
         assert main(["evaluate", "--config", str(cfg)]) == 0
         assert (tmp_path / "cfg-out" / "report.json").exists()
+
+    def test_evaluate_writes_to_default_dir_without_out(
+        self, matches_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--matches", str(matches_file), "--models", "trivial"]) == 0
+        assert (tmp_path / "matchcast-report" / "report.json").exists()
 
     def test_env_var_fallback(self, matches_file, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ from matchcast.data import (
     MatchRecord,
     Outcome,
     Prediction,
-    Venue,
     build_season,
     build_seasons,
     first_half_rounds,
@@ -139,25 +138,36 @@ def _mini_records():
     ]
 
 
+VENUES = ("home", "away")
+
+
+def _venue_counts(records, team, venue):
+    """``team``'s record in ``venue`` from one :func:`tally_records` pass."""
+    home, away = tally_records(records)
+    return (home if venue == "home" else away).get(team, CountVector())
+
+
 class TestVenueCounts:
     def test_hand_enumerated_window(self):
         season = build_season(_mini_records())
-        assert tally_records(season.played_before(4), "h", Venue.HOME) == CountVector(2, 1, 0)
+        assert _venue_counts(season.played_before(4), "h", "home") == CountVector(2, 1, 0)
 
     def test_empty_window(self):
         season = build_season(_mini_records())
-        assert tally_records(season.played_before(1), "h", Venue.HOME) == CountVector()
+        assert _venue_counts(season.played_before(1), "h", "home") == CountVector()
+        assert tally_records(season.played_before(1)) == ({}, {})
 
     def test_role_without_matches(self):
         season = build_season(_mini_records())
-        assert tally_records(season.played_before(2), "x", Venue.HOME) == CountVector()
+        assert _venue_counts(season.played_before(2), "x", "home") == CountVector()
+        assert "x" not in tally_records(season.played_before(2))[0]
 
     def test_monotone_in_matchday(self, small_season):
         for team in sorted(small_season.teams):
-            for role in Venue:
+            for venue in VENUES:
                 prev = CountVector()
                 for md in range(small_season.rounds + 1):
-                    cur = tally_records(small_season.played_before(md + 1), team, role)
+                    cur = _venue_counts(small_season.played_before(md + 1), team, venue)
                     assert cur.wins >= prev.wins
                     assert cur.draws >= prev.draws
                     assert cur.losses >= prev.losses
@@ -168,20 +178,17 @@ class TestVenueCounts:
             played = sum(
                 1 for m in small_season.matches if m.played and m.matchday <= md
             )
-            total = sum(
-                tally_records(small_season.played_before(md + 1), t, Venue.HOME).total
-                for t in small_season.teams
-            )
-            assert total == played
+            for tallies in tally_records(small_season.played_before(md + 1)):
+                assert sum(c.total for c in tallies.values()) == played
 
 
-def _brute_force_tally(records, team, role):
+def _brute_force_tally(records, team, venue):
     own = [
         outcome_of(m)
         for m in records
-        if m.played and (m.home if role is Venue.HOME else m.away) == team
+        if m.played and (m.home if venue == "home" else m.away) == team
     ]
-    win = Outcome.HOME_WIN if role is Venue.HOME else Outcome.AWAY_WIN
+    win = Outcome.HOME_WIN if venue == "home" else Outcome.AWAY_WIN
     wins, draws = own.count(win), own.count(Outcome.DRAW)
     return CountVector(wins, draws, len(own) - wins - draws)
 
@@ -198,11 +205,17 @@ def test_tally_records_matches_brute_force(seed):
         if rng.random() >= 0.2:
             goals = tuple(int(g) for g in rng.integers(0, 4, 2))
         records.append(MatchRecord(2014, 1 + i % 10, home, away, *goals))
-    for team in teams + ["nobody"]:
-        for role in Venue:
-            expected = _brute_force_tally(records, team, role)
-            assert tally_records(records, team, role) == expected
-            assert tally_records(iter(records), team, role) == expected
+    from_list = dict(zip(VENUES, tally_records(records)))
+    from_iter = dict(zip(VENUES, tally_records(iter(records))))
+    for venue in VENUES:
+        # A team appears in a venue's dict exactly when it played there.
+        assert set(from_list[venue]) == {
+            t for t in teams if _brute_force_tally(records, t, venue).total
+        }
+        for team in teams + ["nobody"]:
+            expected = _brute_force_tally(records, team, venue)
+            assert from_list[venue].get(team, CountVector()) == expected
+            assert from_iter[venue].get(team, CountVector()) == expected
 
 
 class TestSeason:

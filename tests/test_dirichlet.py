@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchcast.data import CountVector, MatchRecord, Outcome, Prediction, Venue
+from matchcast.data import CountVector, MatchRecord, Outcome, Prediction, outcome_of
 from matchcast.dirichlet import (
     DirichletParams,
     GridSpec,
@@ -232,33 +232,40 @@ class TestGridSpec:
 
 
 def _first_half(season):
-    from matchcast.data import outcome_of, second_half_matchdays
+    from matchcast.data import second_half_matchdays
 
     half_start = min(second_half_matchdays(season))
-    return [(m, outcome_of(m)) for m in season.matches if m.matchday < half_start]
+    return [m for m in season.matches if m.matchday < half_start]
+
+
+def _tallied(counts, outcome, home):
+    """``counts`` plus one result, seen from the home (or the away) side."""
+    if outcome is Outcome.DRAW:
+        return CountVector(counts.wins, counts.draws + 1, counts.losses)
+    if (outcome is Outcome.HOME_WIN) == home:
+        return CountVector(counts.wins + 1, counts.draws, counts.losses)
+    return CountVector(counts.wins, counts.draws, counts.losses + 1)
 
 
 def _scalar_cv_select(first_half, grid):
     """The scalar selection loop that ``cv_select`` replaced, kept as its reference.
 
-    Returns the per-match (home counts, away counts, outcome) rows, the
-    (alpha, w) array of summed Brier scores and the selected config.
+    It keeps its own running venue tallies, one result at a time.  Returns
+    the per-match (home counts, away counts, outcome) rows, the (alpha, w)
+    array of summed Brier scores and the selected config.
     """
-    ordered = sorted(enumerate(first_half), key=lambda item: (item[1][0].matchday, item[0]))
+    ordered = sorted(enumerate(first_half), key=lambda item: (item[1].matchday, item[0]))
     home_tallies, away_tallies = {}, {}
     prepared, pending = [], []
     current_matchday = None
-    for _, (match, outcome) in ordered:
+    for _, match in ordered:
         if current_matchday is not None and match.matchday != current_matchday:
             for m, o in pending:
-                home_tallies[m.home] = home_tallies.get(m.home, CountVector()).add_outcome(
-                    o, Venue.HOME
-                )
-                away_tallies[m.away] = away_tallies.get(m.away, CountVector()).add_outcome(
-                    o, Venue.AWAY
-                )
+                home_tallies[m.home] = _tallied(home_tallies.get(m.home, CountVector()), o, True)
+                away_tallies[m.away] = _tallied(away_tallies.get(m.away, CountVector()), o, False)
             pending.clear()
         current_matchday = match.matchday
+        outcome = outcome_of(match)
         prepared.append(
             (
                 home_tallies.get(match.home, CountVector()),
@@ -294,8 +301,8 @@ class TestCvSelect:
         # With only matchday-1 matches there are no earlier counts, so every
         # grid point produces the uniform prediction and all scores tie.
         matches = [
-            (MatchRecord(2014, 1, "a", "b", 1, 0), Outcome.HOME_WIN),
-            (MatchRecord(2014, 1, "c", "d", 0, 0), Outcome.DRAW),
+            MatchRecord(2014, 1, "a", "b", 1, 0),
+            MatchRecord(2014, 1, "c", "d", 0, 0),
         ]
         grid = GridSpec(w_points=(0.25, 0.75), alpha_points=(1.5, 3.0))
         cfg = cv_select(matches, grid)
@@ -328,15 +335,16 @@ class TestCvSelect:
         best = cv_select(first_half, grid)
 
         def total_brier(cfg):
-            from matchcast.data import Venue, tally_records
+            from matchcast.data import tally_records
             from matchcast.scoring import brier
 
             total = 0.0
-            for match, outcome in first_half:
-                earlier = [m for m, _ in first_half if m.matchday < match.matchday]
-                h = tally_records(earlier, match.home, Venue.HOME)
-                a = tally_records(earlier, match.away, Venue.AWAY)
-                total += brier(outcome, mn_dir2_predict(h, a, cfg))
+            for match in first_half:
+                earlier = [m for m in first_half if m.matchday < match.matchday]
+                home, away = tally_records(earlier)
+                h = home.get(match.home, CountVector())
+                a = away.get(match.away, CountVector())
+                total += brier(outcome_of(match), mn_dir2_predict(h, a, cfg))
             return total
 
         best_score = total_brier(best)

@@ -374,7 +374,7 @@ class TestLateAppearingTeam:
         return [two_seasons[0], build_season(records)]
 
     def test_count_model_predicts_from_prior_alone(self, season_with_newcomer):
-        from matchcast.data import CountVector, Venue, tally_records
+        from matchcast.data import CountVector, tally_records
         from matchcast.dirichlet import mn_dir1_predict
 
         report = evaluate([MnDir1Predictor()], season_with_newcomer)[0]
@@ -385,9 +385,9 @@ class TestLateAppearingTeam:
         # observer is t0's actual away record before matchday 7.
         season = season_with_newcomer[1]
         earlier = [m for m in season.matches if m.matchday < 7]
-        expected = mn_dir1_predict(
-            CountVector(), tally_records(earlier, "t0", Venue.AWAY)
-        )
+        home, away = tally_records(earlier)
+        assert "newcomer" not in home
+        expected = mn_dir1_predict(CountVector(), away["t0"])
         assert rows[0].prediction == expected
 
     def test_fitting_model_skips_and_flags(self, season_with_newcomer):
