@@ -136,9 +136,10 @@ class Prediction:
 
     def __post_init__(self) -> None:
         ps = (self.p_home, self.p_draw, self.p_away)
-        if any(p < 0.0 or p > 1.0 for p in ps):
+        # Each check states what must hold, so a NaN fails it.
+        if not all(0.0 <= p <= 1.0 for p in ps):
             raise ValueError(f"probabilities outside [0, 1]: {ps}")
-        if abs(sum(ps) - 1.0) > SIMPLEX_TOL:
+        if not abs(sum(ps) - 1.0) <= SIMPLEX_TOL:
             raise ValueError(f"probabilities sum to {sum(ps)!r}, not 1")
 
     def prob_of(self, outcome: Outcome) -> float:

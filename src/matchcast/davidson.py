@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Outcome, Prediction
-from .optimize import FitReport, OptimSettings, fit_report, minimize
+from .data import MatchRecord, Outcome, Prediction, outcome_of
+from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
 
 WORTH_SUM_TOL = 1e-9
 
@@ -72,18 +72,20 @@ def bt_outcome_probs(params: BTParams, home: str, away: str) -> Prediction:
 class _DavidsonObjective:
     """Negative log-likelihood and gradient over (r_2..r_T, log gamma, log nu).
 
-    Outcome masks, gradient targets and the scatter index depend on the
-    data only and are built once per fit.  A call returns the value and a
-    callable that finishes the gradient from that call's arrays.
+    ``matches`` are played records between ``teams``; each one's result is
+    read once, through :func:`~matchcast.data.outcome_of`.  Outcome masks,
+    gradient targets and the scatter index depend on the data only and are
+    built once per fit.  A call returns the value and a callable that
+    finishes the gradient from that call's arrays.
     """
 
-    def __init__(self, teams: Sequence[str], matches: Sequence[tuple[MatchRecord, Outcome]]):
+    def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]):
         self.teams = list(teams)
         index = {t: k for k, t in enumerate(self.teams)}
-        self.home_idx = np.array([index[m.home] for m, _ in matches], dtype=int)
-        self.away_idx = np.array([index[m.away] for m, _ in matches], dtype=int)
+        self.home_idx = np.array([index[m.home] for m in matches], dtype=int)
+        self.away_idx = np.array([index[m.away] for m in matches], dtype=int)
         self.team_idx = np.concatenate((self.home_idx, self.away_idx))
-        outcome = np.array([o.value for _, o in matches])
+        outcome = np.array([outcome_of(m).value for m in matches])
         self.is_win = outcome == Outcome.HOME_WIN.value
         self.is_draw = outcome == Outcome.DRAW.value
         is_loss = outcome == Outcome.AWAY_WIN.value
@@ -133,27 +135,20 @@ class _DavidsonObjective:
         return nll, gradient
 
 
-def _prepare(matches: Sequence[tuple[MatchRecord, Outcome]]) -> _DavidsonObjective:
-    if not matches:
-        raise ValueError("need at least one match to fit")
-    teams = sorted({t for m, _ in matches for t in (m.home, m.away)})
-    if len(teams) < 2:
-        raise ValueError("need at least two teams")
-    return _DavidsonObjective(teams, matches)
-
-
 def bt_fit(
-    matches: Sequence[tuple[MatchRecord, Outcome]],
+    matches: Sequence[MatchRecord],
     settings: OptimSettings | None = None,
 ) -> FitReport[BTParams]:
-    """Maximum-likelihood fit from the symmetric starting point.
+    """Maximum-likelihood fit to played ``matches`` from the symmetric start.
 
-    Initialization is equal worths with gamma = nu = 1, so repeated fits on
-    the same data are identical.  Parameters running off to the clamp box
-    (separable data, or no draws pushing nu to zero) come back flagged in
-    ``boundary_flags`` rather than as an exception.
+    The window is checked by :func:`~matchcast.optimize.fit_teams`, as for
+    every likelihood fit.  Initialization is equal worths with gamma = nu
+    = 1, so repeated fits on the same data are identical.  Parameters
+    running off to the clamp box (separable data, or no draws pushing nu
+    to zero) come back flagged in ``boundary_flags`` rather than as an
+    exception.
     """
-    objective = _prepare(matches)
+    objective = _DavidsonObjective(fit_teams(matches), matches)
     x0 = np.zeros(objective.n_params)
     result = minimize(objective, x0, settings)
 

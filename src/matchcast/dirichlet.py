@@ -10,6 +10,7 @@ components swapped into the home team's frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -38,8 +39,8 @@ class DirichletParams:
     losses: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.base_win, self.base_draw, self.base_loss) <= 0.0:
-            raise ValueError("concentration parameters must be positive")
+        if not all(0.0 < b < math.inf for b in (self.base_win, self.base_draw, self.base_loss)):
+            raise ValueError("concentration parameters must be positive and finite")
         if min(self.wins, self.draws, self.losses) < 0:
             raise ValueError("counts must be non-negative")
 
@@ -126,8 +127,8 @@ class MnDir2Config:
     weights: PoolWeights
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def mn_dir2_predict(
@@ -164,12 +165,12 @@ class GridSpec:
         for name, pts in (("w_points", self.w_points), ("alpha_points", self.alpha_points)):
             if not pts:
                 raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(pts, pts[1:])):
+            if not all(a < b for a, b in zip(pts, pts[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.w_points[0] < 0.0 or self.w_points[-1] > 1.0:
+        if not all(0.0 <= w <= 1.0 for w in self.w_points):
             raise ValueError("w_points must lie in [0, 1]")
-        if self.alpha_points[0] <= 0.0:
-            raise ValueError("alpha_points must be positive")
+        if not all(0.0 < a < math.inf for a in self.alpha_points):
+            raise ValueError("alpha_points must be positive and finite")
 
     @classmethod
     def default(cls) -> "GridSpec":

@@ -1,4 +1,4 @@
-"""Box-clamped BFGS minimizer with backtracking line search, and the fit report.
+"""Box-clamped BFGS minimizer with backtracking line search, and the fit contract.
 
 Both likelihood fits in this package are smooth, low-dimensional and
 unconstrained apart from a wide safety box that catches separable data
@@ -20,6 +20,8 @@ from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
+from .data import MatchRecord
+
 # x -> (value, gradient): calling ``gradient()`` gives the gradient at x.
 ObjectiveFn = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 P = TypeVar("P")
@@ -34,7 +36,7 @@ class OptimSettings:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
+        if not (0 < self.tol < math.inf and self.max_iter >= 1):
             raise ValueError(f"invalid optimizer settings: {self}")
 
 
@@ -57,6 +59,15 @@ class FitReport(Generic[P]):
     converged: bool
     gradient_norm: float
     boundary_flags: tuple[str, ...]
+
+
+def fit_teams(matches: Sequence[MatchRecord]) -> list[str]:
+    """Sorted teams of a fit's window of one or more played records, else ``ValueError``."""
+    if not matches:
+        raise ValueError("need at least one match to fit")
+    if any(not m.played for m in matches):
+        raise ValueError("all training matches must be played")
+    return sorted({t for m in matches for t in (m.home, m.away)})
 
 
 def fit_report(params: P, result: OptimResult, names: Sequence[str]) -> FitReport[P]:

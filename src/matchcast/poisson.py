@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .data import MatchRecord, Prediction, first_half_rounds
-from .optimize import FitReport, OptimSettings, fit_report, minimize
+from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
 
 if TYPE_CHECKING:
     from .evaluation import PredictionContext
@@ -159,6 +159,12 @@ def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
     return mass
 
 
+def check_tail_tol(tail_tol: float) -> None:
+    """Refuse a score-grid tolerance outside (0, 1e-3]; a NaN fails too."""
+    if not 0.0 < tail_tol <= 1e-3:
+        raise ValueError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
+
+
 def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> ScoreGrid:
     """Smallest grid whose certified missing mass is at most ``tail_tol``.
 
@@ -167,8 +173,7 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     exact missing mass 1 - sum(grid).  Rates that would need more than
     ``MAX_GRID_GOALS`` goals per side raise ``ValueError``.
     """
-    if not 0.0 < tail_tol <= 1e-3:
-        raise ValueError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
+    check_tail_tol(tail_tol)
     m1 = params.lambda1 + params.lambda3
     m2 = params.lambda2 + params.lambda3
     # pdtrc(k, m) = P(Y > k) for Y ~ Poisson(m).  Search blocks of goal
@@ -360,13 +365,7 @@ def poisson_fit(
     Strengths running off toward infinity (separable data, or a shared
     component the data rules out) come back flagged in ``boundary_flags``.
     """
-    if not matches:
-        raise ValueError("need at least one match to fit")
-    if any(not m.played for m in matches):
-        raise ValueError("all training matches must be played")
-    teams = sorted({t for m in matches for t in (m.home, m.away)})
-    if len(teams) < 2:
-        raise ValueError("need at least two teams")
+    teams = fit_teams(matches)
     objective = _PoissonObjective(teams, matches, correlated)
     x0 = np.zeros(objective.n_params)
     if correlated:

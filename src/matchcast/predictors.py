@@ -26,7 +26,6 @@ from .data import (
     TRIVIAL_PREDICTION,
     first_half_rounds,
     normalize_team,
-    outcome_of,
     tally_records,
 )
 from .davidson import bt_fit, bt_outcome_probs
@@ -36,6 +35,7 @@ from .optimize import OptimSettings
 from .poisson import (
     DEFAULT_TAIL_TOL,
     TrainingWindow,
+    check_tail_tol,
     link_rates,
     outcome_probs,
     poisson_fit,
@@ -125,8 +125,7 @@ class DavidsonPredictor:
         self.last_fit = None
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        training = [(r, outcome_of(r)) for r in SEASON_WINDOW.training(ctx)]
-        fitted = bt_fit(training, self.settings)
+        fitted = bt_fit(SEASON_WINDOW.training(ctx), self.settings)
         self.last_fit = fitted
         return {
             fixture: bt_outcome_probs(fitted.params, fixture.home, fixture.away)
@@ -145,6 +144,7 @@ class PoissonPredictor:
         tail_tol: float = DEFAULT_TAIL_TOL,
         settings: OptimSettings | None = None,
     ):
+        check_tail_tol(tail_tol)
         self.name = name
         self.correlated = correlated
         self.window = window

@@ -10,8 +10,10 @@ probability, not with certainty).
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,31 +99,29 @@ def _sample_outcome(rng: np.random.Generator, p: Prediction) -> Outcome:
     return Outcome.AWAY_WIN
 
 
-def simulate_davidson_season(
-    params: BTParams,
-    teams: Sequence[str],
-    replications: int,
-    rng: np.random.Generator,
-    year: int = 2000,
+def _play(
+    probs: Callable[[str, str], Prediction], teams: Sequence[str], replications: int,
+    rng: np.random.Generator, year: int,
 ) -> list[MatchRecord]:
-    """Outcomes drawn from the paired-comparison model over repeated schedules."""
+    """Results drawn from ``probs(home, away)``, one uniform draw per match in schedule order."""
     schedule = double_round_robin(teams)
-    pair_probs = {
-        (h, a): bt_outcome_probs(params, h, a)
-        for rnd in schedule
-        for h, a in rnd
-    }
     records = []
     matchday = 0
     for _ in range(replications):
         for rnd in schedule:
             matchday += 1
             for h, a in rnd:
-                hg, ag = _goals_for(_sample_outcome(rng, pair_probs[(h, a)]))
-                records.append(
-                    MatchRecord(year, matchday, h, a, home_goals=hg, away_goals=ag)
-                )
+                hg, ag = _goals_for(_sample_outcome(rng, probs(h, a)))
+                records.append(MatchRecord(year, matchday, h, a, home_goals=hg, away_goals=ag))
     return records
+
+
+def simulate_davidson_season(
+    params: BTParams, teams: Sequence[str], replications: int,
+    rng: np.random.Generator, year: int = 2000,
+) -> list[MatchRecord]:
+    """Outcomes drawn from the paired-comparison model over repeated schedules."""
+    return _play(lambda h, a: bt_outcome_probs(params, h, a), teams, replications, rng, year)
 
 
 def simulate_poisson_matches(
@@ -161,12 +161,7 @@ def simulate_played_season(
 ):
     """A fully played synthetic season with i.i.d. outcomes."""
     p = Prediction(*probs)
-    records = []
-    for matchday, rnd in enumerate(double_round_robin(teams), start=1):
-        for h, a in rnd:
-            hg, ag = _goals_for(_sample_outcome(rng, p))
-            records.append(MatchRecord(year, matchday, h, a, home_goals=hg, away_goals=ag))
-    return build_season(records)
+    return build_season(_play(lambda h, a: p, teams, 1, rng, year))
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +280,8 @@ def check_davidson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
         nu=0.8,
     )
     records = simulate_davidson_season(true, teams, replications=500, rng=_rng(seed, 5))
-    matches = [(m, outcome_of(m)) for m in records]
-    report = bt_fit(matches)
-    again = bt_fit(matches)
+    report = bt_fit(records)
+    again = bt_fit(records)
     deterministic = report.params == again.params
     worth_err = max(abs(report.params.worth[t] - true.worth[t]) for t in teams)
     gamma_err = abs(report.params.gamma - true.gamma)
@@ -318,7 +312,7 @@ def check_davidson_gradient(seed: int = DEFAULT_SEED) -> CheckResult:
         nu=0.9,
     )
     records = simulate_davidson_season(true, teams, replications=2, rng=rng)
-    objective = _DavidsonObjective(teams, [(m, outcome_of(m)) for m in records])
+    objective = _DavidsonObjective(teams, records)
     worst = 0.0
     for _ in range(100):
         theta = rng.uniform(-1.5, 1.5, size=objective.n_params)
@@ -410,20 +404,20 @@ def check_chi_square(seed: int = DEFAULT_SEED) -> CheckResult:
 
     rng = _rng(seed, 9)
     teams = [f"t{k:02d}" for k in range(20)]
-    schedule = double_round_robin(teams)
+    preds: list[Prediction] = []
+
+    def draw(h: str, a: str) -> Prediction:
+        p_home = float(rng.uniform(0.01, 0.05))
+        p_away = float(rng.uniform(0.01, 0.05))
+        preds.append(Prediction(p_home, 1.0 - p_home - p_away, p_away))
+        return preds[-1]
+
     stats = []
     df = None
     for _ in range(200):
-        scored = []
-        for matchday, rnd in enumerate(schedule, start=1):
-            for h, a in rnd:
-                p_home = float(rng.uniform(0.01, 0.05))
-                p_away = float(rng.uniform(0.01, 0.05))
-                pred = Prediction(p_home, 1.0 - p_home - p_away, p_away)
-                outcome = _sample_outcome(rng, pred)
-                hg, ag = _goals_for(outcome)
-                scored.append((MatchRecord(2000, matchday, h, a, hg, ag), pred))
-        result = chi_square_gof(scored)
+        preds.clear()
+        records = _play(draw, teams, 1, rng, 2000)
+        result = chi_square_gof(list(zip(records, preds)))
         df = result.df
         stats.append(result.statistic)
     mean_stat = float(np.mean(stats))
@@ -528,11 +522,8 @@ def check_cv_select(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult("cv-select-brute-force", True, "20 seeded seasons agree")
 
 
-def check_determinism(seed: int = DEFAULT_SEED, workdir: str | None = None) -> CheckResult:
-    """Two identical evaluation runs of every model write byte-identical reports."""
-    import tempfile
-    from pathlib import Path
-
+def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Two evaluation runs of every model write byte-identical reports to a removed temp dir."""
     teams = [f"t{k}" for k in range(6)]
     seasons = [
         simulate_played_season(teams, 2003, _rng(seed, 12)),
@@ -544,9 +535,9 @@ def check_determinism(seed: int = DEFAULT_SEED, workdir: str | None = None) -> C
         json_path, csv_path = write_reports(reports, out_dir)
         return [r.model for r in reports], json_path.read_bytes(), csv_path.read_bytes()
 
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="matchcast-selftest-"))
-    first = run(base / "run1")
-    second = run(base / "run2")
+    with tempfile.TemporaryDirectory(prefix="matchcast-selftest-") as workdir:
+        first = run(Path(workdir) / "run1")
+        second = run(Path(workdir) / "run2")
     if first[0] != list(KNOWN_MODELS):
         return CheckResult("determinism", False, f"reports only for {', '.join(first[0])}")
     passed = first == second

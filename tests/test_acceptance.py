@@ -6,6 +6,8 @@ seed, asserts it passed, and prints its PASS/FAIL line.  Run with ``-s``
 (or read the failure output) to see the per-criterion details.
 """
 
+import tempfile
+
 from matchcast import selftest
 
 
@@ -76,9 +78,8 @@ def test_c12_cv_select_equals_brute_force():
     _run(selftest.check_cv_select)
 
 
-def test_c13_byte_identical_reports(tmp_path):
-    """Two identical evaluation runs produce byte-identical JSON and CSV."""
-    result = selftest.check_determinism(selftest.DEFAULT_SEED, workdir=str(tmp_path))
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name}: {result.detail}")
-    assert result.passed, f"{result.name}: {result.detail}"
+def test_c13_byte_identical_reports(tmp_path, monkeypatch):
+    """Two identical evaluation runs produce byte-identical JSON and CSV, and leave no files."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _run(selftest.check_determinism)
+    assert not any(tmp_path.iterdir())

@@ -427,6 +427,40 @@ class TestConfig:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "model bt failed to build: invalid optimizer settings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, setting, message",
+        [
+            ("bt", "bt.tol=nan", "invalid optimizer settings"),
+            ("bt", "bt.tol=inf", "invalid optimizer settings"),
+            ("poisson-lee", "poisson.tail_tol=0.5", "tail_tol must lie in (0, 1e-3]"),
+            ("poisson-biv", "poisson.tail_tol=nan", "tail_tol must lie in (0, 1e-3]"),
+            ("mn-dir2", "mn_dir2.alpha_grid=nan,1.0", "alpha_points must be strictly"),
+        ],
+    )
+    def test_out_of_range_setting_fails_the_build(
+        self, model, setting, message, matches_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "r"
+        cfg.write_text(f"matches={matches_file}\nmodels={model}\nout={out}\n{setting}\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert f"model {model} failed to build: {message}" in capsys.readouterr().err
+
+    def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("mn_dir2.alpha_grid=nan,1.0\n")
+        out = tmp_path / "r"
+        argv = [
+            "evaluate", "--config", str(cfg), "--matches", str(matches_file),
+            "--models", "trivial,mn-dir2,poisson-lee,bt", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "model mn-dir2 failed to build" in captured.err
+        assert "failed models (excluded from report): mn-dir2" in captured.out
+        reported = set(json.loads((out / "report.json").read_text()))
+        assert reported == {"trivial", "poisson-lee", "bt"}
+
     def test_bad_setting_fails_only_its_own_model(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"matches={matches_file}\nbt.tol=0\n")

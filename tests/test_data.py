@@ -1,3 +1,5 @@
+from math import inf, nan
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,13 @@ class TestPrediction:
             Prediction(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             Prediction(-0.1, 0.6, 0.5)
+
+    @pytest.mark.parametrize(
+        "probs", [(nan, nan, nan), (nan, 0.5, 0.5), (0.5, 0.5, inf), (0.5, 0.5, -inf)]
+    )
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(ValueError):
+            Prediction(*probs)
 
     def test_prob_of(self):
         p = Prediction(0.5, 0.3, 0.2)

@@ -7,7 +7,7 @@ import matchcast.davidson as davidson_module
 from matchcast.data import MatchRecord, Outcome, outcome_of
 from matchcast.davidson import BTParams, _DavidsonObjective, bt_fit, bt_outcome_probs
 from matchcast.evaluation import context_for
-from matchcast.optimize import OptimSettings
+from matchcast.optimize import OptimSettings, fit_teams
 from matchcast.predictors import DavidsonPredictor
 from matchcast.selftest import double_round_robin, simulate_davidson_season
 
@@ -102,7 +102,7 @@ class TestLogLikelihood:
     def test_single_match(self):
         params = equal_worths(["a", "b"], gamma=2.0)
         match = MatchRecord(2014, 1, "a", "b", 1, 0)
-        ll = log_likelihood(params, [(match, Outcome.HOME_WIN)])
+        ll = log_likelihood(params, [match])
         assert ll == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_empty_sum_is_zero(self):
@@ -110,8 +110,8 @@ class TestLogLikelihood:
 
     def test_additivity(self):
         params = equal_worths(["a", "b", "c"], gamma=1.3, nu=0.7)
-        m1 = (MatchRecord(2014, 1, "a", "b", 1, 0), Outcome.HOME_WIN)
-        m2 = (MatchRecord(2014, 2, "b", "c", 0, 0), Outcome.DRAW)
+        m1 = MatchRecord(2014, 1, "a", "b", 1, 0)
+        m2 = MatchRecord(2014, 2, "b", "c", 0, 0)
         assert log_likelihood(params, [m1, m2]) == pytest.approx(
             log_likelihood(params, [m1]) + log_likelihood(params, [m2]),
             abs=1e-12,
@@ -125,7 +125,7 @@ class TestGradient:
             worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.5, nu=0.8
         )
         records = simulate_davidson_season(true, teams, replications=3, rng=rng)
-        objective = _DavidsonObjective(teams, [(m, outcome_of(m)) for m in records])
+        objective = _DavidsonObjective(teams, records)
         for _ in range(10):
             theta = rng.uniform(-1.0, 1.0, size=objective.n_params)
             grad = objective(theta)[1]()
@@ -147,7 +147,7 @@ class _ReferenceObjective(_DavidsonObjective):
 
     def __init__(self, teams, matches):
         super().__init__(teams, matches)
-        self.outcome = np.array([o.value for _, o in matches])
+        self.outcome = np.array([outcome_of(m).value for m in matches])
 
     def __call__(self, theta):
         r, log_gamma, log_nu = self.unpack(theta)
@@ -186,8 +186,8 @@ class TestKernelMatchesReference:
     """The precomputed objective returns the reference's bits exactly."""
 
     def test_random_thetas(self, poisson_first_half, box_thetas):
-        matches = [(m, outcome_of(m)) for m in poisson_first_half]
-        teams = sorted({t for m, _ in matches for t in (m.home, m.away)})
+        matches = poisson_first_half
+        teams = fit_teams(matches)
         fast = _DavidsonObjective(teams, matches)
         reference = _ReferenceObjective(teams, matches)
         for theta in box_thetas(fast.n_params):
@@ -200,7 +200,7 @@ class TestKernelMatchesReference:
     def test_fits_equal_reference_fits(
         self, poisson_first_half, monkeypatch, record_minimize
     ):
-        matches = [(m, outcome_of(m)) for m in poisson_first_half]
+        matches = poisson_first_half
         results = record_minimize(davidson_module)
         got = bt_fit(matches)
         monkeypatch.setattr(davidson_module, "_DavidsonObjective", _ReferenceObjective)
@@ -224,7 +224,7 @@ def _all_home_wins_season(teams):
 class TestFit:
     def test_symmetric_data_gives_equal_worths(self):
         teams = ["a", "b", "c", "d"]
-        matches = [(m, outcome_of(m)) for m in _all_home_wins_season(teams)]
+        matches = _all_home_wins_season(teams)
         report = bt_fit(matches)
         worths = list(report.params.worth.values())
         assert max(worths) - min(worths) < 1e-6
@@ -232,7 +232,7 @@ class TestFit:
 
     def test_all_home_wins_is_separable_in_gamma(self):
         teams = ["a", "b", "c", "d"]
-        matches = [(m, outcome_of(m)) for m in _all_home_wins_season(teams)]
+        matches = _all_home_wins_season(teams)
         report = bt_fit(matches)
         assert "gamma" in report.boundary_flags
 
@@ -247,7 +247,7 @@ class TestFit:
                 hg, ag = (1, 0) if k % 2 == 0 else (0, 1)
                 records.append(MatchRecord(2014, matchday, h, a, hg, ag))
                 k += 1
-        report = bt_fit([(m, outcome_of(m)) for m in records])
+        report = bt_fit(records)
         assert "nu" in report.boundary_flags
         assert report.params.nu < 1e-6
 
@@ -255,14 +255,14 @@ class TestFit:
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=30, rng=rng)
         settings = OptimSettings(tol=1e-8, max_iter=500)
-        report = bt_fit([(m, outcome_of(m)) for m in records], settings)
+        report = bt_fit(records, settings)
         assert report.converged
         assert report.gradient_norm <= settings.tol
 
     def test_likelihood_never_below_symmetric_start(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
-        matches = [(m, outcome_of(m)) for m in records]
+        matches = records
         report = bt_fit(matches)
         baseline = log_likelihood(equal_worths(["a", "b", "c", "d"]), matches)
         assert report.log_likelihood >= baseline
@@ -270,13 +270,13 @@ class TestFit:
     def test_deterministic_given_data(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
-        matches = [(m, outcome_of(m)) for m in records]
+        matches = records
         assert bt_fit(matches) == bt_fit(matches)
 
     def test_worths_sum_to_one(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=5, rng=rng)
-        report = bt_fit([(m, outcome_of(m)) for m in records])
+        report = bt_fit(records)
         assert sum(report.params.worth.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_matches_rejected(self):
@@ -286,7 +286,7 @@ class TestFit:
     def test_iteration_cap_reports_nonconvergence(self, rng):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
-        report = bt_fit([(m, outcome_of(m)) for m in records], OptimSettings(max_iter=2))
+        report = bt_fit(records, OptimSettings(max_iter=2))
         assert not report.converged
         assert report.iterations <= 2
 
@@ -300,9 +300,7 @@ class TestRollingPredict:
     def test_matches_direct_fit_composition(self, mid_season):
         matchday = 7
         rolling = rolling_predict([mid_season], mid_season, matchday)
-        earlier = [
-            (m, outcome_of(m)) for m in mid_season.matches if m.matchday < matchday
-        ]
+        earlier = [m for m in mid_season.matches if m.matchday < matchday]
         fitted = bt_fit(earlier)
         for fixture, prediction in rolling.items():
             direct = bt_outcome_probs(fitted.params, fixture.home, fixture.away)
@@ -344,7 +342,7 @@ class TestRollingPredict:
         ]
         assert first_leg  # double round robin guarantees the reverse pairing
         earlier_fit = bt_fit(
-            [(m, outcome_of(m)) for m in season.matches if m.matchday < first_leg[0].matchday]
+            [m for m in season.matches if m.matchday < first_leg[0].matchday]
         ) if first_leg[0].matchday > 1 else None
         if earlier_fit is not None:
             first_leg_prediction = bt_outcome_probs(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestPosterior:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             DirichletParams(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("base", [(nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, inf)])
+    def test_non_finite_concentration_rejected(self, base):
+        with pytest.raises(ValueError):
+            DirichletParams(*base)
 
 
 class TestPredictive:
@@ -211,6 +217,11 @@ class TestMnDir2:
         with pytest.raises(ValueError):
             MnDir2Config(alpha=0.0, weights=PoolWeights(0.5))
 
+    @pytest.mark.parametrize("alpha", [nan, inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError):
+            MnDir2Config(alpha=alpha, weights=PoolWeights(0.5))
+
 
 class TestGridSpec:
     def test_default_shape(self):
@@ -229,6 +240,21 @@ class TestGridSpec:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GridSpec(w_points=(), alpha_points=(1.0,))
+
+    @pytest.mark.parametrize(
+        "w_points, alpha_points",
+        [
+            ((0.0, nan, 1.0), (1.0,)),
+            ((nan,), (1.0,)),
+            ((0.5,), (inf,)),
+            ((0.5,), (nan,)),
+            ((0.5,), (1.0, nan)),
+            ((0.5, 1.5), (1.0,)),
+        ],
+    )
+    def test_rejects_points_out_of_range(self, w_points, alpha_points):
+        with pytest.raises(ValueError):
+            GridSpec(w_points=w_points, alpha_points=alpha_points)
 
 
 def _first_half(season):

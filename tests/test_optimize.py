@@ -3,7 +3,7 @@ import pytest
 
 import matchcast.davidson as davidson_module
 import matchcast.poisson as poisson_module
-from matchcast.data import MatchRecord, outcome_of
+from matchcast.data import MatchRecord
 from matchcast.optimize import (
     BOX,
     DRIFT_LIMIT,
@@ -11,6 +11,7 @@ from matchcast.optimize import (
     OptimSettings,
     _norm,
     fit_report,
+    fit_teams,
     minimize,
 )
 from matchcast.selftest import double_round_robin
@@ -81,6 +82,32 @@ class TestMinimize:
         with pytest.raises(ValueError):
             OptimSettings(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            OptimSettings(tol=tol)
+
+
+@pytest.mark.parametrize(
+    "fit", [davidson_module.bt_fit, poisson_module.poisson_fit], ids=["bt_fit", "poisson_fit"]
+)
+class TestFitTeams:
+    """Both likelihood fits check their training window through ``fit_teams``."""
+
+    def test_empty_window_rejected(self, fit):
+        with pytest.raises(ValueError, match="need at least one match to fit"):
+            fit([])
+
+    def test_unplayed_record_rejected(self, fit):
+        window = [MatchRecord(2014, 1, "a", "b", 1, 0), MatchRecord(2014, 2, "b", "a")]
+        with pytest.raises(ValueError, match="all training matches must be played"):
+            fit(window)
+
+
+def test_fit_teams_lists_each_team_once_sorted():
+    window = [MatchRecord(2014, 1, "c", "a", 1, 0), MatchRecord(2014, 2, "b", "c", 2, 2)]
+    assert fit_teams(window) == ["a", "b", "c"]
+
 
 def _bt_all_home_wins():
     teams = ["a", "b", "c", "d"]
@@ -89,7 +116,7 @@ def _bt_all_home_wins():
         for matchday, rnd in enumerate(double_round_robin(teams), start=1)
         for h, a in rnd
     ]
-    return davidson_module.bt_fit([(m, outcome_of(m)) for m in records])
+    return davidson_module.bt_fit(records)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +232,7 @@ def _fit_problem(monkeypatch, module, fit):
 
 
 def _bt(matches):
-    return davidson_module, lambda: davidson_module.bt_fit([(m, outcome_of(m)) for m in matches])
+    return davidson_module, lambda: davidson_module.bt_fit(matches)
 
 
 def _poisson(correlated):
