@@ -35,14 +35,14 @@ class BTParams:
     def __post_init__(self) -> None:
         if not self.worth:
             raise ValueError("worth map must be non-empty")
-        if any(w <= 0.0 for w in self.worth.values()):
+        if not all(w > 0.0 for w in self.worth.values()):
             raise ValueError("worths must be positive")
         total = sum(self.worth.values())
-        if abs(total - 1.0) > WORTH_SUM_TOL:
+        if not abs(total - 1.0) <= WORTH_SUM_TOL:
             raise ValueError(f"worths sum to {total!r}, not 1")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
 
     def to_csv(self) -> str:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .data import MatchRecord, Prediction, first_half_rounds
 from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
@@ -28,6 +27,45 @@ DEFAULT_TAIL_TOL = 1e-10
 # Far past any football score; a boundary fit can put an unseen pairing's
 # rate near 1e8, whose grid would exhaust memory.
 MAX_GRID_GOALS = 1024
+# ``score_grid`` tests the counts 0 .. block - 1 against tail sums that stop
+# at 2 * block + 31 goals: for a mean below ``block``, the mass past that
+# lies below the last bit of every tail under 1e-3 (checked at each block).
+_TAIL_PAD = 32
+
+
+def _log_factorial(n: int) -> float:
+    """log(n!) as cephes ``lgam`` (behind ``scipy.special.gammaln``) computes it.
+
+    The same branches in the same operation order: the exact factorial up
+    to 11!, then Stirling's series with cephes's five coefficients, in its
+    three-term form from n + 1 = 1000 on.
+    """
+    x = n + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(n))
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    poly = 8.11614167470508450300e-4
+    for coef in (
+        -5.95061904284301438324e-4,
+        7.93650340457716943945e-4,
+        -2.77777777730099687205e-3,
+        8.33333333333331927722e-2,
+    ):
+        poly = poly * p + coef
+    return q + poly / x
+
+
+# gammaln's log(n!), not math.lgamma's: pins every grid size and predicted probability.
+_LOG_FACTORIALS = np.array(
+    [_log_factorial(n) for n in range(2 * MAX_GRID_GOALS + _TAIL_PAD)]
+)
+_GOALS = np.arange(_LOG_FACTORIALS.size, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -37,10 +75,13 @@ class BivPoissonParams:
     lambda3: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("lambda1 and lambda2 must be positive")
-        if self.lambda3 < 0.0:
-            raise ValueError("lambda3 must be non-negative")
+        # A boundary fit can overflow a rate to inf: score_grid refuses it,
+        # where the caller can name the fit.  NaN is refused here.
+        for name in ("lambda1", "lambda2"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.lambda3 >= 0.0:
+            raise ValueError(f"lambda3 must be non-negative, got {self.lambda3}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +99,13 @@ class TeamStrengths:
             raise ValueError("attack and defense must cover the same teams")
         for name, strengths in (("attack", self.attack), ("defense", self.defense)):
             total = sum(strengths.values())
-            if abs(total) > STRENGTH_SUM_TOL:
+            if not abs(total) <= STRENGTH_SUM_TOL:
                 raise ValueError(f"{name} strengths sum to {total!r}, not 0")
-        if self.lambda3 < 0.0:
-            raise ValueError("lambda3 must be non-negative")
+        for name in ("mu", "gamma_home"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.lambda3 >= 0.0:
+            raise ValueError(f"lambda3 must be non-negative, got {self.lambda3}")
 
     def to_csv(self) -> str:
         """``team,att,def`` rows with a ``mu,gamma,lambda3`` footer."""
@@ -136,26 +180,26 @@ class ScoreGrid:
 
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
-    # The expression scipy.stats.poisson.pmf evaluates, without loading
-    # scipy.stats.
-    return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+    # scipy.stats.poisson.pmf's expression, exp(xlogy(k, lam) - gammaln(k + 1)
+    # - lam), bit for bit: math.log is the C log that xlogy calls, and at
+    # k = 0 the product is +-0.0, which subtracts as xlogy's 0.0 does.
+    return np.exp(k * math.log(lam) - _LOG_FACTORIALS[k.astype(int)] - lam)
 
 
 def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
     # Trivariate reduction: (Y1, Y2) = (U + W, V + W) with independent
     # Poisson components, so the joint mass is a convolution over W.
     size = max_goals + 1
-    goals = np.arange(size, dtype=float)
-    p_u = _poisson_pmf(goals, params.lambda1)
-    p_v = _poisson_pmf(goals, params.lambda2)
+    goals = _GOALS[:size]
+    outer = np.outer(_poisson_pmf(goals, params.lambda1), _poisson_pmf(goals, params.lambda2))
     if params.lambda3 == 0.0:
-        return np.outer(p_u, p_v)
+        return outer
     p_w = _poisson_pmf(goals, params.lambda3)
     mass = np.zeros((size, size))
     for k in range(size):
         if p_w[k] == 0.0:
             continue
-        mass[k:, k:] += p_w[k] * np.outer(p_u[: size - k], p_v[: size - k])
+        mass[k:, k:] += p_w[k] * outer[: size - k, : size - k]
     return mass
 
 
@@ -176,21 +220,30 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     check_tail_tol(tail_tol)
     m1 = params.lambda1 + params.lambda3
     m2 = params.lambda2 + params.lambda3
-    # pdtrc(k, m) = P(Y > k) for Y ~ Poisson(m).  Search blocks of goal
-    # counts, doubling the block until some count meets the tolerance; the
-    # first such count is where a goal-by-goal search would stop.
+    # Search blocks of goal counts, doubling the block until some count k
+    # meets the tolerance; the first such count is where a goal-by-goal
+    # search would stop.  A mean at or past ``block`` leaves at least half
+    # its mass at ``block`` goals or more (the Poisson median exceeds the
+    # mean minus log 2), so every count of that block is above.
     block = 32
     while True:
-        k = np.arange(block, dtype=float)
-        above = pdtrc(k, m1) + pdtrc(k, m2) > tail_tol
-        if not above.all():
-            break
+        if max(m1, m2) < block:
+            goals = _GOALS[: 2 * block + _TAIL_PAD]
+            # The pmf summed from the far end, smallest term first: entry i
+            # is P(Y > goals[-2 - i]), so the reversed slice holds P(Y > k)
+            # for k = 0 .. block - 1.
+            tail1, tail2 = (np.add.accumulate(_poisson_pmf(goals, m)[:0:-1]) for m in (m1, m2))
+            above = (tail1 + tail2)[: -block - 1 : -1] > tail_tol
+            # Sums of non-negative terms only grow, so ``above`` runs True
+            # then False, and the last count decides whether any meets.
+            if not above[-1]:
+                break
         if block >= MAX_GRID_GOALS:
             raise ValueError(
                 f"rates {m1!r}, {m2!r} need more than {MAX_GRID_GOALS} goals per side"
             )
         block *= 2
-    max_goals = int(np.argmin(above))
+    max_goals = int(above.argmin())
     mass = _joint_mass(params, max_goals)
     deficit = max(0.0, 1.0 - float(mass.sum()))
     return ScoreGrid(max_goals=max_goals, mass=mass, truncation_deficit=deficit)
@@ -240,8 +293,8 @@ class _PoissonObjective:
         self.y1 = np.array([m.home_goals for m in matches], dtype=float)
         self.y2 = np.array([m.away_goals for m in matches], dtype=float)
         self.n_teams = len(self.teams)
-        self.lgamma_y1 = _masked_lgamma(self.y1, True)
-        self.lgamma_y2 = _masked_lgamma(self.y2, True)
+        self.lgamma_y1 = _masked_lgamma(self.y1)
+        self.lgamma_y2 = _masked_lgamma(self.y2)
         if correlated:
             n = len(self.y1)
             n_cells = np.minimum(self.y1, self.y2).astype(int) + 1
@@ -257,9 +310,9 @@ class _PoissonObjective:
             self.k_cell = k_cell.astype(float)
             self.y1_cell = self.y1[self.rows] - self.k_cell
             self.y2_cell = self.y2[self.rows] - self.k_cell
-            self.lgamma_y1_cell = _masked_lgamma(self.y1_cell, True)
-            self.lgamma_y2_cell = _masked_lgamma(self.y2_cell, True)
-            self.lgamma_k_cell = _masked_lgamma(self.k_cell, True)
+            self.lgamma_y1_cell = _masked_lgamma(self.y1_cell)
+            self.lgamma_y2_cell = _masked_lgamma(self.y2_cell)
+            self.lgamma_k_cell = _masked_lgamma(self.k_cell)
 
     @property
     def n_params(self) -> int:
@@ -344,15 +397,16 @@ class _PoissonObjective:
         return nll, gradient
 
 
-def _masked_lgamma(values: np.ndarray, ok: np.ndarray | bool) -> np.ndarray:
-    """log(v!) for the non-negative integers ``values`` where ``ok``, 0 elsewhere.
+def _masked_lgamma(values: np.ndarray) -> np.ndarray:
+    """log(v!) for the non-negative integers ``values``, from a table.
 
-    Taken from a table of ``math.lgamma``: ``scipy.special.gammaln`` differs
-    from it in the last bit for some integers, which would move the fits.
+    The table holds ``math.lgamma``, not ``gammaln`` (``_LOG_FACTORIALS``):
+    the two differ in the last bit at 577 of the first 1,100 integers.
     """
-    safe = np.where(ok, values, 0.0).astype(int)
-    table = np.array([math.lgamma(j + 1.0) for j in range(int(safe.max()) + 1)])
-    return table[safe]
+    counts = values.astype(int)
+    # math.lgamma's log(n!): pins every Poisson fit.
+    table = np.array([math.lgamma(j + 1.0) for j in range(int(counts.max()) + 1)])
+    return table[counts]
 
 
 def poisson_fit(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .data import MatchRecord, Outcome, Prediction, outcome_of
 
@@ -245,10 +244,24 @@ class GofResult:
 
 
 def chi_square_p_value(statistic: float, df: int) -> float:
-    """Upper-tail chi-square probability via the regularized incomplete gamma."""
-    if df <= 0:
+    """Upper-tail chi-square probability for an even ``df``.
+
+    For df = 2n the regularized upper incomplete gamma Q(n, x / 2) equals
+    P(Poisson(x / 2) < n), a sum of n Poisson terms, each taken in log
+    space so that no factor underflows on its own.  The rounded terms can
+    sum to an ulp past 1, so the sum is capped there.  Every df here is
+    twice a team count or a sum of such, so an odd df is refused.
+    """
+    if df % 2:
+        raise ValueError(f"chi-square df must be even, got {df}")
+    if df <= 0 or statistic == 0.0:
         return 1.0
-    return float(gammaincc(df / 2.0, statistic / 2.0))
+    rate = statistic / 2.0
+    log_rate = math.log(rate)
+    total = math.fsum(
+        math.exp(j * log_rate - math.lgamma(j + 1.0) - rate) for j in range(df // 2)
+    )
+    return min(1.0, total)
 
 
 def chi_square_gof(

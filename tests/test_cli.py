@@ -369,6 +369,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_import_loads_no_scipy():
+    # Every command but `selftest` runs on numpy alone, so a cold start skips scipy.
+    src = str(Path(matchcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, matchcast, matchcast.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestConfig:
     def test_config_file_supplies_defaults(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -34,6 +34,23 @@ def log_likelihood(params, matches):
     return -_DavidsonObjective(teams, matches)(np.array(theta))[0]
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "worth, gamma, nu, field",
+        [
+            ({"a": 0.5, "b": 0.5}, math.nan, 1.0, "gamma"),
+            ({"a": 0.5, "b": 0.5}, 1.0, math.nan, "nu"),
+            ({"a": math.nan, "b": 0.5}, 1.0, 1.0, "worths"),
+            ({"a": 0.5, "b": 0.6}, 1.0, 1.0, "worths"),
+            ({"a": 0.5, "b": 0.5}, 0.0, 1.0, "gamma"),
+            ({"a": 0.5, "b": 0.5}, 1.0, -0.1, "nu"),
+        ],
+    )
+    def test_bad_parameters_name_the_field(self, worth, gamma, nu, field):
+        with pytest.raises(ValueError, match=field):
+            BTParams(worth, gamma=gamma, nu=nu)
+
+
 class TestOutcomeProbs:
     def test_full_symmetry_is_uniform(self):
         params = equal_worths(["a", "b"])

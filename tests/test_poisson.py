@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson as poisson_dist
 
 import matchcast.poisson as poisson_module
 from matchcast.data import MatchRecord
 from matchcast.poisson import (
+    _LOG_FACTORIALS,
     MAX_GRID_GOALS,
     BivPoissonParams,
     TeamStrengths,
@@ -126,6 +128,46 @@ class TestLinkRates:
         with pytest.raises(KeyError):
             link_rates(self._strengths(), "a", "zz")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu", math.nan),
+            ("mu", math.inf),
+            ("gamma_home", math.nan),
+            ("gamma_home", -math.inf),
+            ("lambda3", math.nan),
+            ("lambda3", -0.1),
+        ],
+    )
+    def test_bad_strength_parameters_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._strengths(**{field: value})
+
+    def test_strengths_refuse_a_nan_strength(self):
+        with pytest.raises(ValueError, match="attack strengths sum to nan"):
+            self._strengths(attack={"a": math.nan, "b": 0.0})
+
+    @pytest.mark.parametrize(
+        "rates, field",
+        [
+            ((math.nan, 1.0, 0.1), "lambda1"),
+            ((1.0, math.nan, 0.1), "lambda2"),
+            ((1.0, 1.0, math.nan), "lambda3"),
+            ((0.0, 1.0, 0.1), "lambda1"),
+            ((1.0, 1.0, -0.1), "lambda3"),
+        ],
+    )
+    def test_bad_rates_name_the_field(self, rates, field):
+        with pytest.raises(ValueError, match=field):
+            BivPoissonParams(*rates)
+
+    def test_an_overflowed_rate_is_refused_by_the_grid(self):
+        # A boundary fit can overflow a rate; the grid refuses it, where the
+        # predictor can name the fit's flags.
+        params = BivPoissonParams(math.inf, 1.0, 0.1)
+        with pytest.raises(ValueError, match="goals per side"):
+            score_grid(params)
+
     def test_zero_sum_constraint_enforced(self):
         with pytest.raises(ValueError, match="sum to"):
             TeamStrengths(
@@ -144,10 +186,21 @@ class TestScoreGrid:
         assert grid.truncation_deficit <= tail_tol
 
     def test_grid_size_is_minimal_for_the_marginal_bound(self):
-        tail_tol = 1e-8
         # The second case needs 81 goal counts, so the tail search doubles
-        # its block twice.
-        for params in (BivPoissonParams(1.3, 0.8, 0.2), BivPoissonParams(39.5, 1.0, 0.5)):
+        # its block twice; the third needs the 513 - 1,024 block.
+        cases = [
+            (BivPoissonParams(1.3, 0.8, 0.2), 1e-8),
+            (BivPoissonParams(39.5, 1.0, 0.5), 1e-8),
+            (BivPoissonParams(560.0, 1.0), 1e-8),
+        ]
+        rng = np.random.default_rng(20240611)
+        for lambda3 in (0.0, 0.08, 1.0):
+            for tail_tol in (1e-3, 1e-8, 1e-10, 1e-14):
+                for _ in range(12):
+                    l1, l2 = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), 2))
+                    cases.append((BivPoissonParams(float(l1), float(l2), lambda3), tail_tol))
+        assert 512 < score_grid(*cases[2]).max_goals < MAX_GRID_GOALS
+        for params, tail_tol in cases:
             grid = score_grid(params, tail_tol)
             g = grid.max_goals
             m1 = params.lambda1 + params.lambda3
@@ -182,6 +235,11 @@ class TestScoreGrid:
         p_u = poisson_dist.pmf(np.arange(13), 1.7)
         p_v = poisson_dist.pmf(np.arange(13), 0.9)
         assert np.array_equal(_joint_mass(BivPoissonParams(1.7, 0.9), 12), np.outer(p_u, p_v))
+
+    def test_log_factorials_equal_gammaln(self):
+        n = np.arange(_LOG_FACTORIALS.size)
+        assert _LOG_FACTORIALS.size >= 2 * MAX_GRID_GOALS
+        assert np.array_equal(_LOG_FACTORIALS, gammaln(n + 1.0))
 
     def test_unbounded_grid_refused(self):
         # A boundary fit can give an unseen pairing a rate near 1e8, whose
@@ -322,7 +380,7 @@ class TestFit:
     def test_masked_lgamma_equals_math_lgamma(self, rng):
         values = rng.integers(-5, 40, size=(60, 7)).astype(float)
         ok = values >= 0
-        got = _masked_lgamma(values, ok)
+        got = _masked_lgamma(np.where(ok, values, 0.0))
         for v, flag, g in zip(values.ravel(), ok.ravel(), got.ravel()):
             assert g == (math.lgamma(v + 1.0) if flag else 0.0)
 
@@ -349,8 +407,10 @@ class _DenseObjective(_PoissonObjective):
         kmax = int(min(self.y1.max(), self.y2.max()))
         self.k = np.arange(kmax + 1, dtype=float)
         self.k_ok = self.k[None, :] <= np.minimum(self.y1, self.y2)[:, None]
-        self.lgamma_y1k = _masked_lgamma(self.y1[:, None] - self.k[None, :], self.k_ok)
-        self.lgamma_y2k = _masked_lgamma(self.y2[:, None] - self.k[None, :], self.k_ok)
+        y1k = np.where(self.k_ok, self.y1[:, None] - self.k[None, :], 0.0)
+        y2k = np.where(self.k_ok, self.y2[:, None] - self.k[None, :], 0.0)
+        self.lgamma_y1k = _masked_lgamma(y1k)
+        self.lgamma_y2k = _masked_lgamma(y2k)
         self.lgamma_k = np.array([math.lgamma(k + 1) for k in range(kmax + 1)])
 
     def __call__(self, theta):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import chi2 as chi2_dist
 
 from matchcast.data import MatchRecord, Outcome, Prediction
@@ -425,6 +426,25 @@ class TestChiSquareGof:
             assert chi_square_p_value(stat, df) == pytest.approx(
                 float(chi2_dist.sf(stat, df)), rel=1e-10
             )
+
+    def test_p_value_matches_gammaincc_for_every_even_df(self):
+        for df in range(2, 81, 2):
+            far = 2.0 * df + 250.0
+            assert gammaincc(df / 2.0, far / 2.0) < 1e-30
+            for stat in (0.0, df / 4.0, float(df), 3.0 * df, far):
+                got = chi_square_p_value(stat, df)
+                assert 0.0 <= got <= 1.0
+                assert got == pytest.approx(gammaincc(df / 2.0, stat / 2.0), rel=1e-12, abs=0.0)
+
+    def test_p_value_never_exceeds_one(self):
+        # Near p = 1 the rounded terms of these cases sum past 1.0.
+        for stat in (1.1201087101177483, 1.4951403046553415, 2.6486526471183494):
+            assert chi_square_p_value(stat, 40) <= 1.0
+
+    @pytest.mark.parametrize("df", [1, 3, 39])
+    def test_odd_df_refused(self, df):
+        with pytest.raises(ValueError, match="even"):
+            chi_square_p_value(1.0, df)
 
     def test_statistic_accumulates_known_cells(self):
         # Single match, hand-computed: the home cell contributes
