@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import MatchDataError, build_seasons, parse_matches_with_lines
+from .data import MatchDataError, build_seasons, format_csv, parse_matches_with_lines
 from .evaluation import check_evaluable, context_for, evaluate
 from .predictors import KNOWN_MODELS, build_predictor, settings_keys
 from .reports import summary_table, write_reports
@@ -149,7 +149,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         return 2
 
     ctx = context_for(seasons, season, matchday)
-    rows = ["model,season,matchday,home,away,p1,p2,p3"]
+    rows: list[tuple[object, ...]] = []
     param_dumps: list[tuple[str, str]] = []
     for spec in cfg.models:
         try:
@@ -167,13 +167,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 )
                 continue
             rows.append(
-                f"{spec},{fixture.season},{fixture.matchday},{fixture.home},"
-                f"{fixture.away},{p.p_home!r},{p.p_draw!r},{p.p_away!r}"
+                (spec, fixture.season, fixture.matchday, fixture.home, fixture.away, *p.as_tuple())
             )
         fitted = getattr(predictor, "last_fit", None)
         if args.dump_params and fitted is not None:
             param_dumps.append((spec, fitted.params.to_csv()))
-    output = "\n".join(rows) + "\n"
+    output = format_csv(("model", "season", "matchday", "home", "away", "p1", "p2", "p3"), rows)
     if cfg.output_dir:
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

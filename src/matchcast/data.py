@@ -329,13 +329,23 @@ def parse_matches(csv_text: str) -> list[MatchRecord]:
     return [record for _, record in parse_matches_with_lines(csv_text)]
 
 
-def serialize_matches(records: Sequence[MatchRecord]) -> str:
-    """Canonical CSV for records; inverse of :func:`parse_matches`."""
+def format_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A header and rows as CSV with ``\\n`` line ends, quoted where a field needs it.
+
+    The csv module writes a float as its repr: inf, -inf and nan included.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MATCH_CSV_HEADER)
-    for m in records:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def serialize_matches(records: Sequence[MatchRecord]) -> str:
+    """Canonical CSV for records; inverse of :func:`parse_matches`."""
+    return format_csv(
+        MATCH_CSV_HEADER,
+        (
             [
                 m.season,
                 m.matchday,
@@ -344,5 +354,6 @@ def serialize_matches(records: Sequence[MatchRecord]) -> str:
                 "" if m.home_goals is None else m.home_goals,
                 "" if m.away_goals is None else m.away_goals,
             ]
-        )
-    return out.getvalue()
+            for m in records
+        ),
+    )

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Outcome, Prediction, outcome_of
+from .data import MatchRecord, Outcome, Prediction, format_csv, outcome_of
 from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
 
 WORTH_SUM_TOL = 1e-9
@@ -47,12 +47,8 @@ class BTParams:
 
     def to_csv(self) -> str:
         """``team,worth`` rows with a ``gamma,nu`` footer."""
-        lines = ["team,worth"]
-        for team in sorted(self.worth):
-            lines.append(f"{team},{self.worth[team]!r}")
-        lines.append(f"gamma,{self.gamma!r}")
-        lines.append(f"nu,{self.nu!r}")
-        return "\n".join(lines) + "\n"
+        rows = [(team, self.worth[team]) for team in sorted(self.worth)]
+        return format_csv(("team", "worth"), rows + [("gamma", self.gamma), ("nu", self.nu)])
 
 
 def bt_outcome_probs(params: BTParams, home: str, away: str) -> Prediction:

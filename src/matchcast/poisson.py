@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Prediction, first_half_rounds
+from .data import MatchRecord, Prediction, first_half_rounds, format_csv
 from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
 
 if TYPE_CHECKING:
@@ -24,6 +24,9 @@ if TYPE_CHECKING:
 
 STRENGTH_SUM_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
+# The most mass a grid may miss for ``outcome_probs`` to sum it; a
+# predictor's tail_tol is held to it when the predictor is built.
+MAX_OUTCOME_DEFICIT = 1e-6
 # Far past any football score; a boundary fit can put an unseen pairing's
 # rate near 1e8, whose grid would exhaust memory.
 MAX_GRID_GOALS = 1024
@@ -109,13 +112,9 @@ class TeamStrengths:
 
     def to_csv(self) -> str:
         """``team,att,def`` rows with a ``mu,gamma,lambda3`` footer."""
-        lines = ["team,att,def"]
-        for team in sorted(self.attack):
-            lines.append(f"{team},{self.attack[team]!r},{self.defense[team]!r}")
-        lines.append(f"mu,{self.mu!r},")
-        lines.append(f"gamma,{self.gamma_home!r},")
-        lines.append(f"lambda3,{self.lambda3!r},")
-        return "\n".join(lines) + "\n"
+        rows = [(team, self.attack[team], self.defense[team]) for team in sorted(self.attack)]
+        rows += [("mu", self.mu, ""), ("gamma", self.gamma_home, ""), ("lambda3", self.lambda3, "")]
+        return format_csv(("team", "att", "def"), rows)
 
 
 def link_rates(strengths: TeamStrengths, home: str, away: str) -> BivPoissonParams:
@@ -131,34 +130,6 @@ def link_rates(strengths: TeamStrengths, home: str, away: str) -> BivPoissonPara
     )
     log_l2 = strengths.mu + strengths.attack[away] - strengths.defense[home]
     return BivPoissonParams(math.exp(log_l1), math.exp(log_l2), strengths.lambda3)
-
-
-def bivpois_pmf(params: BivPoissonParams, y1: int, y2: int) -> float:
-    """P(Y1 = y1, Y2 = y2), evaluated through log space.
-
-    The k-sum over the shared component is accumulated with log-sum-exp so
-    the routine stays finite for scores far beyond anything football
-    produces (naive factorials overflow near 170).
-    """
-    if y1 < 0 or y2 < 0:
-        raise ValueError("goal counts must be non-negative")
-    l1, l2, l3 = params.lambda1, params.lambda2, params.lambda3
-    log_l3 = math.log(l3) if l3 > 0.0 else -math.inf
-    terms = []
-    for k in range(min(y1, y2) + 1):
-        if k > 0 and l3 == 0.0:
-            break
-        terms.append(
-            (y1 - k) * math.log(l1)
-            + (y2 - k) * math.log(l2)
-            + (k * log_l3 if k else 0.0)
-            - math.lgamma(y1 - k + 1)
-            - math.lgamma(y2 - k + 1)
-            - math.lgamma(k + 1)
-        )
-    top = max(terms)
-    log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
-    return math.exp(-(l1 + l2 + l3) + log_sum)
 
 
 @dataclass(frozen=True)
@@ -203,10 +174,10 @@ def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
     return mass
 
 
-def check_tail_tol(tail_tol: float) -> None:
-    """Refuse a score-grid tolerance outside (0, 1e-3]; a NaN fails too."""
-    if not 0.0 < tail_tol <= 1e-3:
-        raise ValueError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
+def check_tail_tol(tail_tol: float, ceiling: float = 1e-3) -> None:
+    """Refuse a score-grid tolerance outside (0, ceiling]; a NaN fails too."""
+    if not 0.0 < tail_tol <= ceiling:
+        raise ValueError(f"tail_tol must lie in (0, {ceiling:g}], got {tail_tol}")
 
 
 def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> ScoreGrid:
@@ -251,7 +222,7 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
 def outcome_probs_from_grid(grid: ScoreGrid) -> Prediction:
     """Win/draw/loss probabilities by summing score cells, renormalized."""
-    if grid.truncation_deficit > 1e-6:
+    if grid.truncation_deficit > MAX_OUTCOME_DEFICIT:
         raise ValueError(
             f"truncation deficit {grid.truncation_deficit} too large for outcome sums"
         )

@@ -34,6 +34,7 @@ from .evaluation import PredictionContext
 from .optimize import OptimSettings
 from .poisson import (
     DEFAULT_TAIL_TOL,
+    MAX_OUTCOME_DEFICIT,
     TrainingWindow,
     check_tail_tol,
     link_rates,
@@ -144,7 +145,7 @@ class PoissonPredictor:
         tail_tol: float = DEFAULT_TAIL_TOL,
         settings: OptimSettings | None = None,
     ):
-        check_tail_tol(tail_tol)
+        check_tail_tol(tail_tol, MAX_OUTCOME_DEFICIT)
         self.name = name
         self.correlated = correlated
         self.window = window
@@ -244,8 +245,8 @@ def _grid(settings: Mapping[str, str]) -> GridSpec:
     w = settings.get("mn_dir2.w_grid")
     alpha = settings.get("mn_dir2.alpha_grid")
     return GridSpec(
-        w_points=_parse_floats(w) if w else default.w_points,
-        alpha_points=_parse_floats(alpha) if alpha else default.alpha_points,
+        w_points=default.w_points if w is None else _parse_floats(w),
+        alpha_points=default.alpha_points if alpha is None else _parse_floats(alpha),
     )
 
 
@@ -265,7 +266,7 @@ def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
         mn-dir2      mn_dir2.w_grid, mn_dir2.alpha_grid (GridSpec.default())
         bt           bt.tol, bt.max_iter (OptimSettings())
         poisson-lee  poisson.tol, poisson.max_iter (OptimSettings()),
-                     poisson.tail_tol (DEFAULT_TAIL_TOL)
+                     poisson.tail_tol (DEFAULT_TAIL_TOL; at most MAX_OUTCOME_DEFICIT)
         poisson-biv  the poisson-lee keys, poisson.window (all),
                      poisson.correlated (true)
 

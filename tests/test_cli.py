@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchcast
@@ -230,6 +231,33 @@ class TestPredict:
         assert poisson_text.startswith("team,att,def")
         assert "lambda3," in poisson_text
 
+    def test_csv_outputs_round_trip_names_with_a_comma_and_a_quote(self, tmp_path, capsys):
+        teams = ["comma, united", 'say "hi" fc', "t2", "t3", "t4", "t5"]
+        season = simulate_played_season(teams, 2014, np.random.default_rng(5))
+        path = tmp_path / "m.csv"
+        path.write_text(serialize_matches(season.matches), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["predict", "--matches", str(path), "--matchday", "8", "--out", str(out_dir)]
+        assert main([*argv, "--models", "trivial,bt,poisson-lee", "--dump-params"]) == 0
+        assert capsys.readouterr().err == ""
+
+        def read(name):
+            with (out_dir / name).open(newline="", encoding="utf-8") as f:
+                return list(csv.reader(f))
+
+        header, *rows = read("predictions_matchday8.csv")
+        assert header == ["model", "season", "matchday", "home", "away", "p1", "p2", "p3"]
+        assert len(rows) == 3 * 3
+        assert all(len(row) == 8 for row in rows)
+        fixtures = {(m.home, m.away) for m in season.matches_of(8)}
+        assert {(row[3], row[4]) for row in rows} == fixtures
+        bt = read("params_bt_matchday8.csv")
+        assert bt[0] == ["team", "worth"] and [r[0] for r in bt[-2:]] == ["gamma", "nu"]
+        assert sorted(r[0] for r in bt[1:-2]) == sorted(teams)
+        lee = read("params_poisson-lee_matchday8.csv")
+        assert lee[0] == ["team", "att", "def"] and all(len(r) == 3 for r in lee)
+        assert sorted(r[0] for r in lee[1:-3]) == sorted(teams)
+
 
 class TestEvaluate:
     def test_trivial_summary_and_reports(self, matches_file, tmp_path, capsys):
@@ -361,20 +389,12 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a cold start; only `matchcast selftest` needs it.
-    src = str(Path(matchcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, matchcast.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
 def test_cli_import_loads_no_scipy():
-    # Every command but `selftest` runs on numpy alone, so a cold start skips scipy.
+    # Every command, `selftest` included, runs on numpy alone.
     src = str(Path(matchcast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import sys, matchcast, matchcast.cli\n"
+        "import sys, matchcast, matchcast.cli, matchcast.selftest\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded"
     )
@@ -444,9 +464,14 @@ class TestConfig:
         [
             ("bt", "bt.tol=nan", "invalid optimizer settings"),
             ("bt", "bt.tol=inf", "invalid optimizer settings"),
-            ("poisson-lee", "poisson.tail_tol=0.5", "tail_tol must lie in (0, 1e-3]"),
-            ("poisson-biv", "poisson.tail_tol=nan", "tail_tol must lie in (0, 1e-3]"),
+            ("poisson-lee", "poisson.tail_tol=0.5", "tail_tol must lie in (0, 1e-06]"),
+            ("poisson-biv", "poisson.tail_tol=nan", "tail_tol must lie in (0, 1e-06]"),
+            # A grid may miss this much mass, but outcome_probs would refuse it.
+            ("poisson-lee", "poisson.tail_tol=1e-4", "tail_tol must lie in (0, 1e-06]"),
+            ("poisson-biv", "poisson.tail_tol=1e-4", "tail_tol must lie in (0, 1e-06]"),
             ("mn-dir2", "mn_dir2.alpha_grid=nan,1.0", "alpha_points must be strictly"),
+            ("mn-dir2", "mn_dir2.w_grid=", "w_points must be non-empty"),
+            ("mn-dir2", "mn_dir2.alpha_grid=", "alpha_points must be non-empty"),
         ],
     )
     def test_out_of_range_setting_fails_the_build(
@@ -457,6 +482,17 @@ class TestConfig:
         cfg.write_text(f"matches={matches_file}\nmodels={model}\nout={out}\n{setting}\n")
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert f"model {model} failed to build: {message}" in capsys.readouterr().err
+
+    def test_largest_tail_tol_predicts(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"matches={matches_file}\nmodels=poisson-lee,poisson-biv\npoisson.tail_tol=1e-6\n"
+        )
+        assert main(["predict", "--config", str(cfg), "--season", "2014", "--matchday", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        models = [row[0] for row in csv.reader(captured.out.splitlines()[1:])]
+        assert models == ["poisson-lee"] * 3 + ["poisson-biv"] * 3
 
     def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"

@@ -18,7 +18,6 @@ from matchcast.poisson import (
     _masked_lgamma,
     _PoissonObjective,
     _poisson_pmf,
-    bivpois_pmf,
     link_rates,
     outcome_probs,
     outcome_probs_from_grid,
@@ -34,7 +33,7 @@ def pmf_by_exact_summation(params, y1, y2):
     """Direct-sum oracle: the k-sum evaluated in exact rational arithmetic.
 
     Only the final exp factor is floating point, so the comparison isolates
-    the log-sum-exp evaluation path.
+    the rounding of the score grid's convolution.
     """
     l1 = Fraction(params.lambda1)
     l2 = Fraction(params.lambda2)
@@ -56,39 +55,39 @@ def pmf_by_exact_summation(params, y1, y2):
 
 
 class TestPmf:
+    """``score_grid``'s mass is the bivariate pmf, cell by cell.
+
+    ``abs=0.0``: approx's default absolute tolerance, 1e-12, would pass a
+    cell of 0.1 that is 1e-11 off.
+    """
+
     def test_zero_zero_is_exponential_factor(self):
-        params = BivPoissonParams(1.7, 0.6, 0.4)
-        assert bivpois_pmf(params, 0, 0) == pytest.approx(
-            math.exp(-(1.7 + 0.6 + 0.4)), rel=1e-14
-        )
+        grid = score_grid(BivPoissonParams(1.7, 0.6, 0.4), 1e-14)
+        assert grid.mass[0, 0] == pytest.approx(math.exp(-(1.7 + 0.6 + 0.4)), rel=1e-14, abs=0.0)
 
     def test_independent_case_factorizes(self):
         params = BivPoissonParams(1.2, 0.9, 0.0)
+        grid = score_grid(params, 1e-14)
         for y1 in range(10):
             for y2 in range(10):
-                want = float(
-                    poisson_dist.pmf(y1, 1.2) * poisson_dist.pmf(y2, 0.9)
-                )
-                assert bivpois_pmf(params, y1, y2) == pytest.approx(want, rel=1e-12)
+                want = pmf_by_exact_summation(params, y1, y2)
+                assert grid.mass[y1, y2] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("y1,y2", [(2, 1), (0, 5), (5, 5), (3, 7), (10, 10)])
     def test_against_exact_summation_oracle(self, y1, y2):
         params = BivPoissonParams(1.2, 0.9, 0.3)
         want = pmf_by_exact_summation(params, y1, y2)
-        assert bivpois_pmf(params, y1, y2) == pytest.approx(want, rel=1e-12)
+        assert score_grid(params, 1e-14).mass[y1, y2] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_grid_agrees_with_pointwise_pmf(self):
-        params = BivPoissonParams(1.5, 1.1, 0.25)
-        grid = score_grid(params, 1e-8)
-        for i in range(min(grid.max_goals, 8) + 1):
-            for j in range(min(grid.max_goals, 8) + 1):
-                assert grid.mass[i, j] == pytest.approx(
-                    bivpois_pmf(params, i, j), rel=1e-10
-                )
-
-    def test_negative_goals_rejected(self):
-        with pytest.raises(ValueError):
-            bivpois_pmf(BivPoissonParams(1, 1, 0), -1, 0)
+        # Every cell of the grid, out to its last goal count.
+        params = BivPoissonParams(1.2, 0.9, 0.3)
+        grid = score_grid(params, 1e-14)
+        assert grid.max_goals == 18
+        for i in range(grid.max_goals + 1):
+            for j in range(grid.max_goals + 1):
+                want = pmf_by_exact_summation(params, i, j)
+                assert grid.mass[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestLinkRates:
