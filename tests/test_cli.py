@@ -389,6 +389,14 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start.
+    src = str(Path(matchcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, matchcast.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_cli_import_loads_no_scipy():
     # Every command, `selftest` included, runs on numpy alone.
     src = str(Path(matchcast.__file__).resolve().parents[1])
