@@ -172,6 +172,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         fitted = getattr(predictor, "last_fit", None)
         if args.dump_params and fitted is not None:
             param_dumps.append((spec, fitted.params.to_csv()))
+    if not rows:
+        print("error: no usable models", file=sys.stderr)
+        return 2
     output = format_csv(("model", "season", "matchday", "home", "away", "p1", "p2", "p3"), rows)
     if cfg.output_dir:
         out_dir = Path(cfg.output_dir)

@@ -35,39 +35,7 @@ MAX_GRID_GOALS = 1024
 # lies below the last bit of every tail under 1e-3 (checked at each block).
 _TAIL_PAD = 32
 
-
-def _log_factorial(n: int) -> float:
-    """log(n!) as cephes ``lgam`` (behind ``scipy.special.gammaln``) computes it.
-
-    The same branches in the same operation order: the exact factorial up
-    to 11!, then Stirling's series with cephes's five coefficients, in its
-    three-term form from n + 1 = 1000 on.
-    """
-    x = n + 1.0
-    if x < 13.0:
-        return math.log(math.factorial(n))
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    poly = 8.11614167470508450300e-4
-    for coef in (
-        -5.95061904284301438324e-4,
-        7.93650340457716943945e-4,
-        -2.77777777730099687205e-3,
-        8.33333333333331927722e-2,
-    ):
-        poly = poly * p + coef
-    return q + poly / x
-
-
-# gammaln's log(n!), not math.lgamma's: pins every grid size and predicted probability.
-_LOG_FACTORIALS = np.array(
-    [_log_factorial(n) for n in range(2 * MAX_GRID_GOALS + _TAIL_PAD)]
-)
+_LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(2 * MAX_GRID_GOALS + _TAIL_PAD)])
 _GOALS = np.arange(_LOG_FACTORIALS.size, dtype=float)
 
 
@@ -151,9 +119,6 @@ class ScoreGrid:
 
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
-    # scipy.stats.poisson.pmf's expression, exp(xlogy(k, lam) - gammaln(k + 1)
-    # - lam), bit for bit: math.log is the C log that xlogy calls, and at
-    # k = 0 the product is +-0.0, which subtracts as xlogy's 0.0 does.
     return np.exp(k * math.log(lam) - _LOG_FACTORIALS[k.astype(int)] - lam)
 
 
@@ -369,13 +334,8 @@ class _PoissonObjective:
 
 
 def _masked_lgamma(values: np.ndarray) -> np.ndarray:
-    """log(v!) for the non-negative integers ``values``, from a table.
-
-    The table holds ``math.lgamma``, not ``gammaln`` (``_LOG_FACTORIALS``):
-    the two differ in the last bit at 577 of the first 1,100 integers.
-    """
+    """log(v!) for the non-negative integers ``values``, from a table."""
     counts = values.astype(int)
-    # math.lgamma's log(n!): pins every Poisson fit.
     table = np.array([math.lgamma(j + 1.0) for j in range(int(counts.max()) + 1)])
     return table[counts]
 

@@ -222,8 +222,8 @@ class ExternalPredictor:
     harness records and flags them.
     """
 
-    def __init__(self, path: str | Path, name: str | None = None):
-        self.name = name or f"external:{path}"
+    def __init__(self, path: str | Path):
+        self.name = f"external:{path}"
         self.table = parse_prediction_rows(Path(path).read_text(encoding="utf-8"))
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:

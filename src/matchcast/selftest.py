@@ -97,21 +97,23 @@ def _sample_outcome(rng: np.random.Generator, p: Prediction) -> Outcome:
     return Outcome.AWAY_WIN
 
 
+def _results(
+    probs: Callable[[str, str], Prediction], rng: np.random.Generator
+) -> Callable[[str, str], tuple[int, int]]:
+    """Goals that encode an outcome drawn from ``probs(home, away)`` with one uniform."""
+    return lambda h, a: _goals_for(_sample_outcome(rng, probs(h, a)))
+
+
 def _play(
-    probs: Callable[[str, str], Prediction], teams: Sequence[str], replications: int,
-    rng: np.random.Generator, year: int,
+    goals: Callable[[str, str], tuple[int, int]], teams: Sequence[str], replications: int,
+    year: int,
 ) -> list[MatchRecord]:
-    """Results drawn from ``probs(home, away)``, one uniform draw per match in schedule order."""
-    schedule = double_round_robin(teams)
-    records = []
-    matchday = 0
-    for _ in range(replications):
-        for rnd in schedule:
-            matchday += 1
-            for h, a in rnd:
-                hg, ag = _goals_for(_sample_outcome(rng, probs(h, a)))
-                records.append(MatchRecord(year, matchday, h, a, home_goals=hg, away_goals=ag))
-    return records
+    """Scores drawn from ``goals(home, away)`` over repeated schedules, in schedule order."""
+    return [
+        MatchRecord(year, matchday, h, a, *goals(h, a))
+        for matchday, rnd in enumerate(double_round_robin(teams) * replications, 1)
+        for h, a in rnd
+    ]
 
 
 def simulate_davidson_season(
@@ -119,7 +121,8 @@ def simulate_davidson_season(
     rng: np.random.Generator, year: int = 2000,
 ) -> list[MatchRecord]:
     """Outcomes drawn from the paired-comparison model over repeated schedules."""
-    return _play(lambda h, a: bt_outcome_probs(params, h, a), teams, replications, rng, year)
+    goals = _results(lambda h, a: bt_outcome_probs(params, h, a), rng)
+    return _play(goals, teams, replications, year)
 
 
 def simulate_poisson_matches(
@@ -130,27 +133,14 @@ def simulate_poisson_matches(
     year: int = 2000,
 ) -> list[MatchRecord]:
     """Scores drawn from the goals model over repeated schedules."""
-    schedule = double_round_robin(teams)
-    rates = {(h, a): link_rates(strengths, h, a) for rnd in schedule for h, a in rnd}
-    records = []
-    matchday = 0
-    for _ in range(replications):
-        for rnd in schedule:
-            matchday += 1
-            for h, a in rnd:
-                r = rates[(h, a)]
-                shared = rng.poisson(r.lambda3) if r.lambda3 > 0 else 0
-                records.append(
-                    MatchRecord(
-                        year,
-                        matchday,
-                        h,
-                        a,
-                        home_goals=int(rng.poisson(r.lambda1)) + shared,
-                        away_goals=int(rng.poisson(r.lambda2)) + shared,
-                    )
-                )
-    return records
+    rates = {(h, a): link_rates(strengths, h, a) for h in teams for a in teams if h != a}
+
+    def goals(h: str, a: str) -> tuple[int, int]:
+        r = rates[(h, a)]
+        shared = rng.poisson(r.lambda3) if r.lambda3 > 0 else 0
+        return int(rng.poisson(r.lambda1)) + shared, int(rng.poisson(r.lambda2)) + shared
+
+    return _play(goals, teams, replications, year)
 
 
 def simulate_played_season(
@@ -159,7 +149,7 @@ def simulate_played_season(
 ):
     """A fully played synthetic season with i.i.d. outcomes."""
     p = Prediction(*probs)
-    return build_season(_play(lambda h, a: p, teams, 1, rng, year))
+    return build_season(_play(_results(lambda h, a: p, rng), teams, 1, year))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +409,7 @@ def check_chi_square(seed: int = DEFAULT_SEED) -> CheckResult:
     df = None
     for _ in range(200):
         preds.clear()
-        records = _play(draw, teams, 1, rng, 2000)
+        records = _play(_results(draw, rng), teams, 1, 2000)
         result = chi_square_gof(list(zip(records, preds)))
         df = result.df
         stats.append(result.statistic)

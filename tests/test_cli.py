@@ -149,7 +149,7 @@ class TestPredict:
         path.write_text(count_scenario_csv())
         ext = tmp_path / "ext.csv"
         ext.write_text("season,matchday,home,away,p1,p2,p3\n")
-        main(
+        code = main(
             [
                 "predict",
                 "--matches",
@@ -160,7 +160,10 @@ class TestPredict:
                 f"external:{ext}",
             ]
         )
-        assert "no prediction for redbrook vs port vale" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no prediction for redbrook vs port vale" in err
+        assert "error: no usable models" in err
 
     def test_multi_season_requires_season_flag(self, matches_file, capsys):
         assert main(["predict", "--matches", str(matches_file), "--matchday", "6"]) == 2
@@ -501,6 +504,22 @@ class TestConfig:
         assert captured.err == ""
         models = [row[0] for row in csv.reader(captured.out.splitlines()[1:])]
         assert models == ["poisson-lee"] * 3 + ["poisson-biv"] * 3
+
+    @pytest.mark.parametrize(
+        "models, setting",
+        [("poisson-lee,poisson-biv", "poisson.tail_tol=1e-4"), ("mn-dir2", "mn_dir2.w_grid=")],
+    )
+    def test_predict_without_a_usable_model_fails_as_evaluate_does(
+        self, models, setting, matches_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "r"
+        cfg.write_text(f"matches={matches_file}\nmodels={models}\nout={out}\n{setting}\n")
+        assert main(["predict", "--config", str(cfg), "--season", "2014", "--matchday", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: no usable models\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"

@@ -8,7 +8,6 @@ from matchcast.data import Prediction, build_season, outcome_of, second_half_mat
 from matchcast.evaluation import PredictionContext, context_for, evaluate
 from matchcast.predictors import (
     DavidsonPredictor,
-    ExternalPredictor,
     MnDir1Predictor,
     MnDir2Predictor,
     PoissonPredictor,
@@ -37,7 +36,7 @@ def oracle_csv(seasons):
 def oracle_predictor(tmp_path, two_seasons):
     path = tmp_path / "oracle.csv"
     path.write_text(oracle_csv(two_seasons), encoding="utf-8")
-    return ExternalPredictor(path, name="oracle")
+    return build_predictor(f"external:{path}")
 
 
 class TestContext:
@@ -145,7 +144,7 @@ class TestTrivialBaseline:
 
     def test_totals_match_means(self, two_seasons):
         agg = evaluate([TrivialPredictor()], two_seasons)[0].aggregates
-        assert agg.brier.total == pytest.approx(agg.brier.mean * agg.n_scored, rel=1e-12)
+        assert agg.brier.total == pytest.approx(agg.brier.mean * agg.n_scored, rel=1e-12, abs=0.0)
 
 
 class TestOraclePredictor:
@@ -198,7 +197,7 @@ class TestHarnessRobustness:
         )
         path = tmp_path / "partial.csv"
         path.write_text("\n".join(lines[:target] + lines[target + 1 :]) + "\n")
-        report = evaluate([ExternalPredictor(path, name="partial")], two_seasons)[0]
+        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
         assert report.missing_predictions == 1
         assert report.aggregates.n_scored == 29
 
@@ -236,7 +235,7 @@ class TestHarnessRobustness:
                     rows.append(f"{m.season},{m.matchday},{m.home},{m.away},{vertex}")
         path = tmp_path / "wrong.csv"
         path.write_text("\n".join(rows) + "\n")
-        report = evaluate([ExternalPredictor(path, name="wrong")], two_seasons)[0]
+        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
         assert report.aggregates.log.infinite == 1
         assert report.aggregates.log.n == 29
         assert math.isfinite(report.aggregates.log.mean)

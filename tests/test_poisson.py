@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 from scipy.stats import poisson as poisson_dist
 
 import matchcast.poisson as poisson_module
@@ -108,8 +107,8 @@ class TestLinkRates:
 
     def test_home_advantage_multiplies(self):
         rates = link_rates(self._strengths(gamma_home=math.log(2)), "a", "b")
-        assert rates.lambda1 == pytest.approx(2.0, rel=1e-15)
-        assert rates.lambda2 == pytest.approx(1.0, rel=1e-15)
+        assert rates.lambda1 == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert rates.lambda2 == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_composite_exponent(self):
         strengths = TeamStrengths(
@@ -120,8 +119,8 @@ class TestLinkRates:
             lambda3=0.0,
         )
         rates = link_rates(strengths, "a", "b")
-        assert rates.lambda1 == pytest.approx(math.exp(0.1 + 0.2 + 0.1 + 0.3), rel=1e-15)
-        assert rates.lambda2 == pytest.approx(math.exp(0.1 - 0.2 - 0.1), rel=1e-15)
+        assert rates.lambda1 == pytest.approx(math.exp(0.1 + 0.2 + 0.1 + 0.3), rel=1e-15, abs=0.0)
+        assert rates.lambda2 == pytest.approx(math.exp(0.1 - 0.2 - 0.1), rel=1e-15, abs=0.0)
 
     def test_unknown_team(self):
         with pytest.raises(KeyError):
@@ -227,18 +226,20 @@ class TestScoreGrid:
             want = float(poisson_dist.pmf(i, params.lambda1 + params.lambda3))
             assert abs(row_sums[i] - want) <= tail_tol
 
-    def test_marginal_pmf_bit_equal_to_scipy(self, rng):
+    def test_marginal_pmf_agrees_with_scipy(self, rng):
+        # gammaln and math.lgamma differ in the last bit of some log(n!);
+        # exp scales that by the size of the exponent, worst 1.14e-13 here.
         for lam in np.exp(rng.uniform(-8.0, 4.0, 2000)):
             k = np.arange(int(lam + 10 * math.sqrt(lam)) + 10)
-            assert np.array_equal(_poisson_pmf(k.astype(float), lam), poisson_dist.pmf(k, lam))
-        p_u = poisson_dist.pmf(np.arange(13), 1.7)
-        p_v = poisson_dist.pmf(np.arange(13), 0.9)
+            got = _poisson_pmf(k.astype(float), lam)
+            np.testing.assert_allclose(got, poisson_dist.pmf(k, lam), rtol=2e-13, atol=0.0)
+        goals = np.arange(13.0)
+        p_u, p_v = _poisson_pmf(goals, 1.7), _poisson_pmf(goals, 0.9)
         assert np.array_equal(_joint_mass(BivPoissonParams(1.7, 0.9), 12), np.outer(p_u, p_v))
 
-    def test_log_factorials_equal_gammaln(self):
-        n = np.arange(_LOG_FACTORIALS.size)
+    def test_log_factorials_equal_math_lgamma(self):
         assert _LOG_FACTORIALS.size >= 2 * MAX_GRID_GOALS
-        assert np.array_equal(_LOG_FACTORIALS, gammaln(n + 1.0))
+        assert all(_LOG_FACTORIALS[n] == math.lgamma(n + 1.0) for n in range(_LOG_FACTORIALS.size))
 
     def test_unbounded_grid_refused(self):
         # A boundary fit can give an unseen pairing a rate near 1e8, whose
