@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import MatchDataError, build_seasons, format_csv, parse_matches_with_lines
-from .evaluation import check_evaluable, context_for, evaluate
+from .evaluation import check_evaluable, check_played_before, context_for, evaluate
 from .predictors import KNOWN_MODELS, build_predictor, settings_keys
 from .reports import summary_table, write_reports
 
@@ -50,35 +50,41 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The config file's run keys, overridden by every flag given (not None, not "")."""
+    raw: dict[str, str] = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        cfg.raw = parse_config_file(config_path)
-        unknown = sorted(set(cfg.raw) - RUN_KEYS - settings_keys())
+        raw = parse_config_file(config_path)
+        unknown = sorted(set(raw) - RUN_KEYS - settings_keys())
         if unknown:
             raise ValueError(f"{config_path}: unknown config key {', '.join(unknown)}")
-        if "matches" in cfg.raw:
-            cfg.matches_path = cfg.raw["matches"]
-        if "models" in cfg.raw:
-            cfg.models = tuple(m.strip() for m in cfg.raw["models"].split(",") if m.strip())
-        if "out" in cfg.raw:
-            cfg.output_dir = cfg.raw["out"]
-        if "seed" in cfg.raw:
-            cfg.seed = int(cfg.raw["seed"])
-    if getattr(args, "matches", None):
-        cfg.matches_path = args.matches
-    if getattr(args, "models", None):
-        cfg.models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    run = {key: raw[key] for key in RUN_KEYS if key in raw}
+    for key in RUN_KEYS:
+        if getattr(args, key, None) not in (None, ""):
+            run[key] = getattr(args, key)
+    cfg = RunConfig(matches_path=run.get("matches"), output_dir=run.get("out"), raw=raw)
+    if "models" in run:
+        cfg.models = tuple(m.strip() for m in run["models"].split(",") if m.strip())
+    if "seed" in run:
+        cfg.seed = int(run["seed"])
     if not cfg.models:
         raise ValueError("no models configured")
     repeated = next((m for i, m in enumerate(cfg.models) if m in cfg.models[:i]), None)
     if repeated is not None:
         raise ValueError(f"model {repeated} listed twice")
     return cfg
+
+
+def build_models(cfg: RunConfig) -> tuple[list, list[str]]:
+    """The listed models that build, and the specs of those that fail (named on stderr)."""
+    predictors, failed = [], []
+    for spec in cfg.models:
+        try:
+            predictors.append(cfg.build(spec))
+        except Exception as exc:  # noqa: BLE001 - per-model failures must not stop the run
+            print(f"model {spec} failed to build: {exc}", file=sys.stderr)
+            failed.append(spec)
+    return predictors, failed
 
 
 def _load_records(cfg: RunConfig):
@@ -144,34 +150,32 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not season.matches_of(matchday):
         print(f"error: no fixtures for matchday {matchday}", file=sys.stderr)
         return 2
-    if any(not m.played for m in season.matches if m.matchday < matchday):
-        print(f"error: unplayed matches before matchday {matchday}", file=sys.stderr)
-        return 2
+    check_played_before(season, matchday)
 
     ctx = context_for(seasons, season, matchday)
     rows: list[tuple[object, ...]] = []
     param_dumps: list[tuple[str, str]] = []
-    for spec in cfg.models:
+    for predictor in build_models(cfg)[0]:
+        name = predictor.name
         try:
-            predictor = cfg.build(spec)
             predictions = predictor.predict(ctx)
         except Exception as exc:  # noqa: BLE001 - per-model failures must not stop the run
-            print(f"model {spec} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            print(f"model {name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
         for fixture in ctx.fixtures:
             p = predictions.get(fixture)
             if p is None:
                 print(
-                    f"model {spec}: no prediction for {fixture.home} vs {fixture.away}",
+                    f"model {name}: no prediction for {fixture.home} vs {fixture.away}",
                     file=sys.stderr,
                 )
                 continue
             rows.append(
-                (spec, fixture.season, fixture.matchday, fixture.home, fixture.away, *p.as_tuple())
+                (name, fixture.season, fixture.matchday, fixture.home, fixture.away, *p.as_tuple())
             )
         fitted = getattr(predictor, "last_fit", None)
         if args.dump_params and fitted is not None:
-            param_dumps.append((spec, fitted.params.to_csv()))
+            param_dumps.append((name, fitted.params.to_csv()))
     if not rows:
         print("error: no usable models", file=sys.stderr)
         return 2
@@ -200,14 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seasons = build_seasons([r for _, r in numbered])
     check_evaluable(seasons)
 
-    predictors = []
-    failed: list[str] = []
-    for spec in cfg.models:
-        try:
-            predictors.append(cfg.build(spec))
-        except Exception as exc:  # noqa: BLE001
-            print(f"model {spec} failed to build: {exc}", file=sys.stderr)
-            failed.append(spec)
+    predictors, failed = build_models(cfg)
     if not predictors:
         print("error: no usable models", file=sys.stderr)
         return 2

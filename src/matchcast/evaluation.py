@@ -21,7 +21,6 @@ from .data import (
     Outcome,
     Prediction,
     Season,
-    first_half_rounds,
     outcome_of,
     second_half_matchdays,
 )
@@ -297,28 +296,37 @@ def _year_summary(year: int, scored: Sequence[ScoredMatch]) -> YearSummary:
     )
 
 
+def check_played_before(season: Season, matchday: int) -> None:
+    """Refuse ``season`` if a match before ``matchday`` is unplayed.
+
+    The refits and the ``mn-dir2`` tuning for that matchday would miss it
+    without any flag.
+    """
+    m = next((m for m in season.matches if m.matchday < matchday and not m.played), None)
+    if m is not None:
+        raise ValueError(
+            f"season {season.year}: unplayed matches before matchday {matchday} "
+            f"({m.home} vs {m.away} on matchday {m.matchday})"
+        )
+
+
 def check_evaluable(seasons: Sequence[Season]) -> None:
     """A season with a second half must be fully played.
 
     Second-half matches are scored, and every refit before them must see
-    the whole earlier record of its season, as ``matchcast predict``
-    demands: an unplayed first-half match would leave the refits and the
-    ``mn-dir2`` tuning short of it without any flag.
+    the whole earlier record of its season (``check_played_before``).
     """
     for season in seasons:
         matchdays = second_half_matchdays(season)
-        m = next((m for m in season.matches if not m.played), None)
-        if m is None or not matchdays:
+        if not matchdays:
             continue
-        if m.matchday > first_half_rounds(season.rounds):
+        check_played_before(season, matchdays[0])
+        m = next((m for m in season.matches if not m.played), None)
+        if m is not None:
             raise ValueError(
                 f"season {season.year} matchday {m.matchday}: unplayed match "
                 f"{m.home} vs {m.away}"
             )
-        raise ValueError(
-            f"season {season.year}: unplayed matches before matchday {matchdays[0]} "
-            f"({m.home} vs {m.away} on matchday {m.matchday})"
-        )
 
 
 def evaluate(

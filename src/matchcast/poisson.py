@@ -108,15 +108,6 @@ class ScoreGrid:
     mass: np.ndarray
     truncation_deficit: float
 
-    def home_win_mass(self) -> float:
-        return float(np.tril(self.mass, -1).sum())
-
-    def draw_mass(self) -> float:
-        return float(np.trace(self.mass))
-
-    def away_win_mass(self) -> float:
-        return float(np.triu(self.mass, 1).sum())
-
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - _LOG_FACTORIALS[k.astype(int)] - lam)
@@ -185,22 +176,19 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     return ScoreGrid(max_goals=max_goals, mass=mass, truncation_deficit=deficit)
 
 
-def outcome_probs_from_grid(grid: ScoreGrid) -> Prediction:
-    """Win/draw/loss probabilities by summing score cells, renormalized."""
+def outcome_probs(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> Prediction:
+    """Win/draw/loss probabilities by summing ``score_grid``'s cells, renormalized."""
+    grid = score_grid(params, tail_tol)
     if grid.truncation_deficit > MAX_OUTCOME_DEFICIT:
         raise ValueError(
             f"truncation deficit {grid.truncation_deficit} too large for outcome sums"
         )
     total = float(grid.mass.sum())
     return Prediction(
-        grid.home_win_mass() / total,
-        grid.draw_mass() / total,
-        grid.away_win_mass() / total,
+        float(np.tril(grid.mass, -1).sum()) / total,
+        float(np.trace(grid.mass)) / total,
+        float(np.triu(grid.mass, 1).sum()) / total,
     )
-
-
-def outcome_probs(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> Prediction:
-    return outcome_probs_from_grid(score_grid(params, tail_tol))
 
 
 class _PoissonObjective:

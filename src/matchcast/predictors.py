@@ -81,60 +81,83 @@ class MnDir1Predictor:
 class MnDir2Predictor:
     """Weighted mixture: (w, alpha) picked by first-half Brier cross-validation.
 
-    Selection happens once per season, the first time a second-half context
-    of that season arrives; the completed first half is then guaranteed to
-    be in the history.
+    Selection happens once per league season, the first time a second-half
+    context of it arrives, and is keyed by the first-half records it reads:
+    two leagues of one year are tuned apart.
     """
 
     name = "mn-dir2"
 
     def __init__(self, grid: GridSpec | None = None):
         self.grid = grid or GridSpec.default()
-        self._selected: dict[int, MnDir2Config] = {}
+        self._selected: dict[tuple[MatchRecord, ...], MnDir2Config] = {}
 
     def _config_for(self, ctx: PredictionContext) -> MnDir2Config:
-        year = ctx.season_year
-        if year not in self._selected:
-            half = first_half_rounds(ctx.season_rounds)
-            if ctx.matchday <= half:
-                raise ValueError("mn-dir2 needs the completed first half for tuning")
-            first_half = [r for r in ctx.current_season_history() if r.matchday <= half]
-            self._selected[year] = cv_select(first_half, self.grid)
-        return self._selected[year]
+        half = first_half_rounds(ctx.season_rounds)
+        first_half = tuple(r for r in SEASON_WINDOW.training(ctx) if r.matchday <= half)
+        cfg = self._selected.get(first_half)
+        if cfg is None:
+            cfg = self._selected[first_half] = cv_select(first_half, self.grid)
+        return cfg
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
         cfg = self._config_for(ctx)
         return _count_predictions(ctx, lambda h, a: mn_dir2_predict(h, a, cfg))
 
     def settings_by_year(self) -> dict[int, dict[str, str]]:
+        """Each year's (w, alpha); leagues sharing a year are listed in season order."""
+        by_year: dict[int, list[MnDir2Config]] = {}
+        for first_half, cfg in self._selected.items():
+            by_year.setdefault(first_half[0].season, []).append(cfg)
         return {
             year: {
-                "w": f"{cfg.weights.w_home:.6f}",
-                "alpha": f"{cfg.alpha:.6f}",
+                "w": ",".join(f"{cfg.weights.w_home:.6f}" for cfg in cfgs),
+                "alpha": ",".join(f"{cfg.alpha:.6f}" for cfg in cfgs),
             }
-            for year, cfg in sorted(self._selected.items())
+            for year, cfgs in sorted(by_year.items())
         }
 
 
-class DavidsonPredictor:
+class _RefitPredictor:
+    """Refit on ``window`` (``_fit``), then forecast each fixture (``_forecast``).
+
+    A fixture the fit cannot forecast fails the matchday; the error then
+    names the fit's boundary parameters, if any.
+    """
+
+    last_fit = None
+
+    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
+        fitted = self._fit(self.window.training(ctx))
+        self.last_fit = fitted
+        out = {}
+        for fixture in ctx.fixtures:
+            try:
+                out[fixture] = self._forecast(fitted.params, fixture.home, fixture.away)
+            except ValueError as exc:
+                if not fitted.boundary_flags:
+                    raise
+                flags = ", ".join(fitted.boundary_flags)
+                raise ValueError(f"{exc} (boundary fit: {flags})") from exc
+        return out
+
+
+class DavidsonPredictor(_RefitPredictor):
     """Paired-comparison model refit on all earlier matches of the season."""
 
     name = "bt"
+    window = SEASON_WINDOW
+
+    _forecast = staticmethod(bt_outcome_probs)
 
     def __init__(self, settings: OptimSettings | None = None):
         self.settings = settings
-        self.last_fit = None
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        fitted = bt_fit(SEASON_WINDOW.training(ctx), self.settings)
-        self.last_fit = fitted
-        return {
-            fixture: bt_outcome_probs(fitted.params, fixture.home, fixture.away)
-            for fixture in ctx.fixtures
-        }
+    def _fit(self, matches: list[MatchRecord]):
+        return bt_fit(matches, self.settings)
 
 
-class PoissonPredictor:
+class PoissonPredictor(_RefitPredictor):
     """Goals model refit on a training window, scores summed into outcomes."""
 
     def __init__(
@@ -151,29 +174,12 @@ class PoissonPredictor:
         self.window = window
         self.tail_tol = tail_tol
         self.settings = settings
-        self.last_fit = None
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        """Outcome probabilities from a fresh fit.
+    def _fit(self, matches: list[MatchRecord]):
+        return poisson_fit(matches, correlated=self.correlated, settings=self.settings)
 
-        A fixture whose rates no score grid can hold fails the matchday;
-        the error then names the fit's boundary parameters, if any.
-        """
-        fitted = poisson_fit(
-            self.window.training(ctx), correlated=self.correlated, settings=self.settings
-        )
-        self.last_fit = fitted
-        out = {}
-        for fixture in ctx.fixtures:
-            rates = link_rates(fitted.params, fixture.home, fixture.away)
-            try:
-                out[fixture] = outcome_probs(rates, self.tail_tol)
-            except ValueError as exc:
-                if not fitted.boundary_flags:
-                    raise
-                flags = ", ".join(fitted.boundary_flags)
-                raise ValueError(f"{exc} (boundary fit: {flags})") from exc
-        return out
+    def _forecast(self, params, home: str, away: str) -> Prediction:
+        return outcome_probs(link_rates(params, home, away), self.tail_tol)
 
 
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")

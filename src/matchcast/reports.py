@@ -6,13 +6,12 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from pathlib import Path
 from typing import Sequence
 
+from .data import format_csv
 from .evaluation import DistStats, ModelReport, ScoredMatch, ScoreStats
 from .scoring import CalibrationTable, GofResult
 
@@ -205,29 +204,27 @@ def reports_to_json(reports: Sequence[ModelReport]) -> str:
 
 
 def reports_to_csv(reports: Sequence[ModelReport]) -> str:
-    # The csv module writes a float as its repr: inf, -inf and nan included.
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCORES_CSV_HEADER)
-    for report in reports:
-        for s in report.per_match:
-            writer.writerow(
-                [
-                    report.model,
-                    s.match.season,
-                    s.match.matchday,
-                    s.match.home,
-                    s.match.away,
-                    s.prediction.p_home,
-                    s.prediction.p_draw,
-                    s.prediction.p_away,
-                    int(s.outcome),
-                    s.brier,
-                    s.log,
-                    s.spherical,
-                ]
+    return format_csv(
+        SCORES_CSV_HEADER,
+        (
+            (
+                report.model,
+                s.match.season,
+                s.match.matchday,
+                s.match.home,
+                s.match.away,
+                s.prediction.p_home,
+                s.prediction.p_draw,
+                s.prediction.p_away,
+                int(s.outcome),
+                s.brier,
+                s.log,
+                s.spherical,
             )
-    return out.getvalue()
+            for report in reports
+            for s in report.per_match
+        ),
+    )
 
 
 def write_reports(reports: Sequence[ModelReport], out_dir: str | Path) -> tuple[Path, Path]:

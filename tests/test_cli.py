@@ -385,10 +385,14 @@ class TestEvaluate:
         path = tmp_path / "matches.csv"
         path.write_text(serialize_matches(records), encoding="utf-8")
         capsys.readouterr()
+        errors = []
         for argv in (["evaluate", "--out", str(tmp_path / "r")], ["predict", "--matchday", "6"]):
             code = main(argv + ["--matches", str(path), "--models", "trivial"])
             assert code == 2
-            assert "unplayed matches before matchday 6" in capsys.readouterr().err
+            errors.append(capsys.readouterr().err)
+        m = records[0]
+        where = f"({m.home} vs {m.away} on matchday 1)"
+        assert errors == [f"error: season 2014: unplayed matches before matchday 6 {where}\n"] * 2
         assert not (tmp_path / "r").exists()
 
 
@@ -547,6 +551,18 @@ class TestConfig:
         assert "trivial" not in captured.err
         assert "failed models (excluded from report): bt" in captured.out
         assert set(json.loads((out / "report.json").read_text())) == {"trivial"}
+
+    def test_predict_words_a_build_failure_as_evaluate_does(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial,bt\nbt.tol=0\n")
+        errors = []
+        predict = ["predict", "--season", "2014", "--matchday", "8"]
+        for argv in (["evaluate", "--out", str(tmp_path / "r")], predict):
+            assert main(argv + ["--config", str(cfg)]) == 0
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("model bt failed to build: invalid optimizer settings")
+        assert errors[0].count("\n") == 1
 
     def test_other_models_ignore_poisson_keys(self, matches_file, tmp_path, capsys):
         runs = {}

@@ -306,6 +306,27 @@ class TestSharedContext:
         ]
         assert not joint[0].skipped_matchdays and not joint[2].skipped_matchdays
 
+    def test_mn_dir2_tunes_each_league_of_a_year_on_its_own_first_half(self, rng):
+        league_a = simulate_played_season([f"t{k}" for k in range(6)], 2014, rng)
+        league_b = simulate_played_season([f"u{k}" for k in range(6)], 2014, rng)
+        joint = evaluate([MnDir2Predictor()], [league_a, league_b])[0]
+        a_alone, b_alone = (evaluate([MnDir2Predictor()], [s])[0] for s in (league_a, league_b))
+        a, b = a_alone.settings_by_year[2014], b_alone.settings_by_year[2014]
+        assert a != b  # the two leagues choose differently
+        b_rows = [s for s in joint.per_match if s.match.home.startswith("u")]
+        assert b_rows == list(b_alone.per_match)
+        assert joint.settings_by_year == {
+            2014: {key: f"{a[key]},{b[key]}" for key in ("w", "alpha")}
+        }
+
+    def test_mn_dir2_refuses_a_first_half_context_of_a_tuned_season(self, mid_season):
+        from matchcast.dirichlet import GridSpec
+
+        predictor = MnDir2Predictor(GridSpec(w_points=(0.25, 0.5), alpha_points=(1.0, 2.0)))
+        predictor.predict(context_for([mid_season], mid_season, 6))
+        with pytest.raises(ValueError, match="matchday 5 is not in the second half"):
+            predictor.predict(context_for([mid_season], mid_season, 5))
+
 
 class TestReportContents:
     def test_per_year_breakdown(self, two_seasons):

@@ -19,7 +19,6 @@ from matchcast.poisson import (
     _poisson_pmf,
     link_rates,
     outcome_probs,
-    outcome_probs_from_grid,
     poisson_fit,
     score_grid,
 )
@@ -292,9 +291,8 @@ class TestOutcomeProbs:
         assert p.p_draw == pytest.approx(1.0, abs=1e-5)
 
     def test_rejects_large_deficit(self):
-        grid = score_grid(BivPoissonParams(1.0, 1.0, 0.0), 1e-4)
         with pytest.raises(ValueError, match="deficit"):
-            outcome_probs_from_grid(grid)
+            outcome_probs(BivPoissonParams(1.0, 1.0, 0.0), 1e-4)
 
     def test_on_simplex(self, rng):
         for _ in range(50):
