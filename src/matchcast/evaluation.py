@@ -10,7 +10,10 @@ asked to forecast, because that information never crosses the interface.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -84,7 +87,13 @@ class PredictionContext:
 
 
 class Predictor(Protocol):
-    """A named model that maps a context to one prediction per fixture."""
+    """A named model that maps a context to one prediction per fixture.
+
+    A predictor may set ``parallel_refit = True`` when each call reads only
+    its context and the predictor's settings: ``evaluate`` may then make
+    its calls in worker processes, and what a call stores on the predictor
+    (a refit model's ``last_fit``) stays in the worker.
+    """
 
     name: str
 
@@ -329,6 +338,95 @@ def check_evaluable(seasons: Sequence[Season]) -> None:
             )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``taskset`` narrows them); 1 where unknown."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _skip_reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _predict(
+    predictor: Predictor, ctx: PredictionContext
+) -> Mapping[MatchRecord, Prediction] | str:
+    """``predictor.predict(ctx)``, or the reason its failure skips the matchday.
+
+    A worker sends the reason rather than the exception: every string
+    pickles, so it reads in the parent exactly as it would inline.
+    """
+    try:
+        return predictor.predict(ctx)
+    except Exception as exc:  # noqa: BLE001 - predictor failures are data
+        return _skip_reason(exc)
+
+
+# A pool worker's inputs, inherited through the fork: predictors, seasons
+# and the (season, matchday) of each matchday index.
+_worker_inputs: tuple = ()
+
+
+def _init_worker(predictors, seasons, matchdays) -> None:
+    global _worker_inputs
+    _worker_inputs = (predictors, seasons, matchdays)
+    # A worker whose parent is killed would otherwise wait for tasks forever.
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    from multiprocessing import connection, parent_process
+
+    connection.wait([parent_process().sentinel])
+    os._exit(1)
+
+
+def _refit(i: int, k: int):
+    """Predictor ``i`` on matchday ``k``, from a context built (and guarded) here."""
+    predictors, seasons, matchdays = _worker_inputs
+    season, matchday = matchdays[k]
+    return _predict(predictors[i], context_for(seasons, season, matchday))
+
+
+@contextlib.contextmanager
+def _refit_pool(predictors: Sequence[Predictor], seasons: Sequence[Season]):
+    """Futures of the ``parallel_refit`` calls, keyed (matchday index, predictor index).
+
+    Empty, so every call runs inline, on one usable CPU, with no such
+    predictor or a single call, without the ``fork`` start method, or
+    while another thread runs: a fork copies only the calling thread, and
+    a lock another thread holds stays locked in the child.  The workers
+    inherit their inputs through the fork, unpickled; the pool forks them
+    all before it starts its own thread.  They are joined on exit, and
+    pending calls are cancelled.
+    """
+    pooled = [i for i, p in enumerate(predictors) if getattr(p, "parallel_refit", False)]
+    cpus = _usable_cpus() if pooled and threading.active_count() == 1 else 1
+    matchdays = [(s, d) for s in seasons for d in second_half_matchdays(s)] if cpus > 1 else []
+    tasks = [(k, i) for k in range(len(matchdays)) for i in pooled]
+    if len(tasks) < 2:
+        yield {}
+        return
+    import multiprocessing  # here, so a run without a pool never loads it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield {}
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        min(cpus, len(tasks)),
+        multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(predictors, seasons, matchdays),
+    )
+    try:
+        yield {(k, i): pool.submit(_refit, i, k) for k, i in tasks}
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def evaluate(
     predictors: Sequence[Predictor],
     seasons: Sequence[Season],
@@ -344,6 +442,12 @@ def evaluate(
     breakdown.  A predictor that produced no prediction at all gets no
     report, so one empty model never costs the others theirs.  Predictor
     names key the reports, so a repeated name is refused before any runs.
+
+    ``parallel_refit`` predictors are called on one worker process per
+    usable CPU, each from an equal context that the worker builds; their
+    results are taken in the inline order, so the reports are the same.
+    A worker that dies breaks the pool: each call still unanswered is
+    skipped, its reason naming ``BrokenProcessPool``.
     """
     names = [p.name for p in predictors]
     repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
@@ -356,27 +460,34 @@ def evaluate(
     missing_by = [0] * len(predictors)
     earlier: tuple[MatchRecord, ...] = ()  # played records of the seasons before
     folded = 0
-    for season in ordered_seasons:
-        while ordered_seasons[folded].year < season.year:
-            earlier += _played(ordered_seasons[folded])
-            folded += 1
-        for matchday in second_half_matchdays(season):
-            ctx = context_for(ordered_seasons, season, matchday, earlier)
-            matches = season.matches_of(matchday)
-            for i, predictor in enumerate(predictors):
-                try:
-                    predictions = predictor.predict(ctx)
-                except Exception as exc:  # noqa: BLE001 - predictor failures are data
-                    skipped_by[i].append(
-                        SkippedMatchday(season.year, matchday, f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                for fixture, match in zip(ctx.fixtures, matches):
-                    prediction = predictions.get(fixture)
-                    if prediction is None:
-                        missing_by[i] += 1
+    k = 0  # index of the matchday, counted over all seasons
+    with _refit_pool(predictors, ordered_seasons) as refits:
+        for season in ordered_seasons:
+            while ordered_seasons[folded].year < season.year:
+                earlier += _played(ordered_seasons[folded])
+                folded += 1
+            for matchday in second_half_matchdays(season):
+                ctx = context_for(ordered_seasons, season, matchday, earlier)
+                matches = season.matches_of(matchday)
+                for i, predictor in enumerate(predictors):
+                    future = refits.get((k, i))
+                    if future is None:
+                        predictions = _predict(predictor, ctx)
+                    else:
+                        try:
+                            predictions = future.result()
+                        except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+                            predictions = _skip_reason(exc)
+                    if isinstance(predictions, str):
+                        skipped_by[i].append(SkippedMatchday(season.year, matchday, predictions))
                         continue
-                    scored_by[i].append(score_match(match, prediction))
+                    for fixture, match in zip(ctx.fixtures, matches):
+                        prediction = predictions.get(fixture)
+                        if prediction is None:
+                            missing_by[i] += 1
+                            continue
+                        scored_by[i].append(score_match(match, prediction))
+                k += 1
     reports = []
     for predictor, scored, skipped, missing in zip(predictors, scored_by, skipped_by, missing_by):
         if not scored:

@@ -122,9 +122,11 @@ class _RefitPredictor:
     """Refit on ``window`` (``_fit``), then forecast each fixture (``_forecast``).
 
     A fixture the fit cannot forecast fails the matchday; the error then
-    names the fit's boundary parameters, if any.
+    names the fit's boundary parameters, if any.  Each call reads only its
+    context, so ``evaluate`` may run it in a worker (``parallel_refit``).
     """
 
+    parallel_refit = True
     last_fit = None
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:

@@ -404,6 +404,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # evaluate imports the pool only where it starts one.
+    src = str(Path(matchcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, matchcast.cli\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_cli_import_loads_no_scipy():
     # Every command, `selftest` included, runs on numpy alone.
     src = str(Path(matchcast.__file__).resolve().parents[1])

@@ -1,12 +1,22 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import matchcast
 import matchcast.evaluation as evaluation
 from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
-from matchcast.evaluation import PredictionContext, context_for, evaluate
+from matchcast.evaluation import PredictionContext, SkippedMatchday, context_for, evaluate
 from matchcast.predictors import (
+    KNOWN_MODELS,
     DavidsonPredictor,
     MnDir1Predictor,
     MnDir2Predictor,
@@ -16,7 +26,7 @@ from matchcast.predictors import (
     parse_prediction_rows,
 )
 from matchcast.poisson import TrainingWindow
-from matchcast.reports import reports_to_csv, reports_to_json
+from matchcast.reports import reports_to_csv, reports_to_json, write_reports
 from matchcast.selftest import simulate_played_season
 
 
@@ -326,6 +336,159 @@ class TestSharedContext:
         predictor.predict(context_for([mid_season], mid_season, 6))
         with pytest.raises(ValueError, match="matchday 5 is not in the second half"):
             predictor.predict(context_for([mid_season], mid_season, 5))
+
+
+class TestRefitPool:
+    """The refit models' calls on worker processes give the inline reports."""
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        # 2 starts a pool even on a one-CPU machine; 1 runs every call inline.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+
+    def test_pooled_reports_equal_the_inline_ones_byte_for_byte(
+        self, tmp_path, two_seasons, monkeypatch
+    ):
+        external = tmp_path / "oracle.csv"
+        external.write_text(oracle_csv(two_seasons), encoding="utf-8")
+        specs = (*KNOWN_MODELS, f"external:{external}")
+        written = []
+        for cpus in (2, 1):
+            self.on_cpus(monkeypatch, cpus)
+            predictors = [build_predictor(spec) for spec in specs]
+            reports = evaluate(predictors, two_seasons)
+            assert multiprocessing.active_children() == []
+            assert [r.model for r in reports] == list(specs)
+            # A pooled refit is fitted in the worker, not in the parent's predictor.
+            assert (predictors[KNOWN_MODELS.index("bt")].last_fit is None) == (cpus == 2)
+            paths = write_reports(reports, tmp_path / f"cpus{cpus}")
+            written.append([path.read_bytes() for path in paths])
+        assert written[0] == written[1]
+
+    def test_no_worker_outlives_an_evaluate_that_raises(self, two_seasons, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+
+        def failing(match, prediction):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(evaluation, "score_match", failing)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            evaluate([DavidsonPredictor(), build_predictor("poisson-biv")], two_seasons)
+        assert multiprocessing.active_children() == []
+
+    def test_refits_run_inline_while_another_thread_runs(self, two_seasons, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        predictor = DavidsonPredictor()
+        caller = threading.Thread(target=evaluate, args=([predictor], two_seasons))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert predictor.last_fit is not None  # fitted here, not in a worker
+
+    def test_a_fit_failing_in_a_worker_reads_as_inline(self, two_seasons, monkeypatch):
+        import matchcast.predictors as predictors
+
+        real = predictors.poisson_fit
+
+        def failing(matches, **kwargs):
+            # The fork hands this patch to the workers.
+            if max((m.season, m.matchday) for m in matches) == (2014, 7):
+                raise ValueError("no fit before 2014 matchday 8")
+            return real(matches, **kwargs)
+
+        monkeypatch.setattr(predictors, "poisson_fit", failing)
+        runs = []
+        for cpus in (2, 1):
+            self.on_cpus(monkeypatch, cpus)
+            specs = ("trivial", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
+            runs.append(evaluate([build_predictor(spec) for spec in specs], two_seasons))
+        pooled, inline = runs
+        assert reports_to_json(pooled) == reports_to_json(inline)
+        assert reports_to_csv(pooled) == reports_to_csv(inline)
+        skip = SkippedMatchday(2014, 8, "ValueError: no fit before 2014 matchday 8")
+        assert [r.skipped_matchdays for r in pooled] == [(), (), (), (skip,), (skip,)]
+        assert [r.aggregates.n_scored for r in pooled] == [30, 30, 30, 27, 27]
+
+    def test_a_worker_that_dies_flags_its_matchdays_and_never_hangs(
+        self, two_seasons, monkeypatch
+    ):
+        import matchcast.predictors as predictors
+
+        parent = os.getpid()
+        real = predictors.bt_fit
+
+        def dying(matches, settings=None):
+            # A worker dies in the fit for 2014 matchday 10, the last one.
+            if os.getpid() != parent and max((m.season, m.matchday) for m in matches) == (2014, 9):
+                os._exit(3)
+            return real(matches, settings)
+
+        def hung(signum, frame):
+            raise TimeoutError("evaluate hung on a dead worker")
+
+        monkeypatch.setattr(predictors, "bt_fit", dying)
+        self.on_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            trivial, bt = evaluate([TrivialPredictor(), DavidsonPredictor()], two_seasons)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+        assert trivial.aggregates.n_scored == 30
+        # Calls still unanswered when the pool broke are skipped, the dead one included.
+        broken = [(s.season, s.matchday) for s in bt.skipped_matchdays]
+        assert (2014, 10) in broken
+        assert all(s.reason.startswith("BrokenProcessPool: ") for s in bt.skipped_matchdays)
+        assert bt.aggregates.n_scored + 3 * len(broken) == 30
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # Each worker stalls in its first fit after writing its pid; the
+        # parent then dies without running any cleanup.
+        script = (
+            "import os, sys, time\n"
+            "import numpy as np\n"
+            "import matchcast.evaluation as evaluation, matchcast.predictors as predictors\n"
+            "from matchcast.selftest import simulate_played_season\n"
+            "def stalled(matches, settings=None):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(120)\n"
+            "evaluation._usable_cpus = lambda: 2\n"
+            "predictors.bt_fit = stalled\n"
+            "rng = np.random.default_rng(1)\n"
+            "teams = [f't{k}' for k in range(4)]\n"
+            "seasons = [simulate_played_season(teams, 2014, rng)]\n"
+            "evaluation.evaluate([predictors.DavidsonPredictor()], seasons)\n"
+        )
+        src = str(Path(matchcast.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+        workers = [int(path.name) for path in tmp_path.iterdir()]
+        assert len(workers) == 2
+
+        def running(pid):
+            # An exited worker nobody reaps lingers as a zombie ("Z").
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 30
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left
 
 
 class TestReportContents:
