@@ -228,6 +228,13 @@ class ModelReport:
         )
 
 
+def check_unique_names(names: Sequence[str]) -> None:
+    """Refuse a repeated name: reports are keyed by name, one name one report."""
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"predictor name {repeated!r} given twice")
+
+
 def _score_stats(values: Sequence[float]) -> ScoreStats:
     finite = np.asarray([v for v in values if math.isfinite(v)], dtype=float)
     infinite = len(values) - finite.size
@@ -449,10 +456,7 @@ def evaluate(
     A worker that dies breaks the pool: each call still unanswered is
     skipped, its reason naming ``BrokenProcessPool``.
     """
-    names = [p.name for p in predictors]
-    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"predictor name {repeated!r} given twice")
+    check_unique_names([p.name for p in predictors])
     ordered_seasons = sorted(seasons, key=lambda s: s.year)
     check_evaluable(ordered_seasons)
     scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .data import format_csv
-from .evaluation import DistStats, ModelReport, ScoredMatch, ScoreStats
+from .evaluation import DistStats, ModelReport, ScoreStats, check_unique_names
 from .scoring import CalibrationTable, GofResult
 
 SCORES_CSV_HEADER = (
@@ -28,6 +28,10 @@ SCORES_CSV_HEADER = (
     "brier",
     "log",
     "spherical",
+    "top_choice_error",
+    "top_choice_tied",
+    "entropy",
+    "cond_home_win",
 )
 
 
@@ -95,28 +99,7 @@ def _calibration_dict(table: CalibrationTable | None) -> dict | None:
     }
 
 
-def _match_dict(s: ScoredMatch) -> dict:
-    return {
-        "season": s.match.season,
-        "matchday": s.match.matchday,
-        "home": s.match.home,
-        "away": s.match.away,
-        "p1": s.prediction.p_home,
-        "p2": s.prediction.p_draw,
-        "p3": s.prediction.p_away,
-        "outcome": int(s.outcome),
-        "brier": s.brier,
-        "log": _num(s.log),
-        "spherical": s.spherical,
-        "top_choice_error": s.top_choice_error,
-        "top_choice_tied": s.top_choice_tied,
-        "entropy": s.entropy,
-        "cond_home_win": s.cond_home_win,
-    }
-
-
-def _report_head(report: ModelReport) -> dict:
-    # A report's keys but its last, ``per_match``, written apart.
+def _report_dict(report: ModelReport) -> dict:
     agg = report.aggregates
     return {
         "aggregates": {
@@ -162,48 +145,23 @@ def _report_head(report: ModelReport) -> dict:
     }
 
 
-# The per-match rows sit at depth 3 of report.json (payload, report,
-# per_match list, row); with this item separator one C-encoder call lays
-# out the inside of every row as ``indent=2`` would.
-_ROW_SEP = ",\n        "
-_encode_rows = json.JSONEncoder(allow_nan=False, separators=(_ROW_SEP, ": ")).encode
-
-
-def _per_match_json(rows: list[dict]) -> str:
-    text = _encode_rows(rows)
-    if text == "[]":
-        return text
-    # text is "[{...}" + "},\n        {" ... + "}]"; an encoded string never
-    # holds a raw newline, so the inner boundary cannot occur inside a value.
-    inner = text[2:-2].replace("}" + _ROW_SEP + "{", "\n      },\n      {\n        ")
-    return "[\n      {\n        " + inner + "\n      }\n    ]"
-
-
 def reports_to_json(reports: Sequence[ModelReport]) -> str:
-    """One object keyed by model name, laid out as ``json.dumps(indent=2)`` would.
+    """One object keyed by model name, indented by 2; rows live in ``scores.csv``.
 
-    Each report's head goes through the indenting encoder; its per-match
-    rows, most of the file, through one C-encoder call.  A repeated model
-    name keeps its first position and its last report, as a dict would.
-    NaN raises ``ValueError`` (``allow_nan=False``).
+    A repeated model name raises ``ValueError``, as does NaN
+    (``allow_nan=False``).
     """
-    by_model = {report.model: report for report in reports}
-    if not by_model:
-        return "{}\n"
-    entries = []
-    for model, report in by_model.items():
-        head = json.dumps(_report_head(report), indent=2, allow_nan=False)
-        rows = _per_match_json([_match_dict(s) for s in report.per_match])
-        # Nest the head one level down and append per_match as its last key.
-        entries.append(
-            f"  {json.dumps(model)}: "
-            + head[:-2].replace("\n", "\n  ")
-            + f',\n    "per_match": {rows}\n  }}'
-        )
-    return "{\n" + ",\n".join(entries) + "\n}\n"
+    check_unique_names([r.model for r in reports])
+    payload = {r.model: _report_dict(r) for r in reports}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def reports_to_csv(reports: Sequence[ModelReport]) -> str:
+    """Every scored match of every model, one row each, headed by ``SCORES_CSV_HEADER``.
+
+    A repeated model name raises ``ValueError``.
+    """
+    check_unique_names([r.model for r in reports])
     return format_csv(
         SCORES_CSV_HEADER,
         (
@@ -220,6 +178,10 @@ def reports_to_csv(reports: Sequence[ModelReport]) -> str:
                 s.brier,
                 s.log,
                 s.spherical,
+                s.top_choice_error,
+                int(s.top_choice_tied),
+                s.entropy,
+                "" if s.cond_home_win is None else s.cond_home_win,
             )
             for report in reports
             for s in report.per_match

@@ -15,6 +15,7 @@ import matchcast.selftest as selftest
 from matchcast.cli import main
 from matchcast.data import serialize_matches
 from matchcast.predictors import KNOWN_MODELS
+from matchcast.reports import SCORES_CSV_HEADER
 from matchcast.selftest import simulate_played_season
 
 
@@ -283,8 +284,10 @@ class TestEvaluate:
         assert set(payload) == {"trivial"}
         assert payload["trivial"]["aggregates"]["n_scored"] == 30
         assert len(payload["trivial"]["per_year"]) == 2
+        # Per-match rows live in scores.csv alone.
+        assert not any("per_match" in report for report in payload.values())
         scores = (out_dir / "scores.csv").read_text().splitlines()
-        assert scores[0].startswith("model,season,matchday")
+        assert scores[0] == ",".join(SCORES_CSV_HEADER)
         assert len(scores) == 1 + 30
 
     def test_byte_identical_reruns(self, matches_file, tmp_path):

@@ -159,7 +159,8 @@ class TestTrivialBaseline:
 
 class TestOraclePredictor:
     def test_scores_at_rule_minima(self, two_seasons, oracle_predictor):
-        report = evaluate([oracle_predictor], two_seasons)[0]
+        with pytest.warns(UserWarning, match="zero-expected-count"):
+            report = evaluate([oracle_predictor], two_seasons)[0]
         agg = report.aggregates
         assert agg.brier.mean == 0.0
         assert agg.log.mean == 0.0
@@ -168,7 +169,8 @@ class TestOraclePredictor:
         assert report.missing_predictions == 0
 
     def test_dominating_predictor_orders_totals(self, two_seasons, oracle_predictor):
-        reports = evaluate([oracle_predictor, TrivialPredictor()], two_seasons)
+        with pytest.warns(UserWarning, match="zero-expected-count"):
+            reports = evaluate([oracle_predictor, TrivialPredictor()], two_seasons)
         assert reports[0].aggregates.brier.total < reports[1].aggregates.brier.total
         assert reports[0].aggregates.log.total < reports[1].aggregates.log.total
 
@@ -207,7 +209,8 @@ class TestHarnessRobustness:
         )
         path = tmp_path / "partial.csv"
         path.write_text("\n".join(lines[:target] + lines[target + 1 :]) + "\n")
-        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        with pytest.warns(UserWarning, match="zero-expected-count"):
+            report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
         assert report.missing_predictions == 1
         assert report.aggregates.n_scored == 29
 
@@ -245,7 +248,8 @@ class TestHarnessRobustness:
                     rows.append(f"{m.season},{m.matchday},{m.home},{m.away},{vertex}")
         path = tmp_path / "wrong.csv"
         path.write_text("\n".join(rows) + "\n")
-        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        with pytest.warns(UserWarning, match="zero-expected-count"):
+            report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
         assert report.aggregates.log.infinite == 1
         assert report.aggregates.log.n == 29
         assert math.isfinite(report.aggregates.log.mean)
@@ -287,7 +291,8 @@ class TestSharedContext:
         assert all(got is ctx for (_, got), (_, ctx) in zip(calls, expected))
 
     def test_repeated_name_refused_before_any_predictor_runs(self, two_seasons):
-        # Reports are keyed by name: report.json would keep one of the two.
+        # Reports are keyed by name, so a repeated name is refused here;
+        # both report writers refuse one too.
         calls = []
         twin = RecordingPredictor("r", calls)
         predictors = [twin, TrivialPredictor(), RecordingPredictor("r", calls)]
@@ -307,9 +312,9 @@ class TestSharedContext:
         joint = evaluate([make() for make in makers], two_seasons)
         assert [r.model for r in joint] == ["mn-dir2", "flaky", "bt"]
         for report, make in zip(joint, makers):
-            assert reports_to_json([report]) == reports_to_json(
-                evaluate([make()], two_seasons)
-            )
+            alone = evaluate([make()], two_seasons)
+            assert reports_to_json([report]) == reports_to_json(alone)
+            assert reports_to_csv([report]) == reports_to_csv(alone)
         assert [(s.season, s.matchday) for s in joint[1].skipped_matchdays] == [
             (2013, 7),
             (2014, 7),
@@ -356,7 +361,9 @@ class TestRefitPool:
         for cpus in (2, 1):
             self.on_cpus(monkeypatch, cpus)
             predictors = [build_predictor(spec) for spec in specs]
-            reports = evaluate(predictors, two_seasons)
+            # The external oracle's certain forecasts leave expected counts at zero.
+            with pytest.warns(UserWarning, match="zero-expected-count"):
+                reports = evaluate(predictors, two_seasons)
             assert multiprocessing.active_children() == []
             assert [r.model for r in reports] == list(specs)
             # A pooled refit is fitted in the worker, not in the parent's predictor.

@@ -1,4 +1,4 @@
-"""The README's library example and config block match the package."""
+"""The README's library example, config block and scores.csv columns match the package."""
 
 import re
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import matchcast
 from matchcast.cli import RUN_KEYS, RunConfig, parse_config_file
 from matchcast.predictors import KNOWN_MODELS, build_predictor, settings_keys
+from matchcast.reports import SCORES_CSV_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -52,3 +53,9 @@ def test_config_block_builds_every_model_with_the_defaults(tmp_path):
     for predictor in built:
         if predictor.name != "mn-dir2":
             assert vars(predictor) == vars(build_predictor(predictor.name))
+
+
+def test_scores_csv_columns_are_the_writer_header():
+    section = README.split("## Report files", 1)[1]
+    listed = re.search(r"^`(model,[a-z_0-9,]+)`$", section, re.M).group(1)
+    assert tuple(listed.split(",")) == SCORES_CSV_HEADER
