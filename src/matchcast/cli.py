@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import MatchDataError, build_seasons, format_csv, parse_matches_with_lines
-from .evaluation import check_evaluable, check_played_before, context_for, evaluate
+from .evaluation import (
+    check_evaluable,
+    check_played_before,
+    context_for,
+    evaluate,
+    predict_or_reason,
+)
 from .predictors import KNOWN_MODELS, build_predictor, settings_keys
 from .reports import summary_table, write_reports
 
@@ -36,16 +42,22 @@ class RunConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key=value lines; blank lines and ``#`` comments ignored."""
+    """key=value lines; blank lines and ``#`` comments ignored, a repeated key refused."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, eq, value = (part.strip() for part in stripped.partition("="))
+        if not eq or not key:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        if key in values:
+            raise ValueError(
+                f"{path}:{line_no}: key {key} given twice (first on line {first_line[key]})"
+            )
+        values[key] = value
+        first_line[key] = line_no
     return values
 
 
@@ -67,6 +79,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.models = tuple(m.strip() for m in run["models"].split(",") if m.strip())
     if "seed" in run:
         cfg.seed = int(run["seed"])
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.models:
         raise ValueError("no models configured")
     repeated = next((m for i, m in enumerate(cfg.models) if m in cfg.models[:i]), None)
@@ -157,10 +171,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     param_dumps: list[tuple[str, str]] = []
     for predictor in build_models(cfg)[0]:
         name = predictor.name
-        try:
-            predictions = predictor.predict(ctx)
-        except Exception as exc:  # noqa: BLE001 - per-model failures must not stop the run
-            print(f"model {name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        predictions = predict_or_reason(predictor, ctx)
+        if isinstance(predictions, str):
+            print(f"model {name} failed: {predictions}", file=sys.stderr)
             continue
         for fixture in ctx.fixtures:
             p = predictions.get(fixture)

@@ -15,6 +15,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -101,35 +102,19 @@ class Predictor(Protocol):
         ...
 
 
-def _played(season: Season) -> tuple[MatchRecord, ...]:
-    return tuple(m for m in season.matches if m.home_goals is not None)
-
-
-def context_for(
-    seasons: Sequence[Season],
-    season: Season,
-    matchday: int,
-    earlier: tuple[MatchRecord, ...] | None = None,
-) -> PredictionContext:
+def context_for(seasons: Sequence[Season], season: Season, matchday: int) -> PredictionContext:
     """Build the context for one matchday from a full dataset.
 
-    ``earlier``, when given, must be the played records of every season
-    before ``season``'s year, in year order: what this function would
-    gather from ``seasons`` itself.
+    The history is the played records of every season of an earlier year,
+    in year order, then ``season``'s own played records before ``matchday``.
     """
-    if earlier is None:
-        earlier = tuple(
-            m
-            for other in sorted(seasons, key=lambda s: s.year)
-            if other.year < season.year
-            for m in _played(other)
-        )
+    earlier = (s.played for s in sorted(seasons, key=lambda s: s.year) if s.year < season.year)
     fixtures = tuple(m.scheduled_copy() for m in season.matches_of(matchday))
     return PredictionContext(
         season_year=season.year,
         matchday=matchday,
         season_rounds=season.rounds,
-        history=earlier + season.played_before(matchday),
+        history=tuple(chain(*earlier, season.played_before(matchday))),
         fixtures=fixtures,
     )
 
@@ -356,7 +341,7 @@ def _skip_reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _predict(
+def predict_or_reason(
     predictor: Predictor, ctx: PredictionContext
 ) -> Mapping[MatchRecord, Prediction] | str:
     """``predictor.predict(ctx)``, or the reason its failure skips the matchday.
@@ -393,12 +378,16 @@ def _refit(i: int, k: int):
     """Predictor ``i`` on matchday ``k``, from a context built (and guarded) here."""
     predictors, seasons, matchdays = _worker_inputs
     season, matchday = matchdays[k]
-    return _predict(predictors[i], context_for(seasons, season, matchday))
+    return predict_or_reason(predictors[i], context_for(seasons, season, matchday))
 
 
 @contextlib.contextmanager
-def _refit_pool(predictors: Sequence[Predictor], seasons: Sequence[Season]):
-    """Futures of the ``parallel_refit`` calls, keyed (matchday index, predictor index).
+def _refit_pool(
+    predictors: Sequence[Predictor],
+    seasons: Sequence[Season],
+    matchdays: Sequence[tuple[Season, int]],
+):
+    """Futures of the ``parallel_refit`` calls, keyed (index into ``matchdays``, predictor index).
 
     Empty, so every call runs inline, on one usable CPU, with no such
     predictor or a single call, without the ``fork`` start method, or
@@ -410,8 +399,7 @@ def _refit_pool(predictors: Sequence[Predictor], seasons: Sequence[Season]):
     """
     pooled = [i for i, p in enumerate(predictors) if getattr(p, "parallel_refit", False)]
     cpus = _usable_cpus() if pooled and threading.active_count() == 1 else 1
-    matchdays = [(s, d) for s in seasons for d in second_half_matchdays(s)] if cpus > 1 else []
-    tasks = [(k, i) for k in range(len(matchdays)) for i in pooled]
+    tasks = [(k, i) for k in range(len(matchdays)) for i in pooled] if cpus > 1 else []
     if len(tasks) < 2:
         yield {}
         return
@@ -462,36 +450,29 @@ def evaluate(
     scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]
     skipped_by: list[list[SkippedMatchday]] = [[] for _ in predictors]
     missing_by = [0] * len(predictors)
-    earlier: tuple[MatchRecord, ...] = ()  # played records of the seasons before
-    folded = 0
-    k = 0  # index of the matchday, counted over all seasons
-    with _refit_pool(predictors, ordered_seasons) as refits:
-        for season in ordered_seasons:
-            while ordered_seasons[folded].year < season.year:
-                earlier += _played(ordered_seasons[folded])
-                folded += 1
-            for matchday in second_half_matchdays(season):
-                ctx = context_for(ordered_seasons, season, matchday, earlier)
-                matches = season.matches_of(matchday)
-                for i, predictor in enumerate(predictors):
-                    future = refits.get((k, i))
-                    if future is None:
-                        predictions = _predict(predictor, ctx)
-                    else:
-                        try:
-                            predictions = future.result()
-                        except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                            predictions = _skip_reason(exc)
-                    if isinstance(predictions, str):
-                        skipped_by[i].append(SkippedMatchday(season.year, matchday, predictions))
+    matchdays = [(s, d) for s in ordered_seasons for d in second_half_matchdays(s)]
+    with _refit_pool(predictors, ordered_seasons, matchdays) as refits:
+        for k, (season, matchday) in enumerate(matchdays):
+            ctx = context_for(ordered_seasons, season, matchday)
+            matches = season.matches_of(matchday)
+            for i, predictor in enumerate(predictors):
+                future = refits.get((k, i))
+                if future is None:
+                    predictions = predict_or_reason(predictor, ctx)
+                else:
+                    try:
+                        predictions = future.result()
+                    except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+                        predictions = _skip_reason(exc)
+                if isinstance(predictions, str):
+                    skipped_by[i].append(SkippedMatchday(season.year, matchday, predictions))
+                    continue
+                for fixture, match in zip(ctx.fixtures, matches):
+                    prediction = predictions.get(fixture)
+                    if prediction is None:
+                        missing_by[i] += 1
                         continue
-                    for fixture, match in zip(ctx.fixtures, matches):
-                        prediction = predictions.get(fixture)
-                        if prediction is None:
-                            missing_by[i] += 1
-                            continue
-                        scored_by[i].append(score_match(match, prediction))
-                k += 1
+                    scored_by[i].append(score_match(match, prediction))
     reports = []
     for predictor, scored, skipped, missing in zip(predictors, scored_by, skipped_by, missing_by):
         if not scored:

@@ -249,13 +249,19 @@ def chi_square_p_value(statistic: float, df: int) -> float:
     For df = 2n the regularized upper incomplete gamma Q(n, x / 2) equals
     P(Poisson(x / 2) < n), a sum of n Poisson terms, each taken in log
     space so that no factor underflows on its own.  The rounded terms can
-    sum to an ulp past 1, so the sum is capped there.  Every df here is
-    twice a team count or a sum of such, so an odd df is refused.
+    sum to an ulp past 1, so the sum is capped there.  An infinite
+    statistic (an observed win given zero probability, to rounding) has
+    p = 0.  Every df here is twice a team count or a sum of such, so an
+    odd df is refused, as is a NaN statistic.
     """
     if df % 2:
         raise ValueError(f"chi-square df must be even, got {df}")
+    if math.isnan(statistic):
+        raise ValueError("chi-square statistic is NaN")
     if df <= 0 or statistic == 0.0:
         return 1.0
+    if math.isinf(statistic):
+        return 0.0
     rate = statistic / 2.0
     log_rate = math.log(rate)
     total = math.fsum(

@@ -1,6 +1,7 @@
 """Acceptance checks runnable from the CLI (``matchcast selftest``).
 
-Each check is a self-contained function returning a :class:`CheckResult`;
+Each check is a self-contained function returning whether it passed and
+a detail line; :func:`run_all` names each result after its function, and
 the pytest acceptance module drives the same functions.  Statistical checks
 are seeded: with the default seed every check is expected to pass, while a
 custom seed re-rolls the simulations (the tolerances then hold with high
@@ -156,7 +157,7 @@ def simulate_played_season(
 # The acceptance checks
 # ---------------------------------------------------------------------------
 
-def check_worked_example(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_worked_example(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Count-mixture prediction for h=(6,2,1), a=(2,3,4) under the flat prior."""
     h = CountVector(6, 2, 1)
     a = CountVector(2, 3, 4)
@@ -169,15 +170,13 @@ def check_worked_example(seed: int = DEFAULT_SEED) -> CheckResult:
         mn_dir1_predict(h, a)
     per_call = (time.perf_counter() - start) / loops
     passed = max(errs) <= 5e-5 and per_call < 1e-3
-    return CheckResult(
-        "worked-example",
-        passed,
+    return passed, (
         f"prediction={tuple(round(x, 6) for x in p.as_tuple())}, "
-        f"max_err={max(errs):.2e}, per_call={per_call * 1e6:.1f}us",
+        f"max_err={max(errs):.2e}, per_call={per_call * 1e6:.1f}us"
     )
 
 
-def check_golden_scores(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_golden_scores(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Scoring-rule values for P=(0.25,0.35,0.40) with an away win, and the uniform forecast."""
     p = Prediction(0.25, 0.35, 0.40)
     x = Outcome.AWAY_WIN
@@ -195,7 +194,7 @@ def check_golden_scores(seed: int = DEFAULT_SEED) -> CheckResult:
             (f"trivial-spherical-{outcome.value}", spherical(outcome, uniform), -1 / math.sqrt(3))
         )
     worst = max(abs(got - want) for _, got, want in checks)
-    return CheckResult("golden-scores", worst <= tol, f"max_abs_err={worst:.2e}")
+    return worst <= tol, f"max_abs_err={worst:.2e}"
 
 
 def _simplex_grid(step_denominator: int) -> list[Prediction]:
@@ -207,7 +206,7 @@ def _simplex_grid(step_denominator: int) -> list[Prediction]:
     ]
 
 
-def check_propriety(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_propriety_grid(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Expected score over a 0.05-step simplex grid is minimized at P = Q, per rule."""
     start = time.perf_counter()
     grid = _simplex_grid(20)
@@ -232,10 +231,10 @@ def check_propriety(seed: int = DEFAULT_SEED) -> CheckResult:
     detail = f"grid={m} points x {m} forecasts, elapsed={elapsed:.2f}s"
     if failures:
         detail += f", failures={failures}"
-    return CheckResult("propriety-grid", passed, detail)
+    return passed, detail
 
 
-def check_conjugacy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_dirichlet_conjugacy(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Sequential posterior updates equal the one-shot update, bit for bit."""
     rng = _rng(seed, 4)
     cases = 10_000
@@ -252,13 +251,11 @@ def check_conjugacy(seed: int = DEFAULT_SEED) -> CheckResult:
             and two_step.a_loss == one_step.a_loss
         )
         if not same:
-            return CheckResult(
-                "dirichlet-conjugacy", False, f"mismatch at base={base}, c1={c1}, c2={c2}"
-            )
-    return CheckResult("dirichlet-conjugacy", True, f"{cases} random cases exact")
+            return False, f"mismatch at base={base}, c1={c1}, c2={c2}"
+    return True, f"{cases} random cases exact"
 
 
-def check_davidson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_davidson_recovery(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Refitting data simulated from known worths recovers them."""
     start = time.perf_counter()
     teams = ["alpha", "beta", "gamma", "delta"]
@@ -282,15 +279,13 @@ def check_davidson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
         and deterministic
         and elapsed < 30.0
     )
-    return CheckResult(
-        "davidson-recovery",
-        passed,
+    return passed, (
         f"worth_err={worth_err:.4f}, gamma_err={gamma_err:.4f}, nu_err={nu_err:.4f}, "
-        f"deterministic={deterministic}, elapsed={elapsed:.1f}s ({len(records)} matches)",
+        f"deterministic={deterministic}, elapsed={elapsed:.1f}s ({len(records)} matches)"
     )
 
 
-def check_davidson_gradient(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_davidson_gradient(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Analytic likelihood gradient against central finite differences."""
     rng = _rng(seed, 6)
     teams = ["a", "b", "c", "d", "e", "f"]
@@ -314,10 +309,10 @@ def check_davidson_gradient(seed: int = DEFAULT_SEED) -> CheckResult:
             fd = (objective(up)[0] - objective(down)[0]) / (2 * h)
             rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1.0)
             worst = max(worst, rel)
-    return CheckResult("davidson-gradient", worst <= 1e-5, f"max_rel_err={worst:.2e}")
+    return worst <= 1e-5, f"max_rel_err={worst:.2e}"
 
 
-def check_bivariate_poisson(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_bivariate_poisson(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Independence reduction, certified grid mass, and simulated covariance.
 
     With lambda3 = 0 the score grid must be the product of two Poisson
@@ -351,15 +346,13 @@ def check_bivariate_poisson(seed: int = DEFAULT_SEED) -> CheckResult:
     se = float(prods.std(ddof=1)) / math.sqrt(n)
     cov_ok = abs(cov - lam3) <= 3 * se
     passed = worst_rel <= 1e-12 and mass_ok and cov_ok
-    return CheckResult(
-        "bivariate-poisson",
-        passed,
+    return passed, (
         f"independence_rel_err={worst_rel:.2e}, grid_mass_ok={mass_ok}, "
-        f"cov={cov:.5f} (target {lam3}, 3se={3 * se:.5f})",
+        f"cov={cov:.5f} (target {lam3}, 3se={3 * se:.5f})"
     )
 
 
-def check_poisson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_poisson_recovery(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Refitting scores simulated from known strengths recovers them."""
     teams = ["a", "b", "c", "d"]
     true = TeamStrengths(
@@ -379,15 +372,13 @@ def check_poisson_recovery(seed: int = DEFAULT_SEED) -> CheckResult:
     dfn = np.array([strengths.defense[t] for t in teams])
     zero_sum_exact = float(att.sum()) == 0.0 and float(dfn.sum()) == 0.0
     passed = max(errs) <= 0.05 and zero_sum_exact and report.converged
-    return CheckResult(
-        "poisson-recovery",
-        passed,
+    return passed, (
         f"max_err={max(errs):.4f}, zero_sum_exact={zero_sum_exact}, "
-        f"converged={report.converged} ({len(records)} matches)",
+        f"converged={report.converged} ({len(records)} matches)"
     )
 
 
-def check_chi_square(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_chi_square_gof(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Exact zero statistic on perfect agreement; mean near df when well specified."""
     m1 = MatchRecord(2000, 1, "a", "b", 1, 0)
     m2 = MatchRecord(2000, 2, "a", "b", 0, 1)
@@ -416,15 +407,13 @@ def check_chi_square(seed: int = DEFAULT_SEED) -> CheckResult:
     mean_stat = float(np.mean(stats))
     mean_ok = df is not None and abs(mean_stat - df) <= 0.10 * df
     passed = perfect_ok and mean_ok and df == 40
-    return CheckResult(
-        "chi-square-gof",
-        passed,
+    return passed, (
         f"perfect=({perfect.statistic}, p={perfect.p_value}), "
-        f"mean_stat={mean_stat:.2f} vs df={df} over 200 seasons",
+        f"mean_stat={mean_stat:.2f} vs df={df} over 200 seasons"
     )
 
 
-def check_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_calibration_band(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Outcomes drawn from the forecasts land inside the 95% reliability band."""
     rng = _rng(seed, 10)
     n = 12_000
@@ -439,14 +428,12 @@ def check_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
         if abs(b.event_rate - b.mean_prob) <= band:
             inside += 1
     fraction = inside / len(table.bins)
-    return CheckResult(
-        "calibration-band",
-        fraction >= 0.95,
-        f"{inside}/{len(table.bins)} bins inside the 95% band ({fraction:.0%})",
+    return fraction >= 0.95, (
+        f"{inside}/{len(table.bins)} bins inside the 95% band ({fraction:.0%})"
     )
 
 
-def check_leakage_guard(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_leakage_guard(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The prediction context cannot carry same-or-later matchday results."""
     season = simulate_played_season([f"t{k}" for k in range(4)], 2001, _rng(seed, 11))
     target = 5
@@ -466,11 +453,9 @@ def check_leakage_guard(seed: int = DEFAULT_SEED) -> CheckResult:
     except ValueError:
         rejected = True
     passed = no_future and fixtures_blank and rejected
-    return CheckResult(
-        "leakage-guard",
-        passed,
+    return passed, (
         f"history_bounded={no_future}, fixtures_blank={fixtures_blank}, "
-        f"leaky_context_rejected={rejected}",
+        f"leaky_context_rejected={rejected}"
     )
 
 
@@ -497,7 +482,7 @@ def _cv_brute_force(first_half: list[MatchRecord], grid: GridSpec) -> MnDir2Conf
     return MnDir2Config(alpha=best[1], weights=PoolWeights(best[2]))
 
 
-def check_cv_select(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_cv_select_brute_force(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Grid selection equals exhaustive re-scoring for 20 random seasons."""
     grid = GridSpec.default()
     for k in range(20):
@@ -506,16 +491,14 @@ def check_cv_select(seed: int = DEFAULT_SEED) -> CheckResult:
         fast = cv_select(first_half, grid)
         slow = _cv_brute_force(first_half, grid)
         if (fast.alpha, fast.weights.w_home) != (slow.alpha, slow.weights.w_home):
-            return CheckResult(
-                "cv-select-brute-force",
-                False,
+            return False, (
                 f"seed {k}: fast=({fast.alpha}, {fast.weights.w_home}) "
-                f"slow=({slow.alpha}, {slow.weights.w_home})",
+                f"slow=({slow.alpha}, {slow.weights.w_home})"
             )
-    return CheckResult("cv-select-brute-force", True, "20 seeded seasons agree")
+    return True, "20 seeded seasons agree"
 
 
-def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_determinism(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Two evaluation runs of every model write byte-identical reports to a removed temp dir."""
     teams = [f"t{k}" for k in range(6)]
     seasons = [
@@ -532,40 +515,44 @@ def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
         first = run(Path(workdir) / "run1")
         second = run(Path(workdir) / "run2")
     if first[0] != list(KNOWN_MODELS):
-        return CheckResult("determinism", False, f"reports only for {', '.join(first[0])}")
+        return False, f"reports only for {', '.join(first[0])}"
     passed = first == second
-    return CheckResult(
-        "determinism",
-        passed,
+    return passed, (
         f"byte-identical JSON and CSV reports for {len(KNOWN_MODELS)} models"
         if passed
-        else "reports differ between runs",
+        else "reports differ between runs"
     )
 
 
-ALL_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
+ALL_CHECKS: tuple[Callable[[int], tuple[bool, str]], ...] = (
     check_worked_example,
     check_golden_scores,
-    check_propriety,
-    check_conjugacy,
+    check_propriety_grid,
+    check_dirichlet_conjugacy,
     check_davidson_recovery,
     check_davidson_gradient,
     check_bivariate_poisson,
     check_poisson_recovery,
-    check_chi_square,
-    check_calibration,
+    check_chi_square_gof,
+    check_calibration_band,
     check_leakage_guard,
-    check_cv_select,
+    check_cv_select_brute_force,
     check_determinism,
 )
 
 
+def check_name(check: Callable[[int], tuple[bool, str]]) -> str:
+    """A check's one name, its function's: ``check_chi_square_gof`` is ``chi-square-gof``."""
+    return check.__name__.removeprefix("check_").replace("_", "-")
+
+
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Every check's result under its name; a check that raises fails with the exception."""
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check(seed))
+            passed, detail = check(seed)
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(check_name(check), passed, detail))
     return results

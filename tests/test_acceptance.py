@@ -12,10 +12,10 @@ from matchcast import selftest
 
 
 def _run(check):
-    result = check(selftest.DEFAULT_SEED)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name}: {result.detail}")
-    assert result.passed, f"{result.name}: {result.detail}"
+    passed, detail = check(selftest.DEFAULT_SEED)
+    name = selftest.check_name(check)
+    print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    assert passed, f"{name}: {detail}"
 
 
 def test_c01_dirichlet_mixture_worked_example_under_1ms():
@@ -30,12 +30,12 @@ def test_c02_scoring_rule_golden_values():
 
 def test_c03_propriety_on_simplex_grid():
     """argmin over the 0.05 grid of expected score is the true distribution, per rule."""
-    _run(selftest.check_propriety)
+    _run(selftest.check_propriety_grid)
 
 
 def test_c04_dirichlet_conjugacy_exact():
     """Sequential updates equal one-shot updates exactly over 10^4 random cases."""
-    _run(selftest.check_conjugacy)
+    _run(selftest.check_dirichlet_conjugacy)
 
 
 def test_c05_davidson_parameter_recovery():
@@ -60,12 +60,12 @@ def test_c08_poisson_strength_recovery():
 
 def test_c09_chi_square_goodness_of_fit():
     """Zero statistic on perfect agreement; mean within 10% of df; 20 teams -> 40 df."""
-    _run(selftest.check_chi_square)
+    _run(selftest.check_chi_square_gof)
 
 
 def test_c10_calibration_band_coverage():
     """Outcomes drawn from forecasts: reliability curve inside the 95% band."""
-    _run(selftest.check_calibration)
+    _run(selftest.check_calibration_band)
 
 
 def test_c11_leakage_guard():
@@ -75,7 +75,7 @@ def test_c11_leakage_guard():
 
 def test_c12_cv_select_equals_brute_force():
     """Grid selection matches exhaustive re-scoring for 20 seeded seasons."""
-    _run(selftest.check_cv_select)
+    _run(selftest.check_cv_select_brute_force)
 
 
 def test_c13_byte_identical_reports(tmp_path, monkeypatch):

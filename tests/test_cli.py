@@ -12,7 +12,7 @@ import pytest
 import matchcast
 import matchcast.predictors as predictors
 import matchcast.selftest as selftest
-from matchcast.cli import main
+from matchcast.cli import main, parse_config_file
 from matchcast.data import serialize_matches
 from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
@@ -647,6 +647,33 @@ class TestConfig:
         assert "error: model trivial listed twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_key_refused_with_both_lines(self, matches_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bt.tol=1e-6\nmatches={matches_file}\n\n# again\n bt.tol = 0\n")
+        with pytest.raises(ValueError, match=r"run.cfg:5: key bt.tol given twice \(first on line 1\)"):
+            parse_config_file(cfg)
+        out = tmp_path / "r"
+        argv = ["evaluate", "--config", str(cfg), "--models", "trivial", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}:5: key bt.tol given twice (first on line 1)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["=5", " = 5", "bt.tol"])
+    def test_line_without_a_key_refused_with_its_number(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"models=trivial\n{line}\n")
+        with pytest.raises(ValueError, match=rf"run.cfg:2: expected key=value, got {line!r}"):
+            parse_config_file(cfg)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "run.cfg:2: expected key=value" in capsys.readouterr().err
+
+    def test_empty_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mn_dir2.w_grid=\nout = a=b\n")
+        assert parse_config_file(cfg) == {"mn_dir2.w_grid": "", "out": "a=b"}
+
     def test_poisson_correlated_key_reaches_model(self):
         from matchcast.cli import RunConfig
 
@@ -682,6 +709,16 @@ class TestSeed:
         assert main(["selftest", "--config", str(cfg), "--seed", "11"]) == 0
         assert seeds == [selftest.DEFAULT_SEED, 11, 7, 11]
 
+    def test_negative_seed_refused_before_any_check(self, tmp_path, seeds, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        for argv in (["selftest", "--seed", "-1"], ["selftest", "--config", str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+            assert captured.out == ""
+        assert seeds == []
+
     @pytest.mark.parametrize("flag", ["--matches", "--models", "--out"])
     def test_selftest_takes_only_config_and_seed(self, flag, seeds, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -689,6 +726,35 @@ class TestSeed:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
         assert seeds == []
+
+
+class TestSelftestNames:
+    def test_every_check_is_named_after_its_function(self):
+        assert [selftest.check_name(check) for check in selftest.ALL_CHECKS] == [
+            "worked-example", "golden-scores", "propriety-grid", "dirichlet-conjugacy",
+            "davidson-recovery", "davidson-gradient", "bivariate-poisson", "poisson-recovery",
+            "chi-square-gof", "calibration-band", "leakage-guard", "cv-select-brute-force",
+            "determinism",
+        ]
+
+    @pytest.mark.parametrize(
+        "dependency, name",
+        [
+            ("_simplex_grid", "propriety-grid"),
+            ("posterior", "dirichlet-conjugacy"),
+            ("chi_square_gof", "chi-square-gof"),
+            ("calibration_curve", "calibration-band"),
+            ("cv_select", "cv-select-brute-force"),
+        ],
+    )
+    def test_crashed_check_fails_under_its_pass_name(self, dependency, name, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        check = getattr(selftest, "check_" + name.replace("-", "_"))
+        monkeypatch.setattr(selftest, "ALL_CHECKS", (check,))
+        monkeypatch.setattr(selftest, dependency, boom)
+        assert selftest.run_all() == [selftest.CheckResult(name, False, "RuntimeError: boom")]
 
 
 @pytest.mark.parametrize("flag", ["--models", "--out"])

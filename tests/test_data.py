@@ -245,6 +245,19 @@ class TestSeason:
         rebuilt = build_seasons(records)
         assert [s.year for s in rebuilt] == [2013, 2014]
 
+    def test_played_is_the_played_matches_in_matchday_order(self, small_season, rng):
+        # Input out of matchday order, with a scheduled match before and after a played one.
+        records = [m.scheduled_copy() if m.matchday in (2, 5) else m for m in small_season.matches]
+        records = [records[k] for k in rng.permutation(len(records))]
+        season = build_season(records)
+        played = season.played
+        assert played == tuple(m for m in season.matches if m.home_goals is not None)
+        assert [m.matchday for m in played] == sorted(m.matchday for m in played)
+        assert {m.matchday for m in played} == {1, 3, 4, 6}
+        assert len(played) == 8
+        assert all(m.played for m in played)
+        assert season.played is played
+
     def test_mixed_years_rejected_in_single_build(self, two_seasons):
         records = [m for s in two_seasons for m in s.matches]
         with pytest.raises(MatchDataError, match="multiple seasons"):

@@ -109,6 +109,55 @@ class TestContext:
         ]
         assert [ctx for _, ctx in calls] == expected
 
+    def test_history_equals_a_hand_built_filter(self, two_seasons, rng):
+        teams = [f"t{k}" for k in range(6)]
+        others = [f"u{k}" for k in range(6)]
+
+        def unplayed_last_matchday(season):
+            return build_season(
+                [m.scheduled_copy() if m.matchday == season.rounds else m for m in season.matches]
+            )
+
+        # Years out of order; two leagues share 2014; two seasons end in scheduled matches.
+        seasons = [
+            unplayed_last_matchday(simulate_played_season(teams, 2015, rng)),
+            two_seasons[1],
+            unplayed_last_matchday(simulate_played_season(others, 2014, rng)),
+            two_seasons[0],
+        ]
+
+        def by_hand(season, matchday):
+            years = sorted({s.year for s in seasons if s.year < season.year})
+            earlier = [
+                m
+                for year in years
+                for s in seasons
+                if s.year == year
+                for m in s.matches
+                if m.home_goals is not None
+            ]
+            current = [
+                m for m in season.matches if m.matchday < matchday and m.home_goals is not None
+            ]
+            return tuple(earlier + current)
+
+        for season in seasons:
+            for matchday in range(1, season.rounds + 1):
+                ctx = context_for(seasons, season, matchday)
+                assert ctx.history == by_hand(season, matchday)
+                assert ctx.fixtures == tuple(
+                    m.scheduled_copy() for m in season.matches if m.matchday == matchday
+                )
+        # A season's first matchday sees the earlier years alone, and a league
+        # never sees the other league of its year.
+        assert context_for(seasons, seasons[2], 1).history == two_seasons[0].matches
+        history_2015 = context_for(seasons, seasons[0], 1).history
+        assert len(history_2015) == 30 + 30 + 27
+        assert history_2015[30:60] == two_seasons[1].matches
+        assert all(
+            r.home.startswith("t") for r in context_for(seasons, two_seasons[1], 10).history
+        )
+
     def test_current_season_history_equals_the_filter(self, two_seasons):
         s2013, s2014 = two_seasons
         # Seasons out of order, the current season's records split around an earlier one's.

@@ -441,6 +441,30 @@ class TestChiSquareGof:
         for stat in (1.1201087101177483, 1.4951403046553415, 2.6486526471183494):
             assert chi_square_p_value(stat, 40) <= 1.0
 
+    @pytest.mark.parametrize("df", [2, 40, 80])
+    def test_infinite_statistic_has_p_zero(self, df):
+        assert float(chi2_dist.sf(math.inf, df)) == 0.0
+        assert chi_square_p_value(math.inf, df) == 0.0
+
+    @pytest.mark.parametrize("df", [2, 40, 80])
+    def test_nan_statistic_refused(self, df):
+        with pytest.raises(ValueError, match="NaN"):
+            chi_square_p_value(math.nan, df)
+
+    def test_win_at_zero_probability_is_the_worst_fit(self):
+        # 0 * log(inf) is NaN, which min(1.0, nan) once turned into p = 1.0.
+        worst = chi_square_gof(
+            [(MatchRecord(2000, 1, "a", "b", 1, 0), Prediction(1e-320, 0.5, 0.5 - 1e-320))]
+        )
+        assert worst.statistic == math.inf
+        assert worst.p_value == 0.0
+        fair = chi_square_gof(
+            [(MatchRecord(2001, 1, "a", "b", 1, 0), Prediction(0.5, 0.25, 0.25))]
+        )
+        assert fair.p_value > 0.0
+        for total in (worst + fair, fair + worst):
+            assert (total.statistic, total.df, total.p_value) == (math.inf, 8, 0.0)
+
     @pytest.mark.parametrize("df", [1, 3, 39])
     def test_odd_df_refused(self, df):
         with pytest.raises(ValueError, match="even"):
