@@ -21,7 +21,7 @@ from .evaluation import (
     evaluate,
     predict_or_reason,
 )
-from .predictors import KNOWN_MODELS, build_predictor, settings_keys
+from .predictors import KNOWN_MODELS, build_predictor, parse_setting, settings_keys
 from .reports import summary_table, write_reports
 
 CONFIG_ENV_VAR = "MATCHCAST_CONFIG"
@@ -78,7 +78,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if "models" in run:
         cfg.models = tuple(m.strip() for m in run["models"].split(",") if m.strip())
     if "seed" in run:
-        cfg.seed = int(run["seed"])
+        cfg.seed = parse_setting(run, "seed", int, "a non-negative integer", None)
         if cfg.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.models:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
 
@@ -283,23 +283,29 @@ def _parse_goals(text: str, line: int, field: str) -> int | None:
     return goals
 
 
-def parse_matches_with_lines(csv_text: str) -> list[tuple[int, MatchRecord]]:
-    """Like :func:`parse_matches`, but pairs each record with its CSV line number."""
+def read_rows(csv_text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` per non-blank row, each as wide as ``header``, which must come first.
+
+    The header is compared trimmed and lower-cased; a mismatch raises :class:`MatchDataError`.
+    """
     reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MatchDataError("empty input") from None
-    if tuple(h.strip().lower() for h in header) != MATCH_CSV_HEADER:
-        raise MatchDataError(
-            f"bad header {header!r}, expected {','.join(MATCH_CSV_HEADER)}", line=1
-        )
-    records: list[tuple[int, MatchRecord]] = []
+    first = next(reader, None)
+    if first is None:
+        raise MatchDataError("empty input")
+    if tuple(h.strip().lower() for h in first) != tuple(header):
+        raise MatchDataError(f"bad header {first!r}, expected {','.join(header)}", line=1)
     for line, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != 6:
-            raise MatchDataError(f"expected 6 fields, got {len(row)}", line)
+        if len(row) != len(header):
+            raise MatchDataError(f"expected {len(header)} fields, got {len(row)}", line)
+        yield line, row
+
+
+def parse_matches_with_lines(csv_text: str) -> list[tuple[int, MatchRecord]]:
+    """Like :func:`parse_matches`, but pairs each record with its CSV line number."""
+    records: list[tuple[int, MatchRecord]] = []
+    for line, row in read_rows(csv_text, MATCH_CSV_HEADER):
         season_s, matchday_s, home_s, away_s, hg_s, ag_s = row
         try:
             season = int(season_s.strip())

@@ -14,8 +14,6 @@ Model identifiers accepted on the command line and in config files:
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 from typing import Mapping
 
@@ -26,6 +24,7 @@ from .data import (
     TRIVIAL_PREDICTION,
     first_half_rounds,
     normalize_team,
+    read_rows,
     tally_records,
 )
 from .davidson import bt_fit, bt_outcome_probs
@@ -187,26 +186,14 @@ class PoissonPredictor(_RefitPredictor):
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")
 
 
-def parse_prediction_rows(
-    csv_text: str,
-) -> dict[tuple[int, int, str, str], Prediction]:
+def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Prediction]:
     """Parse the prediction interchange CSV into a fixture-keyed table.
 
     Probability triples off the simplex by at most 1e-3 (rounded published
     numbers) are renormalized; anything worse is rejected.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    header = next(reader, None)
-    if header is None or tuple(h.strip().lower() for h in header) != PREDICTIONS_CSV_HEADER:
-        raise ValueError(
-            f"bad predictions header {header!r}, expected {','.join(PREDICTIONS_CSV_HEADER)}"
-        )
     table: dict[tuple[int, int, str, str], Prediction] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 7:
-            raise ValueError(f"line {line}: expected 7 fields, got {len(row)}")
+    for line, row in read_rows(csv_text, PREDICTIONS_CSV_HEADER):
         try:
             season, matchday = int(row[0]), int(row[1])
             probs = [float(x) for x in row[4:7]]
@@ -244,25 +231,40 @@ class ExternalPredictor:
         return out
 
 
+def parse_setting(settings: Mapping[str, str], key: str, parse, expected: str, default):
+    """``parse(settings[key])``, or ``default`` if absent; a refused value names its key."""
+    text = settings.get(key)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {expected}, got {text!r}") from None
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _parse_bool(text: str) -> bool:
+    return bool(("false", "true").index(text.lower()))  # ValueError for any other word
+
+
 def _grid(settings: Mapping[str, str]) -> GridSpec:
     default = GridSpec.default()
-    w = settings.get("mn_dir2.w_grid")
-    alpha = settings.get("mn_dir2.alpha_grid")
-    return GridSpec(
-        w_points=default.w_points if w is None else _parse_floats(w),
-        alpha_points=default.alpha_points if alpha is None else _parse_floats(alpha),
+    numbers = "comma-separated numbers"
+    w = parse_setting(settings, "mn_dir2.w_grid", _parse_floats, numbers, default.w_points)
+    alpha = parse_setting(
+        settings, "mn_dir2.alpha_grid", _parse_floats, numbers, default.alpha_points
     )
+    return GridSpec(w_points=w, alpha_points=alpha)
 
 
 def _optim_settings(settings: Mapping[str, str], prefix: str) -> OptimSettings:
     default = OptimSettings()
     return OptimSettings(
-        tol=float(settings.get(f"{prefix}.tol", default.tol)),
-        max_iter=int(settings.get(f"{prefix}.max_iter", default.max_iter)),
+        tol=parse_setting(settings, f"{prefix}.tol", float, "a number", default.tol),
+        max_iter=parse_setting(settings, f"{prefix}.max_iter", int, "an integer", default.max_iter),
     )
 
 
@@ -279,7 +281,8 @@ def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
                      poisson.correlated (true)
 
     ``poisson-lee`` is pinned to an independent fit on the current season.
-    A bad value raises ``ValueError`` here, at build time.
+    A bad value raises ``ValueError`` here, at build time; one that does
+    not parse is named with its key.
     """
     if settings is None:
         settings = {}
@@ -293,16 +296,17 @@ def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
         return DavidsonPredictor(_optim_settings(settings, "bt"))
     if spec in ("poisson-lee", "poisson-biv"):
         solver = _optim_settings(settings, "poisson")
-        tail_tol = float(settings.get("poisson.tail_tol", DEFAULT_TAIL_TOL))
+        tail_tol = parse_setting(settings, "poisson.tail_tol", float, "a number", DEFAULT_TAIL_TOL)
         if spec == "poisson-lee":
-            return PoissonPredictor(
-                spec, correlated=False, window=SEASON_WINDOW, tail_tol=tail_tol, settings=solver
-            )
-        window = TrainingWindow.parse(settings.get("poisson.window", "all"))
-        correlated = settings.get("poisson.correlated", "true").lower()
-        if correlated not in ("true", "false"):
-            raise ValueError(f"poisson.correlated must be true or false, got {correlated!r}")
-        return PoissonPredictor(spec, correlated == "true", window, tail_tol, solver)
+            return PoissonPredictor(spec, False, SEASON_WINDOW, tail_tol, solver)
+        window = parse_setting(
+            settings, "poisson.window", TrainingWindow.parse,
+            "season, all or last_n_rounds:<n> with n >= 1", TrainingWindow("all"),
+        )
+        correlated = parse_setting(
+            settings, "poisson.correlated", _parse_bool, "true or false", True
+        )
+        return PoissonPredictor(spec, correlated, window, tail_tol, solver)
     if spec.startswith("external:"):
         return ExternalPredictor(spec.split(":", 1)[1])
     raise ValueError(f"unknown model {spec!r}; known: {', '.join(KNOWN_MODELS)} or external:<path>")

@@ -10,7 +10,6 @@ The uniform forecast (1/3, 1/3, 1/3) therefore scores 2/3, ln 3 and -1/sqrt(3).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -270,45 +269,34 @@ def chi_square_p_value(statistic: float, df: int) -> float:
     return min(1.0, total)
 
 
-def chi_square_gof(
-    predictions: Sequence[tuple[MatchRecord, Prediction]]
-) -> GofResult:
+def chi_square_gof(predictions: Sequence[tuple[MatchRecord, Prediction]]) -> GofResult:
     """Per-team win-count goodness of fit, split by venue.
 
     For each team, the expected number of wins at home (away) is the sum of
     its predicted win probabilities over those matches; the statistic sums
     (observed - expected)^2 / expected over both venues and all teams, and
     is referred to a chi-square distribution with 2 x (number of teams)
-    degrees of freedom.  Terms with zero expected count are dropped with a
-    warning; they still count toward the degrees of freedom.
+    degrees of freedom.  Terms with zero expected count are dropped and
+    counted in ``excluded_terms``; they still count toward the df.
     """
     expected: dict[tuple[str, str], float] = {}
     observed: dict[tuple[str, str], int] = {}
-    teams: set[str] = set()
     for match, p in predictions:
         outcome = outcome_of(match)
-        teams.update((match.home, match.away))
-        for team, venue, win_p, won in (
-            (match.home, "home", p.p_home, outcome is Outcome.HOME_WIN),
-            (match.away, "away", p.p_away, outcome is Outcome.AWAY_WIN),
+        for key, win_p, won in (
+            ((match.home, "home"), p.p_home, outcome is Outcome.HOME_WIN),
+            ((match.away, "away"), p.p_away, outcome is Outcome.AWAY_WIN),
         ):
-            key = (team, venue)
             expected[key] = expected.get(key, 0.0) + win_p
-            observed[key] = observed.get(key, 0) + (1 if won else 0)
+            observed[key] = observed.get(key, 0) + won
 
     statistic = 0.0
     excluded = 0
     for key in sorted(expected):
         e = expected[key]
-        o = observed[key]
         if e <= 0.0:
             excluded += 1
-            continue
-        statistic += (e - o) ** 2 / e
-    if excluded:
-        warnings.warn(
-            f"{excluded} zero-expected-count terms excluded from chi-square",
-            stacklevel=2,
-        )
-    df = 2 * len(teams)
+        else:
+            statistic += (e - observed[key]) ** 2 / e
+    df = 2 * len({team for team, _ in expected})
     return GofResult(statistic, df, chi_square_p_value(statistic, df), excluded)

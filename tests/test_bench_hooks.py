@@ -9,7 +9,10 @@ import importlib.util
 from pathlib import Path
 
 import matchcast.cli as cli
-from matchcast.data import second_half_matchdays
+import matchcast.evaluation as evaluation
+from matchcast.data import first_half_rounds, second_half_matchdays
+from matchcast.dirichlet import GridSpec
+from matchcast.predictors import KNOWN_MODELS
 
 _SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -35,5 +38,50 @@ def test_count_model_hooks_count_one_tally_per_matchday(two_seasons):
     assert tracer.counts["data.tally_calls"] == 2 * matchdays
     assert tracer.counts["dirichlet.cv_calls"] == 2
     assert patched
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_every_model_hook_counts_its_calls(two_seasons, monkeypatch):
+    # Counts taken in a worker process do not come back, so every refit runs inline.
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    patched = list(tracer._patched)
+    try:
+        reports = cli.evaluate([cli.build_predictor(spec) for spec in KNOWN_MODELS], two_seasons)
+    finally:
+        tracer.remove()
+    assert [r.model for r in reports] == list(KNOWN_MODELS)
+    matchdays = sum(len(second_half_matchdays(s)) for s in two_seasons)
+    fixtures = sum(
+        len(s.matches_of(md)) for s in two_seasons for md in second_half_matchdays(s)
+    )
+    assert (matchdays, fixtures) == (10, 30)
+    counts = tracer.counts
+    for model in KNOWN_MODELS:
+        assert counts[f"predict.{model}.calls"] == matchdays, model
+    # bt and poisson-lee train on the season so far; poisson-biv adds 2013 to 2014's fits.
+    season_so_far = sum(
+        len(s.played_before(md)) for s in two_seasons for md in second_half_matchdays(s)
+    )
+    earlier = len(two_seasons[0].matches) * len(second_half_matchdays(two_seasons[1]))
+    for model, trained in (
+        ("bt", season_so_far),
+        ("poisson-lee", season_so_far),
+        ("poisson-biv", season_so_far + earlier),
+    ):
+        assert counts[f"fit.{model}.fits"] == matchdays, model
+        assert counts[f"fit.{model}.train_matches"] == trained, model
+        assert counts[f"fit.{model}.obj_evals"] > 0, model
+    grid = GridSpec.default()
+    first_halves = sum(len(s.played_before(first_half_rounds(s.rounds) + 1)) for s in two_seasons)
+    assert counts["dirichlet.cv_calls"] == 2
+    assert counts["dirichlet.cv_brier_evals"] == (
+        len(grid.w_points) * len(grid.alpha_points) * first_halves
+    )
+    assert counts["poisson.grids"] == 2 * fixtures
+    assert counts["poisson.grid_cells"] > 0
+    assert counts["evaluation.scored"] == len(KNOWN_MODELS) * fixtures
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"

@@ -13,7 +13,7 @@ import matchcast
 import matchcast.predictors as predictors
 import matchcast.selftest as selftest
 from matchcast.cli import main, parse_config_file
-from matchcast.data import serialize_matches
+from matchcast.data import second_half_matchdays, serialize_matches
 from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
 from matchcast.selftest import simulate_played_season
@@ -381,6 +381,32 @@ class TestEvaluate:
         assert table[2].startswith(f"external:{ext} ")
         assert len(set(ends)) == 1
 
+    def test_zero_probability_forecasts_leave_stderr_empty(
+        self, two_seasons, matches_file, tmp_path, capsys
+    ):
+        # t0 is never given a home win and t1 never an away win.
+        rows = ["season,matchday,home,away,p1,p2,p3"]
+        for m in (m for s in two_seasons for m in s.matches):
+            weights = (0.0 if m.home == "t0" else 1.0, 1.0, 0.0 if m.away == "t1" else 1.0)
+            probs = ",".join(repr(w / sum(weights)) for w in weights)
+            rows.append(f"{m.season},{m.matchday},{m.home},{m.away},{probs}")
+        ext = tmp_path / "ext.csv"
+        ext.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r"
+        argv = ["evaluate", "--matches", str(matches_file), "--out", str(out)]
+        assert main(argv + ["--models", f"trivial,external:{ext}"]) == 0
+        assert capsys.readouterr().err == ""
+        by_hand = []
+        for season in two_seasons:
+            second_half = [m for md in second_half_matchdays(season) for m in season.matches_of(md)]
+            zero = {(m.home, "home") for m in second_half if m.home == "t0"}
+            zero |= {(m.away, "away") for m in second_half if m.away == "t1"}
+            by_hand.append(len(zero))
+        assert by_hand == [2, 2]
+        gof = json.loads((out / "report.json").read_text())[f"external:{ext}"]
+        assert [year["gof"]["excluded_terms"] for year in gof["per_year"]] == by_hand
+        assert gof["gof"]["excluded_terms"] == sum(by_hand)
+
     def test_unplayed_first_half_match_refused_as_predict_does(self, tmp_path, capsys, rng):
         season = simulate_played_season([f"t{k}" for k in range(6)], 2014, rng)
         records = list(season.matches)
@@ -512,6 +538,34 @@ class TestConfig:
         cfg.write_text(f"matches={matches_file}\nmodels={model}\nout={out}\n{setting}\n")
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert f"model {model} failed to build: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, key, value, expected",
+        [
+            ("bt", "bt.max_iter", "abc", "an integer"),
+            ("poisson-lee", "poisson.tol", "small", "a number"),
+            ("poisson-lee", "poisson.tail_tol", "tiny", "a number"),
+            ("mn-dir2", "mn_dir2.w_grid", "a,b", "comma-separated numbers"),
+            (
+                "poisson-biv",
+                "poisson.window",
+                "last_n_rounds:x",
+                "season, all or last_n_rounds:<n> with n >= 1",
+            ),
+            ("poisson-biv", "poisson.correlated", "Yes", "true or false"),
+        ],
+    )
+    def test_unparsable_setting_is_named_with_its_key(
+        self, model, key, value, expected, matches_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial,{model}\n{key}={value}\n")
+        out = tmp_path / "r"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        message = f"{key} must be {expected}, got '{value}'"
+        assert captured.err == f"model {model} failed to build: {message}\n"
+        assert set(json.loads((out / "report.json").read_text())) == {"trivial"}
 
     def test_largest_tail_tol_predicts(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -717,6 +771,15 @@ class TestSeed:
             captured = capsys.readouterr()
             assert captured.err == "error: seed must be a non-negative integer, got -1\n"
             assert captured.out == ""
+        assert seeds == []
+
+    def test_non_integer_seed_refused_with_its_value(self, tmp_path, seeds, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=x\n")
+        assert main(["selftest", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got 'x'\n"
+        assert captured.out == ""
         assert seeds == []
 
     @pytest.mark.parametrize("flag", ["--matches", "--models", "--out"])

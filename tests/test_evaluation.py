@@ -42,6 +42,26 @@ def oracle_csv(seasons):
     return "\n".join(rows) + "\n"
 
 
+def assert_zero_expected_terms_counted(report):
+    """Each season's gof counts its (team, venue) terms whose predicted wins sum to 0.
+
+    The count is taken by hand from the scored matches, and the model's
+    gof holds the seasons' sum.  Returns that sum.
+    """
+    expected = {}
+    for s in report.per_match:
+        m, p = s.match, s.prediction
+        for key, win_p in (((m.home, "home"), p.p_home), ((m.away, "away"), p.p_away)):
+            by_season = expected.setdefault(m.season, {})
+            by_season[key] = by_season.get(key, 0.0) + win_p
+    counts = [
+        sum(1 for e in expected[y.season].values() if e == 0.0) for y in report.per_year
+    ]
+    assert [y.gof.excluded_terms for y in report.per_year] == counts
+    assert report.gof.excluded_terms == sum(counts)
+    return sum(counts)
+
+
 @pytest.fixture
 def oracle_predictor(tmp_path, two_seasons):
     path = tmp_path / "oracle.csv"
@@ -208,8 +228,9 @@ class TestTrivialBaseline:
 
 class TestOraclePredictor:
     def test_scores_at_rule_minima(self, two_seasons, oracle_predictor):
-        with pytest.warns(UserWarning, match="zero-expected-count"):
-            report = evaluate([oracle_predictor], two_seasons)[0]
+        report = evaluate([oracle_predictor], two_seasons)[0]
+        # A team that never wins in a venue is expected to win 0 times there.
+        assert assert_zero_expected_terms_counted(report) > 0
         agg = report.aggregates
         assert agg.brier.mean == 0.0
         assert agg.log.mean == 0.0
@@ -218,8 +239,9 @@ class TestOraclePredictor:
         assert report.missing_predictions == 0
 
     def test_dominating_predictor_orders_totals(self, two_seasons, oracle_predictor):
-        with pytest.warns(UserWarning, match="zero-expected-count"):
-            reports = evaluate([oracle_predictor, TrivialPredictor()], two_seasons)
+        reports = evaluate([oracle_predictor, TrivialPredictor()], two_seasons)
+        assert assert_zero_expected_terms_counted(reports[0]) > 0
+        assert assert_zero_expected_terms_counted(reports[1]) == 0
         assert reports[0].aggregates.brier.total < reports[1].aggregates.brier.total
         assert reports[0].aggregates.log.total < reports[1].aggregates.log.total
 
@@ -258,8 +280,8 @@ class TestHarnessRobustness:
         )
         path = tmp_path / "partial.csv"
         path.write_text("\n".join(lines[:target] + lines[target + 1 :]) + "\n")
-        with pytest.warns(UserWarning, match="zero-expected-count"):
-            report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        assert assert_zero_expected_terms_counted(report) > 0
         assert report.missing_predictions == 1
         assert report.aggregates.n_scored == 29
 
@@ -297,8 +319,8 @@ class TestHarnessRobustness:
                     rows.append(f"{m.season},{m.matchday},{m.home},{m.away},{vertex}")
         path = tmp_path / "wrong.csv"
         path.write_text("\n".join(rows) + "\n")
-        with pytest.warns(UserWarning, match="zero-expected-count"):
-            report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        report = evaluate([build_predictor(f"external:{path}")], two_seasons)[0]
+        assert assert_zero_expected_terms_counted(report) > 0
         assert report.aggregates.log.infinite == 1
         assert report.aggregates.log.n == 29
         assert math.isfinite(report.aggregates.log.mean)
@@ -410,9 +432,9 @@ class TestRefitPool:
         for cpus in (2, 1):
             self.on_cpus(monkeypatch, cpus)
             predictors = [build_predictor(spec) for spec in specs]
+            reports = evaluate(predictors, two_seasons)
             # The external oracle's certain forecasts leave expected counts at zero.
-            with pytest.warns(UserWarning, match="zero-expected-count"):
-                reports = evaluate(predictors, two_seasons)
+            assert assert_zero_expected_terms_counted(reports[-1]) > 0
             assert multiprocessing.active_children() == []
             assert [r.model for r in reports] == list(specs)
             # A pooled refit is fitted in the worker, not in the parent's predictor.

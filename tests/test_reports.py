@@ -17,9 +17,6 @@ from matchcast.reports import (
 )
 from matchcast.selftest import simulate_played_season
 
-# The awkward predictor leaves some expected win counts at zero.
-pytestmark = pytest.mark.filterwarnings("ignore:.*zero-expected-count terms:UserWarning")
-
 TRICKY_TEAMS = ('say "hi" fc', "back\\slash", "comma, united", "ñandú", "東京", "[{brace}]")
 
 

@@ -411,14 +411,15 @@ class TestChiSquareGof:
         result = chi_square_gof([(m, p) for m in _round_of_20_teams()])
         assert result.df == 40
 
-    def test_zero_expected_term_excluded_with_warning(self):
+    def test_zero_expected_term_excluded_and_counted(self):
         matches = [
             (MatchRecord(2014, 1, "a", "b", 0, 0), Prediction(0.0, 0.5, 0.5)),
             (MatchRecord(2014, 2, "b", "a", 1, 0), Prediction(0.5, 0.25, 0.25)),
         ]
-        with pytest.warns(UserWarning, match="excluded"):
-            result = chi_square_gof(matches)
+        result = chi_square_gof(matches)
+        # ("a", "home") expects 0 wins; the other three terms are summed.
         assert result.excluded_terms == 1
+        assert result.statistic == 0.5 + 0.5 + 0.25
         assert result.df == 4
 
     def test_p_value_matches_reference_distribution(self):
