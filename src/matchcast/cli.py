@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import MatchDataError, build_seasons, format_csv, parse_matches_with_lines
@@ -21,7 +21,7 @@ from .evaluation import (
     evaluate,
     predict_or_reason,
 )
-from .predictors import KNOWN_MODELS, build_predictor, parse_setting, settings_keys
+from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
 
 CONFIG_ENV_VAR = "MATCHCAST_CONFIG"
@@ -34,11 +34,10 @@ class RunConfig:
     models: tuple[str, ...] = KNOWN_MODELS
     output_dir: str | None = None  # evaluate: matchcast-report; predict: stdout
     seed: int | None = None  # selftest's own default when unset
-    raw: dict[str, str] = field(default_factory=dict)
 
     def build(self, spec: str):
-        """Build one model from the config's settings (see ``build_predictor``)."""
-        return build_predictor(spec, self.raw)
+        """Build one model (see ``build_predictor``)."""
+        return build_predictor(spec)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -63,22 +62,24 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """The config file's run keys, overridden by every flag given (not None, not "")."""
-    raw: dict[str, str] = {}
+    run: dict[str, str] = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        raw = parse_config_file(config_path)
-        unknown = sorted(set(raw) - RUN_KEYS - settings_keys())
+        run = parse_config_file(config_path)
+        unknown = sorted(set(run) - RUN_KEYS)
         if unknown:
             raise ValueError(f"{config_path}: unknown config key {', '.join(unknown)}")
-    run = {key: raw[key] for key in RUN_KEYS if key in raw}
     for key in RUN_KEYS:
         if getattr(args, key, None) not in (None, ""):
             run[key] = getattr(args, key)
-    cfg = RunConfig(matches_path=run.get("matches"), output_dir=run.get("out"), raw=raw)
+    cfg = RunConfig(matches_path=run.get("matches"), output_dir=run.get("out"))
     if "models" in run:
         cfg.models = tuple(m.strip() for m in run["models"].split(",") if m.strip())
     if "seed" in run:
-        cfg.seed = parse_setting(run, "seed", int, "a non-negative integer", None)
+        try:
+            cfg.seed = int(run["seed"])
+        except ValueError:
+            raise ValueError(f"seed must be a non-negative integer, got {run['seed']!r}") from None
         if cfg.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.models:

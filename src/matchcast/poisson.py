@@ -24,8 +24,7 @@ if TYPE_CHECKING:
 
 STRENGTH_SUM_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
-# The most mass a grid may miss for ``outcome_probs`` to sum it; a
-# predictor's tail_tol is held to it when the predictor is built.
+# The most mass a grid may miss for ``outcome_probs`` to sum it.
 MAX_OUTCOME_DEFICIT = 1e-6
 # Far past any football score; a boundary fit can put an unseen pairing's
 # rate near 1e8, whose grid would exhaust memory.
@@ -130,21 +129,17 @@ def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
     return mass
 
 
-def check_tail_tol(tail_tol: float, ceiling: float = 1e-3) -> None:
-    """Refuse a score-grid tolerance outside (0, ceiling]; a NaN fails too."""
-    if not 0.0 < tail_tol <= ceiling:
-        raise ValueError(f"tail_tol must lie in (0, {ceiling:g}], got {tail_tol}")
-
-
 def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> ScoreGrid:
     """Smallest grid whose certified missing mass is at most ``tail_tol``.
 
     The grid size is chosen from the Poisson marginal tails (a certified
     upper bound on the mass outside the grid); the recorded deficit is the
     exact missing mass 1 - sum(grid).  Rates that would need more than
-    ``MAX_GRID_GOALS`` goals per side raise ``ValueError``.
+    ``MAX_GRID_GOALS`` goals per side raise ``ValueError``, as does a
+    ``tail_tol`` outside (0, 1e-3] (NaN included).
     """
-    check_tail_tol(tail_tol)
+    if not 0.0 < tail_tol <= 1e-3:
+        raise ValueError(f"tail_tol must lie in (0, 0.001], got {tail_tol}")
     m1 = params.lambda1 + params.lambda3
     m2 = params.lambda2 + params.lambda3
     # Search blocks of goal counts, doubling the block until some count k
@@ -367,24 +362,14 @@ class TrainingWindow:
     """Which played matches a rolling refit may use.
 
     ``season``: current season only; ``all``: everything available,
-    including earlier seasons; ``last_n_rounds``: the n most recent
-    matchdays of the current season.
+    including earlier seasons.
     """
 
-    kind: Literal["season", "all", "last_n_rounds"]
-    n_rounds: int | None = None
+    kind: Literal["season", "all"]
 
     def __post_init__(self) -> None:
-        if self.kind == "last_n_rounds" and (self.n_rounds is None or self.n_rounds < 1):
-            raise ValueError("last_n_rounds window needs n_rounds >= 1")
-
-    @classmethod
-    def parse(cls, text: str) -> "TrainingWindow":
-        if text in ("season", "all"):
-            return cls(kind=text)
-        if text.startswith("last_n_rounds:"):
-            return cls(kind="last_n_rounds", n_rounds=int(text.split(":", 1)[1]))
-        raise ValueError(f"bad window spec {text!r}")
+        if self.kind not in ("season", "all"):
+            raise ValueError(f"window must be season or all, got {self.kind!r}")
 
     def training(self, ctx: PredictionContext) -> list[MatchRecord]:
         """The played matches a refit for ``ctx``'s matchday may use.
@@ -396,8 +381,4 @@ class TrainingWindow:
             raise ValueError(f"matchday {ctx.matchday} is not in the second half")
         if self.kind == "all":
             return list(ctx.history)
-        current = list(ctx.current_season_history())
-        if self.kind == "season":
-            return current
-        assert self.n_rounds is not None
-        return [m for m in current if m.matchday >= ctx.matchday - self.n_rounds]
+        return list(ctx.current_season_history())

@@ -8,7 +8,7 @@ Model identifiers accepted on the command line and in config files:
                     on each season's first half
     bt              Davidson paired-comparison model, refit every matchday
     poisson-lee     independent bivariate Poisson, current season window
-    poisson-biv     correlated bivariate Poisson, configurable window
+    poisson-biv     correlated bivariate Poisson, every earlier match as window
     external:<path> third-party predictions from an interchange CSV
 """
 
@@ -30,18 +30,8 @@ from .data import (
 from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import GridSpec, MnDir2Config, cv_select, mn_dir1_predict, mn_dir2_predict
 from .evaluation import PredictionContext
-from .optimize import OptimSettings
-from .poisson import (
-    DEFAULT_TAIL_TOL,
-    MAX_OUTCOME_DEFICIT,
-    TrainingWindow,
-    check_tail_tol,
-    link_rates,
-    outcome_probs,
-    poisson_fit,
-)
+from .poisson import TrainingWindow, link_rates, outcome_probs, poisson_fit
 
-KNOWN_MODELS = ("trivial", "mn-dir1", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
 SEASON_WINDOW = TrainingWindow("season")
 
 
@@ -151,36 +141,23 @@ class DavidsonPredictor(_RefitPredictor):
 
     _forecast = staticmethod(bt_outcome_probs)
 
-    def __init__(self, settings: OptimSettings | None = None):
-        self.settings = settings
-
     def _fit(self, matches: list[MatchRecord]):
-        return bt_fit(matches, self.settings)
+        return bt_fit(matches)
 
 
 class PoissonPredictor(_RefitPredictor):
     """Goals model refit on a training window, scores summed into outcomes."""
 
-    def __init__(
-        self,
-        name: str,
-        correlated: bool,
-        window: TrainingWindow,
-        tail_tol: float = DEFAULT_TAIL_TOL,
-        settings: OptimSettings | None = None,
-    ):
-        check_tail_tol(tail_tol, MAX_OUTCOME_DEFICIT)
+    def __init__(self, name: str, correlated: bool, window: TrainingWindow):
         self.name = name
         self.correlated = correlated
         self.window = window
-        self.tail_tol = tail_tol
-        self.settings = settings
 
     def _fit(self, matches: list[MatchRecord]):
-        return poisson_fit(matches, correlated=self.correlated, settings=self.settings)
+        return poisson_fit(matches, correlated=self.correlated)
 
     def _forecast(self, params, home: str, away: str) -> Prediction:
-        return outcome_probs(link_rates(params, home, away), self.tail_tol)
+        return outcome_probs(link_rates(params, home, away))
 
 
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")
@@ -231,107 +208,27 @@ class ExternalPredictor:
         return out
 
 
-def parse_setting(settings: Mapping[str, str], key: str, parse, expected: str, default):
-    """``parse(settings[key])``, or ``default`` if absent; a refused value names its key."""
-    text = settings.get(key)
-    if text is None:
-        return default
-    try:
-        return parse(text)
-    except ValueError:
-        raise ValueError(f"{key} must be {expected}, got {text!r}") from None
+_BUILDERS = {
+    "trivial": TrivialPredictor,
+    "mn-dir1": MnDir1Predictor,
+    "mn-dir2": MnDir2Predictor,
+    "bt": DavidsonPredictor,
+    "poisson-lee": lambda: PoissonPredictor("poisson-lee", False, SEASON_WINDOW),
+    "poisson-biv": lambda: PoissonPredictor("poisson-biv", True, TrainingWindow("all")),
+}
+KNOWN_MODELS = tuple(_BUILDERS)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def build_predictor(spec: str):
+    """The predictor a model identifier names, at the package defaults.
 
-
-def _parse_bool(text: str) -> bool:
-    return bool(("false", "true").index(text.lower()))  # ValueError for any other word
-
-
-def _grid(settings: Mapping[str, str]) -> GridSpec:
-    default = GridSpec.default()
-    numbers = "comma-separated numbers"
-    w = parse_setting(settings, "mn_dir2.w_grid", _parse_floats, numbers, default.w_points)
-    alpha = parse_setting(
-        settings, "mn_dir2.alpha_grid", _parse_floats, numbers, default.alpha_points
-    )
-    return GridSpec(w_points=w, alpha_points=alpha)
-
-
-def _optim_settings(settings: Mapping[str, str], prefix: str) -> OptimSettings:
-    default = OptimSettings()
-    return OptimSettings(
-        tol=parse_setting(settings, f"{prefix}.tol", float, "a number", default.tol),
-        max_iter=parse_setting(settings, f"{prefix}.max_iter", int, "an integer", default.max_iter),
-    )
-
-
-def build_predictor(spec: str, settings: Mapping[str, str] | None = None):
-    """Instantiate a predictor from its identifier and ``key=value`` settings.
-
-    Each model reads only its own keys; an absent key takes its default.
-
-        mn-dir2      mn_dir2.w_grid, mn_dir2.alpha_grid (GridSpec.default())
-        bt           bt.tol, bt.max_iter (OptimSettings())
-        poisson-lee  poisson.tol, poisson.max_iter (OptimSettings()),
-                     poisson.tail_tol (DEFAULT_TAIL_TOL; at most MAX_OUTCOME_DEFICIT)
-        poisson-biv  the poisson-lee keys, poisson.window (all),
-                     poisson.correlated (true)
-
-    ``poisson-lee`` is pinned to an independent fit on the current season.
-    A bad value raises ``ValueError`` here, at build time; one that does
-    not parse is named with its key.
+    ``external:<path>`` reads its interchange CSV here, so a missing or
+    malformed file raises at build time.
     """
-    if settings is None:
-        settings = {}
-    if spec == "trivial":
-        return TrivialPredictor()
-    if spec == "mn-dir1":
-        return MnDir1Predictor()
-    if spec == "mn-dir2":
-        return MnDir2Predictor(_grid(settings))
-    if spec == "bt":
-        return DavidsonPredictor(_optim_settings(settings, "bt"))
-    if spec in ("poisson-lee", "poisson-biv"):
-        solver = _optim_settings(settings, "poisson")
-        tail_tol = parse_setting(settings, "poisson.tail_tol", float, "a number", DEFAULT_TAIL_TOL)
-        if spec == "poisson-lee":
-            return PoissonPredictor(spec, False, SEASON_WINDOW, tail_tol, solver)
-        window = parse_setting(
-            settings, "poisson.window", TrainingWindow.parse,
-            "season, all or last_n_rounds:<n> with n >= 1", TrainingWindow("all"),
-        )
-        correlated = parse_setting(
-            settings, "poisson.correlated", _parse_bool, "true or false", True
-        )
-        return PoissonPredictor(spec, correlated, window, tail_tol, solver)
     if spec.startswith("external:"):
         return ExternalPredictor(spec.split(":", 1)[1])
-    raise ValueError(f"unknown model {spec!r}; known: {', '.join(KNOWN_MODELS)} or external:<path>")
-
-
-class _KeyRecorder(Mapping[str, str]):
-    """Empty settings that remember every key looked up in them."""
-
-    def __init__(self) -> None:
-        self.read: set[str] = set()
-
-    def __getitem__(self, key: str) -> str:
-        self.read.add(key)
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-def settings_keys() -> frozenset[str]:
-    """Every key ``build_predictor`` reads for some model in ``KNOWN_MODELS``."""
-    recorder = _KeyRecorder()
-    for spec in KNOWN_MODELS:
-        build_predictor(spec, recorder)
-    return frozenset(recorder.read)
+    builder = _BUILDERS.get(spec)
+    if builder is None:
+        known = ", ".join(KNOWN_MODELS)
+        raise ValueError(f"unknown model {spec!r}; known: {known} or external:<path>")
+    return builder()

@@ -192,8 +192,10 @@ def _smoothed(
     for g, w_row, den_g in zip(grid, w, den):
         if den_g < 1e-8:  # no effective sample mass near this grid point
             continue
-        est = float(w_row @ events / den_g)
-        var = float(w_row @ (w_row * est * (1.0 - est))) / (den_g * den_g)
+        # numpy sums, not BLAS dot products: a threaded dot's summation
+        # order, so its last digits, follow the BLAS thread count.
+        est = float((w_row * events).sum() / den_g)
+        var = float((w_row * (w_row * est * (1.0 - est))).sum()) / (den_g * den_g)
         points.append(SmoothedPoint(prob=float(g), estimate=est, se=math.sqrt(max(var, 0.0))))
     return tuple(points), bw
 

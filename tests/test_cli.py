@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import matchcast
-import matchcast.predictors as predictors
 import matchcast.selftest as selftest
 from matchcast.cli import main, parse_config_file
 from matchcast.data import second_half_matchdays, serialize_matches
@@ -488,186 +487,79 @@ class TestConfig:
         payload = json.loads((tmp_path / "y" / "report.json").read_text())
         assert set(payload) == {"trivial"}
 
-    def test_engine_settings_parsed(self, tmp_path):
-        from matchcast.cli import RunConfig
-
-        cfg = RunConfig(
-            raw={
-                "bt.tol": "1e-6",
-                "bt.max_iter": "100",
-                "poisson.window": "last_n_rounds:4",
-                "poisson.correlated": "false",
-                "mn_dir2.w_grid": "0.2,0.8",
-                "mn_dir2.alpha_grid": "1.0,2.0",
-            }
-        )
-        bt, biv, grid = cfg.build("bt"), cfg.build("poisson-biv"), cfg.build("mn-dir2").grid
-        assert bt.settings.tol == 1e-6
-        assert bt.settings.max_iter == 100
-        assert biv.window.n_rounds == 4
-        assert biv.correlated is False
-        assert grid.w_points == (0.2, 0.8)
-        assert grid.alpha_points == (1.0, 2.0)
-
-    def test_invalid_solver_setting_fails_the_build(self, matches_file, tmp_path, capsys):
+    def test_lone_model_failing_to_build_exits_2(self, matches_file, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=bt\nout={tmp_path / 'r'}\nbt.tol=0\n")
+        cfg.write_text(f"matches={matches_file}\nmodels=external:{missing}\nout={tmp_path / 'r'}\n")
         assert main(["evaluate", "--config", str(cfg)]) == 2
-        assert "model bt failed to build: invalid optimizer settings" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"model external:{missing} failed to build: " in err
+        assert err.endswith("error: no usable models\n")
 
-    @pytest.mark.parametrize(
-        "model, setting, message",
-        [
-            ("bt", "bt.tol=nan", "invalid optimizer settings"),
-            ("bt", "bt.tol=inf", "invalid optimizer settings"),
-            ("poisson-lee", "poisson.tail_tol=0.5", "tail_tol must lie in (0, 1e-06]"),
-            ("poisson-biv", "poisson.tail_tol=nan", "tail_tol must lie in (0, 1e-06]"),
-            # A grid may miss this much mass, but outcome_probs would refuse it.
-            ("poisson-lee", "poisson.tail_tol=1e-4", "tail_tol must lie in (0, 1e-06]"),
-            ("poisson-biv", "poisson.tail_tol=1e-4", "tail_tol must lie in (0, 1e-06]"),
-            ("mn-dir2", "mn_dir2.alpha_grid=nan,1.0", "alpha_points must be strictly"),
-            ("mn-dir2", "mn_dir2.w_grid=", "w_points must be non-empty"),
-            ("mn-dir2", "mn_dir2.alpha_grid=", "alpha_points must be non-empty"),
-        ],
-    )
-    def test_out_of_range_setting_fails_the_build(
-        self, model, setting, message, matches_file, tmp_path, capsys
-    ):
-        cfg = tmp_path / "run.cfg"
-        out = tmp_path / "r"
-        cfg.write_text(f"matches={matches_file}\nmodels={model}\nout={out}\n{setting}\n")
-        assert main(["evaluate", "--config", str(cfg)]) == 2
-        assert f"model {model} failed to build: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "model, key, value, expected",
-        [
-            ("bt", "bt.max_iter", "abc", "an integer"),
-            ("poisson-lee", "poisson.tol", "small", "a number"),
-            ("poisson-lee", "poisson.tail_tol", "tiny", "a number"),
-            ("mn-dir2", "mn_dir2.w_grid", "a,b", "comma-separated numbers"),
-            (
-                "poisson-biv",
-                "poisson.window",
-                "last_n_rounds:x",
-                "season, all or last_n_rounds:<n> with n >= 1",
-            ),
-            ("poisson-biv", "poisson.correlated", "Yes", "true or false"),
-        ],
-    )
-    def test_unparsable_setting_is_named_with_its_key(
-        self, model, key, value, expected, matches_file, tmp_path, capsys
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial,{model}\n{key}={value}\n")
-        out = tmp_path / "r"
-        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        message = f"{key} must be {expected}, got '{value}'"
-        assert captured.err == f"model {model} failed to build: {message}\n"
-        assert set(json.loads((out / "report.json").read_text())) == {"trivial"}
-
-    def test_largest_tail_tol_predicts(self, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f"matches={matches_file}\nmodels=poisson-lee,poisson-biv\npoisson.tail_tol=1e-6\n"
-        )
-        assert main(["predict", "--config", str(cfg), "--season", "2014", "--matchday", "8"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        models = [row[0] for row in csv.reader(captured.out.splitlines()[1:])]
-        assert models == ["poisson-lee"] * 3 + ["poisson-biv"] * 3
-
-    @pytest.mark.parametrize(
-        "models, setting",
-        [("poisson-lee,poisson-biv", "poisson.tail_tol=1e-4"), ("mn-dir2", "mn_dir2.w_grid=")],
-    )
+    @pytest.mark.parametrize("rows", [None, ""], ids=["missing-file", "no-rows"])
     def test_predict_without_a_usable_model_fails_as_evaluate_does(
-        self, models, setting, matches_file, tmp_path, capsys
+        self, rows, matches_file, tmp_path, capsys
     ):
+        forecasts = tmp_path / "forecasts.csv"
+        if rows is not None:
+            forecasts.write_text("season,matchday,home,away,p1,p2,p3\n" + rows)
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "r"
-        cfg.write_text(f"matches={matches_file}\nmodels={models}\nout={out}\n{setting}\n")
+        cfg.write_text(f"matches={matches_file}\nmodels=external:{forecasts}\nout={out}\n")
         assert main(["predict", "--config", str(cfg), "--season", "2014", "--matchday", "8"]) == 2
         captured = capsys.readouterr()
         assert captured.err.endswith("error: no usable models\n")
         assert captured.out == ""
         assert not out.exists()
 
-    def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("mn_dir2.alpha_grid=nan,1.0\n")
+    def test_build_failure_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
+        missing = f"external:{tmp_path / 'missing.csv'}"
         out = tmp_path / "r"
         argv = [
-            "evaluate", "--config", str(cfg), "--matches", str(matches_file),
-            "--models", "trivial,mn-dir2,poisson-lee,bt", "--out", str(out),
+            "evaluate", "--matches", str(matches_file),
+            "--models", f"trivial,{missing},poisson-lee,bt", "--out", str(out),
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "model mn-dir2 failed to build" in captured.err
-        assert "failed models (excluded from report): mn-dir2" in captured.out
+        assert captured.err.startswith(f"model {missing} failed to build: ")
+        assert captured.err.count("\n") == 1
+        assert f"failed models (excluded from report): {missing}" in captured.out
         reported = set(json.loads((out / "report.json").read_text()))
         assert reported == {"trivial", "poisson-lee", "bt"}
 
-    def test_bad_setting_fails_only_its_own_model(self, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nbt.tol=0\n")
+    def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("season,matchday,home,away,p1,p2,p3\n2014,8,A,B,nan,0.5,0.5\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"models=trivial,external:{forecasts},poisson-lee,bt\n")
         out = tmp_path / "r"
-        argv = ["evaluate", "--config", str(cfg), "--models", "trivial,bt", "--out", str(out)]
+        argv = [
+            "evaluate", "--config", str(cfg), "--matches", str(matches_file), "--out", str(out),
+        ]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "model bt failed to build: invalid optimizer settings" in captured.err
-        assert "trivial" not in captured.err
-        assert "failed models (excluded from report): bt" in captured.out
-        assert set(json.loads((out / "report.json").read_text())) == {"trivial"}
+        assert f"model external:{forecasts} failed to build: line 2: " in captured.err
+        assert f"failed models (excluded from report): external:{forecasts}" in captured.out
+        reported = set(json.loads((out / "report.json").read_text()))
+        assert reported == {"trivial", "poisson-lee", "bt"}
 
     def test_predict_words_a_build_failure_as_evaluate_does(self, matches_file, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial,bt\nbt.tol=0\n")
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial,external:{missing}\n")
         errors = []
         predict = ["predict", "--season", "2014", "--matchday", "8"]
         for argv in (["evaluate", "--out", str(tmp_path / "r")], predict):
             assert main(argv + ["--config", str(cfg)]) == 0
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert errors[0].startswith("model bt failed to build: invalid optimizer settings")
+        assert errors[0].startswith(f"model external:{missing} failed to build: ")
         assert errors[0].count("\n") == 1
 
-    def test_other_models_ignore_poisson_keys(self, matches_file, tmp_path, capsys):
-        runs = {}
-        for name, extra in (("plain", ""), ("bogus", "poisson.window=bogus\n")):
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(f"matches={matches_file}\nmodels=trivial,mn-dir1\n{extra}")
-            out = tmp_path / name
-            assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            runs[name] = (out / "report.json").read_bytes(), (out / "scores.csv").read_bytes()
-        assert runs["bogus"] == runs["plain"]
-
-    def test_each_model_parses_only_its_own_keys(self):
-        from matchcast.cli import RunConfig
-
-        owners = {
-            "mn_dir2.w_grid": {"mn-dir2"},
-            "bt.tol": {"bt"},
-            "poisson.tail_tol": {"poisson-lee", "poisson-biv"},
-            "poisson.window": {"poisson-biv"},
-            "poisson.correlated": {"poisson-biv"},
-        }
-        for spec in KNOWN_MODELS:
-            for key, owned_by in owners.items():
-                cfg = RunConfig(raw={key: "x"})
-                if spec in owned_by:
-                    with pytest.raises(ValueError):
-                        cfg.build(spec)
-                else:
-                    assert cfg.build(spec).name == spec
-
-    @pytest.mark.parametrize("key", ["bt.tols", "poisson.windw", "window"])
-    def test_misspelled_key_refused(self, key, matches_file, tmp_path, capsys):
+    @staticmethod
+    def assert_refused_by_every_command(key, line, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=bt\n{key}=0\n")
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial\n{line}\n")
         out = tmp_path / "r"
         for command in (
             ["validate"],
@@ -676,23 +568,32 @@ class TestConfig:
             ["selftest"],
         ):
             assert main([*command, "--config", str(cfg)]) == 2
-            assert f"unknown config key {key}\n" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key}\n"
         assert not out.exists()
 
-    def test_accepted_keys_follow_build_predictor(self, matches_file, tmp_path, monkeypatch):
-        real = predictors.build_predictor
+    @pytest.mark.parametrize("key", ["bt.tols", "poisson.windw", "window"])
+    def test_misspelled_key_refused(self, key, matches_file, tmp_path, capsys):
+        self.assert_refused_by_every_command(key, f"{key}=0", matches_file, tmp_path, capsys)
 
-        def reading_one_more(spec, settings=None):
-            if spec == "bt" and settings is not None:
-                settings.get("bt.extra")
-            return real(spec, settings)
-
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial\nbt.extra=1\n")
-        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r")]
-        assert main(argv) == 2
-        monkeypatch.setattr(predictors, "build_predictor", reading_one_more)
-        assert main(argv) == 0
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "bt.tol=1e-6",
+            "bt.max_iter=500",
+            "poisson.tol=1e-8",
+            "poisson.max_iter=500",
+            "poisson.tail_tol=1e-10",
+            "poisson.window=all",
+            "poisson.correlated=true",
+            "mn_dir2.w_grid=0.0,0.5,1.0",
+            "mn_dir2.alpha_grid=1.0,2.0",
+        ],
+    )
+    def test_former_model_key_refused(self, line, matches_file, tmp_path, capsys, monkeypatch):
+        # Each model is its name: no key configures one.
+        monkeypatch.setattr(selftest, "run_all", lambda seed: [])
+        key = line.split("=")[0]
+        self.assert_refused_by_every_command(key, line, matches_file, tmp_path, capsys)
 
     def test_repeated_model_refused(self, matches_file, tmp_path, capsys):
         out = tmp_path / "r"
@@ -703,14 +604,14 @@ class TestConfig:
 
     def test_repeated_key_refused_with_both_lines(self, matches_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"bt.tol=1e-6\nmatches={matches_file}\n\n# again\n bt.tol = 0\n")
-        with pytest.raises(ValueError, match=r"run.cfg:5: key bt.tol given twice \(first on line 1\)"):
+        cfg.write_text(f"models=trivial\nmatches={matches_file}\n\n# again\n models = bt\n")
+        with pytest.raises(ValueError, match=r"run.cfg:5: key models given twice \(first on line 1\)"):
             parse_config_file(cfg)
         out = tmp_path / "r"
         argv = ["evaluate", "--config", str(cfg), "--models", "trivial", "--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {cfg}:5: key bt.tol given twice (first on line 1)\n"
+        assert captured.err == f"error: {cfg}:5: key models given twice (first on line 1)\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -725,15 +626,8 @@ class TestConfig:
 
     def test_empty_value_is_kept(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mn_dir2.w_grid=\nout = a=b\n")
-        assert parse_config_file(cfg) == {"mn_dir2.w_grid": "", "out": "a=b"}
-
-    def test_poisson_correlated_key_reaches_model(self):
-        from matchcast.cli import RunConfig
-
-        cfg = RunConfig(raw={"poisson.correlated": "false"})
-        predictor = cfg.build("poisson-biv")
-        assert predictor.correlated is False
+        cfg.write_text("models=\nout = a=b\n")
+        assert parse_config_file(cfg) == {"models": "", "out": "a=b"}
 
 
 class TestSeed:

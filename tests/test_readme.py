@@ -4,8 +4,8 @@ import re
 from pathlib import Path
 
 import matchcast
-from matchcast.cli import RUN_KEYS, RunConfig, parse_config_file
-from matchcast.predictors import KNOWN_MODELS, build_predictor, settings_keys
+from matchcast.cli import RUN_KEYS, build_parser, load_config
+from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -34,25 +34,21 @@ def _config_block():
     return re.search(r"```\n(.*?)```", section, re.S).group(1)
 
 
-def test_config_block_lists_the_keys_the_models_read():
-    listed = {
+def test_config_block_lists_the_run_keys():
+    listed = [
         line.split("=", 1)[0]
         for line in _config_block().splitlines()
         if line and not line.startswith("#")
-    }
-    assert settings_keys() | RUN_KEYS == listed
+    ]
+    assert sorted(listed) == sorted(RUN_KEYS)
 
 
 def test_config_block_builds_every_model_with_the_defaults(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(_config_block(), encoding="utf-8")
-    cfg = RunConfig(raw=parse_config_file(path))
-    built = [cfg.build(spec) for spec in KNOWN_MODELS]
-    assert [p.name for p in built] == list(KNOWN_MODELS)
-    # The values shown are the defaults, except for the mn-dir2 grids.
-    for predictor in built:
-        if predictor.name != "mn-dir2":
-            assert vars(predictor) == vars(build_predictor(predictor.name))
+    cfg = load_config(build_parser().parse_args(["evaluate", "--config", str(path)]))
+    assert cfg.models == KNOWN_MODELS
+    assert [cfg.build(spec).name for spec in cfg.models] == list(KNOWN_MODELS)
 
 
 def test_scores_csv_columns_are_the_writer_header():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc
 from scipy.stats import chi2 as chi2_dist
 
+import matchcast
 from matchcast.data import MatchRecord, Outcome, Prediction
 from matchcast.evaluation import _aggregate, evaluate, score_match
 from matchcast.scoring import (
@@ -288,10 +293,46 @@ class TestCalibration:
         table = calibration_curve(_calibrated_pairs(rng, 500))
         assert table.bandwidth in (0.02, 0.05, 0.1, 0.2)
 
+    def test_table_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a long dot product across its threads, which
+        # reorders the sum; 5,000 predictions give 15,000 pairs.
+        src = str(Path(matchcast.__file__).resolve().parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", _SEEDED_TABLE],
+                env=env, check=True, capture_output=True, text=True,
+            )
+            tables.append(run.stdout)
+        assert "SmoothedPoint" in tables[0]
+        assert tables[0] == tables[1]
+
+
+_SEEDED_TABLE = """
+import numpy as np
+from matchcast.data import Outcome, Prediction
+from matchcast.scoring import calibration_curve
+
+rng = np.random.default_rng(5000)
+probs = rng.dirichlet((1.0, 1.0, 1.0), size=5000)
+draws = rng.random(5000)
+scored = [
+    (Outcome(1 + int((u >= p[0]) + (u >= p[0] + p[1]))), Prediction(*map(float, p)))
+    for p, u in zip(probs, draws)
+]
+print(repr(calibration_curve(scored)))
+"""
+
 
 # Reference copies of the calibration kernels as first written: one
 # Python loop per pair, and the dense n x n weight matrix per bandwidth.
-# The shipped kernels must equal them bit for bit.
+# The smoothed curve takes numpy sums, as the shipped kernel does.  The
+# shipped kernels must equal them bit for bit.
 
 def _unroll_loop(scored):
     probs, events = [], []
@@ -332,8 +373,8 @@ def _calibration_curve_dense(scored, bins=10):
     for g, w_row, den_g in zip(grid, w, den):
         if den_g < 1e-8:
             continue
-        est = float(w_row @ events / den_g)
-        var = float(w_row @ (w_row * est * (1.0 - est))) / (den_g * den_g)
+        est = float((w_row * events).sum() / den_g)
+        var = float((w_row * (w_row * est * (1.0 - est))).sum()) / (den_g * den_g)
         points.append(SmoothedPoint(prob=float(g), estimate=est, se=math.sqrt(max(var, 0.0))))
     return CalibrationTable(
         bins=_binned(probs, events, bins),
