@@ -29,6 +29,7 @@ from .data import (
     second_half_matchdays,
 )
 from .scoring import (
+    NONFINITE,
     CalibrationTable,
     GofResult,
     brier,
@@ -139,10 +140,10 @@ class ScoredMatch:
 class ScoreStats:
     """Mean and total of one rule with standard errors (finite entries only)."""
 
-    mean: float
-    total: float
-    se_mean: float
-    se_total: float
+    mean: float = field(metadata=NONFINITE)
+    total: float = field(metadata=NONFINITE)
+    se_mean: float = field(metadata=NONFINITE)
+    se_total: float = field(metadata=NONFINITE)
     n: int
     infinite: int = 0
 
@@ -150,11 +151,11 @@ class ScoreStats:
 @dataclass(frozen=True)
 class DistStats:
     mean: float
-    minimum: float
+    min: float
     q25: float
     median: float
     q75: float
-    maximum: float
+    max: float
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class YearSummary:
     season: int
     n_scored: int
     brier_mean: float
-    log_mean: float
+    log_mean: float = field(metadata=NONFINITE)
     spherical_mean: float
     proportion_of_errors: float
     entropy_mean: float
@@ -242,11 +243,11 @@ def _dist_stats(values: Sequence[float]) -> DistStats:
     q25, median, q75 = (float(q) for q in np.quantile(arr, [0.25, 0.5, 0.75]))
     return DistStats(
         mean=float(arr.mean()),
-        minimum=float(arr.min()),
+        min=float(arr.min()),
         q25=q25,
         median=median,
         q75=q75,
-        maximum=float(arr.max()),
+        max=float(arr.max()),
     )
 
 

@@ -24,8 +24,6 @@ if TYPE_CHECKING:
 
 STRENGTH_SUM_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
-# The most mass a grid may miss for ``outcome_probs`` to sum it.
-MAX_OUTCOME_DEFICIT = 1e-6
 # Far past any football score; a boundary fit can put an unseen pairing's
 # rate near 1e8, whose grid would exhaust memory.
 MAX_GRID_GOALS = 1024
@@ -171,13 +169,9 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     return ScoreGrid(max_goals=max_goals, mass=mass, truncation_deficit=deficit)
 
 
-def outcome_probs(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> Prediction:
+def outcome_probs(params: BivPoissonParams) -> Prediction:
     """Win/draw/loss probabilities by summing ``score_grid``'s cells, renormalized."""
-    grid = score_grid(params, tail_tol)
-    if grid.truncation_deficit > MAX_OUTCOME_DEFICIT:
-        raise ValueError(
-            f"truncation deficit {grid.truncation_deficit} too large for outcome sums"
-        )
+    grid = score_grid(params)
     total = float(grid.mass.sum())
     return Prediction(
         float(np.tril(grid.mass, -1).sum()) / total,

@@ -6,14 +6,15 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 from typing import Sequence
 
 from .data import format_csv
-from .evaluation import DistStats, ModelReport, ScoreStats, check_unique_names
-from .scoring import CalibrationTable, GofResult
+from .evaluation import ModelReport, check_unique_names
+from .scoring import NONFINITE
 
 SCORES_CSV_HEADER = (
     "model",
@@ -35,110 +36,39 @@ SCORES_CSV_HEADER = (
 )
 
 
-def _num(value: float | None) -> float | str | None:
-    # JSON has no Infinity/NaN literals; encode them as strings.
-    if value is None or math.isfinite(value):
-        return value
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
+def _plain(value: object, nonfinite: bool = False) -> object:
+    """A report dataclass as a dict of its fields in declaration order, a tuple as a list.
 
-
-def _stats_dict(stats: ScoreStats) -> dict:
-    return {
-        "mean": _num(stats.mean),
-        "total": _num(stats.total),
-        "se_mean": _num(stats.se_mean),
-        "se_total": _num(stats.se_total),
-        "n": stats.n,
-        "infinite": stats.infinite,
-    }
-
-
-def _dist_dict(stats: DistStats) -> dict:
-    return {
-        "mean": stats.mean,
-        "min": stats.minimum,
-        "q25": stats.q25,
-        "median": stats.median,
-        "q75": stats.q75,
-        "max": stats.maximum,
-    }
-
-
-def _gof_dict(gof: GofResult) -> dict:
-    return {
-        "statistic": _num(gof.statistic),
-        "df": gof.df,
-        "p_value": _num(gof.p_value),
-        "excluded_terms": gof.excluded_terms,
-    }
-
-
-def _calibration_dict(table: CalibrationTable | None) -> dict | None:
-    if table is None:
-        return None
-    return {
-        "n_pairs": table.n_pairs,
-        "bandwidth": table.bandwidth,
-        "bins": [
-            {
-                "lo": b.lo,
-                "hi": b.hi,
-                "n": b.n,
-                "mean_prob": b.mean_prob,
-                "event_rate": b.event_rate,
-                "se": b.se,
-            }
-            for b in table.bins
-        ],
-        "smoothed": [
-            {"prob": p.prob, "estimate": _num(p.estimate), "se": _num(p.se)}
-            for p in table.smoothed
-        ],
-    }
+    JSON has no Infinity or NaN literals: a field marked ``NONFINITE`` writes
+    them as the strings "inf", "-inf" and "nan". Anywhere else they reach
+    ``json.dumps(allow_nan=False)``, which refuses them.
+    """
+    if nonfinite and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name), f.metadata == NONFINITE)
+            for f in dataclasses.fields(value)
+        }
+    return value
 
 
 def _report_dict(report: ModelReport) -> dict:
-    agg = report.aggregates
+    # The model level is not one dataclass: settings are keyed by year, and
+    # flags carry the derived flagged_count.
     return {
-        "aggregates": {
-            "n_scored": agg.n_scored,
-            "brier": _stats_dict(agg.brier),
-            "log": _stats_dict(agg.log),
-            "spherical": _stats_dict(agg.spherical),
-            "proportion_of_errors": agg.proportion_of_errors,
-            "argmax_ties": agg.argmax_ties,
-            "entropy": _dist_dict(agg.entropy),
-            "cond_home_win": (
-                None if agg.cond_home_win is None else _dist_dict(agg.cond_home_win)
-            ),
-            "cond_home_win_absent": agg.cond_home_win_absent,
-        },
-        "per_year": [
-            {
-                "season": y.season,
-                "n_scored": y.n_scored,
-                "brier_mean": y.brier_mean,
-                "log_mean": _num(y.log_mean),
-                "spherical_mean": y.spherical_mean,
-                "proportion_of_errors": y.proportion_of_errors,
-                "entropy_mean": y.entropy_mean,
-                "gof": _gof_dict(y.gof),
-            }
-            for y in report.per_year
-        ],
-        "calibration": _calibration_dict(report.calibration),
-        "gof": _gof_dict(report.gof),
+        "aggregates": _plain(report.aggregates),
+        "per_year": _plain(report.per_year),
+        "calibration": _plain(report.calibration),
+        "gof": _plain(report.gof),
         "settings": {
             str(year): dict(values)
             for year, values in sorted(report.settings_by_year.items())
         },
         "flags": {
-            "skipped_matchdays": [
-                {"season": s.season, "matchday": s.matchday, "reason": s.reason}
-                for s in report.skipped_matchdays
-            ],
+            "skipped_matchdays": _plain(report.skipped_matchdays),
             "missing_predictions": report.missing_predictions,
             "flagged_count": report.flagged_count,
         },

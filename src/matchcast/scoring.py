@@ -10,12 +10,15 @@ The uniform forecast (1/3, 1/3, 1/3) therefore scores 2/3, ln 3 and -1/sqrt(3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .data import MatchRecord, Outcome, Prediction, outcome_of
+
+# Field metadata: report.json writes this field's inf, -inf or nan as a string.
+NONFINITE = {"nonfinite": True}
 
 
 def brier(outcome: Outcome, p: Prediction) -> float:
@@ -91,16 +94,16 @@ class CalibrationBin:
 @dataclass(frozen=True)
 class SmoothedPoint:
     prob: float
-    estimate: float
-    se: float
+    estimate: float = field(metadata=NONFINITE)
+    se: float = field(metadata=NONFINITE)
 
 
 @dataclass(frozen=True)
 class CalibrationTable:
+    n_pairs: int
+    bandwidth: float
     bins: tuple[CalibrationBin, ...]
     smoothed: tuple[SmoothedPoint, ...]
-    bandwidth: float
-    n_pairs: int
 
 
 def _unroll(scored: Sequence[tuple[Outcome, Prediction]]) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +221,10 @@ def calibration_curve(
         raise ValueError(f"need >= 30 probability/event pairs, got {probs.size}")
     smoothed, bw = _smoothed(probs, events, np.linspace(0.05, 0.95, 19))
     return CalibrationTable(
+        n_pairs=int(probs.size),
+        bandwidth=bw,
         bins=_binned(probs, events, bins),
         smoothed=smoothed,
-        bandwidth=bw,
-        n_pairs=int(probs.size),
     )
 
 
@@ -231,9 +234,9 @@ def calibration_curve(
 
 @dataclass(frozen=True)
 class GofResult:
-    statistic: float
+    statistic: float = field(metadata=NONFINITE)
     df: int
-    p_value: float
+    p_value: float = field(metadata=NONFINITE)
     excluded_terms: int = 0
 
     def __add__(self, other: "GofResult") -> "GofResult":

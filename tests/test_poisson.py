@@ -290,10 +290,6 @@ class TestOutcomeProbs:
         p = outcome_probs(BivPoissonParams(1e-6, 1e-6, 0.0))
         assert p.p_draw == pytest.approx(1.0, abs=1e-5)
 
-    def test_rejects_large_deficit(self):
-        with pytest.raises(ValueError, match="deficit"):
-            outcome_probs(BivPoissonParams(1.0, 1.0, 0.0), 1e-4)
-
     def test_on_simplex(self, rng):
         for _ in range(50):
             params = BivPoissonParams(

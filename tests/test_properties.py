@@ -1,4 +1,4 @@
-"""Property tests on random small leagues: the leakage guard and simplex output."""
+"""Property tests on random small leagues: the leakage guard, simplex output and nesting."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from matchcast.data import MatchRecord, build_season, second_half_matchdays
 from matchcast.evaluation import PredictionContext, context_for
+from matchcast.poisson import TrainingWindow, poisson_fit
 from matchcast.predictors import KNOWN_MODELS, build_predictor
 from matchcast.selftest import double_round_robin
 
@@ -85,3 +86,21 @@ def test_every_model_predicts_on_the_simplex(league, data):
             probs = prediction.as_tuple()
             assert all(0.0 <= p <= 1.0 for p in probs), (spec, probs)
             assert abs(sum(probs) - 1.0) <= 1e-9, (spec, probs)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(leagues(), st.data())
+def test_correlated_fit_scores_at_least_the_independent_fit(league, data):
+    # The correlated model nests the independent one at lambda3 = 0, so on
+    # one window its maximised log-likelihood cannot be lower. A pair with
+    # boundary flags is exempt: toward the +-30 box the likelihood is flat,
+    # and a fit there need not stop at the maximum.
+    season = data.draw(st.sampled_from(league))
+    ctx = context_for(league, season, data.draw(st.sampled_from(second_half_matchdays(season))))
+    for kind in ("season", "all"):
+        training = TrainingWindow(kind).training(ctx)
+        independent = poisson_fit(training)
+        correlated = poisson_fit(training, correlated=True)
+        if independent.boundary_flags or correlated.boundary_flags:
+            continue
+        assert correlated.log_likelihood >= independent.log_likelihood - 1e-9, kind

@@ -7,13 +7,28 @@ import math
 import pytest
 
 from matchcast.data import Outcome, Prediction, outcome_of
-from matchcast.evaluation import ScoredMatch, evaluate
+from matchcast.evaluation import (
+    Aggregates,
+    DistStats,
+    ScoredMatch,
+    ScoreStats,
+    SkippedMatchday,
+    YearSummary,
+    evaluate,
+)
 from matchcast.predictors import MnDir1Predictor, TrivialPredictor
 from matchcast.reports import (
     SCORES_CSV_HEADER,
     reports_to_csv,
     reports_to_json,
     write_reports,
+)
+from matchcast.scoring import (
+    NONFINITE,
+    CalibrationBin,
+    CalibrationTable,
+    GofResult,
+    SmoothedPoint,
 )
 from matchcast.selftest import simulate_played_season
 
@@ -256,14 +271,112 @@ def test_repeated_model_name_refused_by_both_writers(tricky_reports, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("where", ["head", "per_year"])
+# Every dataclass report.json is written from, below the model level.
+REPORT_CLASSES = {
+    cls.__name__: cls
+    for cls in (
+        Aggregates,
+        ScoreStats,
+        DistStats,
+        YearSummary,
+        GofResult,
+        CalibrationTable,
+        CalibrationBin,
+        SmoothedPoint,
+        SkippedMatchday,
+    )
+}
+
+
+def float_fields(marked):
+    return [
+        f"{name}.{f.name}"
+        for name, cls in REPORT_CLASSES.items()
+        for f in dataclasses.fields(cls)
+        if f.type == "float" and (f.metadata == NONFINITE) == marked
+    ]
+
+
+def with_field(node, cls, name, value):
+    """``node`` with ``name`` set to ``value`` on its first ``cls`` instance, and its path.
+
+    The path holds field names and tuple indexes, so it is also the
+    instance's path in report.json below the model.
+    """
+    if isinstance(node, cls):
+        return dataclasses.replace(node, **{name: value}), (name,)
+    if isinstance(node, tuple):
+        items = enumerate(node)
+    elif dataclasses.is_dataclass(node):
+        items = ((f.name, getattr(node, f.name)) for f in dataclasses.fields(node))
+    else:
+        return node, None
+    for key, item in items:
+        new, path = with_field(item, cls, name, value)
+        if path is not None:
+            if isinstance(node, tuple):
+                return node[:key] + (new,) + node[key + 1 :], (key, *path)
+            return dataclasses.replace(node, **{key: new}), (key, *path)
+    return node, None
+
+
+def report_classes_in(node):
+    if isinstance(node, tuple):
+        return set().union(*map(report_classes_in, node))
+    if not dataclasses.is_dataclass(node):
+        return set()
+    return {type(node).__name__}.union(
+        *(report_classes_in(getattr(node, f.name)) for f in dataclasses.fields(node))
+    )
+
+
+def test_report_classes_and_nonfinite_fields(tricky_reports):
+    # The parametrisations below cover every class a report reaches, and
+    # exactly the nine fields that may read "inf", "-inf" or "nan".
+    below_model = tuple(
+        (r.aggregates, r.per_year, r.calibration, r.gof, r.skipped_matchdays)
+        for r in tricky_reports
+    )
+    assert report_classes_in(below_model) == set(REPORT_CLASSES)
+    assert float_fields(marked=True) == [
+        "ScoreStats.mean",
+        "ScoreStats.total",
+        "ScoreStats.se_mean",
+        "ScoreStats.se_total",
+        "YearSummary.log_mean",
+        "GofResult.statistic",
+        "GofResult.p_value",
+        "SmoothedPoint.estimate",
+        "SmoothedPoint.se",
+    ]
+
+
+@pytest.mark.parametrize("where", ["head", "per_year", *float_fields(marked=False)])
 def test_nan_still_raises(tricky_reports, where):
     report = tricky_reports[2]
     if where == "head":
         table = dataclasses.replace(report.calibration, bandwidth=math.nan)
         report = dataclasses.replace(report, calibration=table)
-    else:
+    elif where == "per_year":
         year = dataclasses.replace(report.per_year[0], brier_mean=math.nan)
         report = dataclasses.replace(report, per_year=(year, *report.per_year[1:]))
+    else:
+        cls, name = where.split(".")
+        report, path = with_field(report, REPORT_CLASSES[cls], name, math.nan)
+        assert path is not None
     with pytest.raises(ValueError):
         reports_to_json([report])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("where", float_fields(marked=True))
+def test_nonfinite_field_written_as_string(tricky_reports, where, value):
+    report = tricky_reports[2]
+    cls, name = where.split(".")
+    changed, path = with_field(report, REPORT_CLASSES[cls], name, value)
+    want = json.loads(reports_to_json([report]))
+    node = want[report.model]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = str(value)
+    assert json.loads(reports_to_json([changed])) == want
