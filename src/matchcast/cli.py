@@ -1,8 +1,7 @@
 """Command-line entry point: validate, predict, evaluate, selftest.
 
-Runs are reproducible: a single key=value config file (overridable by
-flags) plus the input CSV fully determine every output byte.  The config
-path may also come from the ``MATCHCAST_CONFIG`` environment variable.
+Runs are reproducible: the flags plus the input CSV fully determine
+every output byte.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .evaluation import (
 from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
 
-CONFIG_ENV_VAR = "MATCHCAST_CONFIG"
-RUN_KEYS = frozenset({"matches", "models", "out", "seed"})
-
 
 @dataclass
 class RunConfig:
@@ -40,48 +36,21 @@ class RunConfig:
         return build_predictor(spec)
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key=value lines; blank lines and ``#`` comments ignored, a repeated key refused."""
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, eq, value = (part.strip() for part in stripped.partition("="))
-        if not eq or not key:
-            raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        if key in values:
-            raise ValueError(
-                f"{path}:{line_no}: key {key} given twice (first on line {first_line[key]})"
-            )
-        values[key] = value
-        first_line[key] = line_no
-    return values
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's run keys, overridden by every flag given (not None, not "")."""
-    run: dict[str, str] = {}
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        run = parse_config_file(config_path)
-        unknown = sorted(set(run) - RUN_KEYS)
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config key {', '.join(unknown)}")
-    for key in RUN_KEYS:
-        if getattr(args, key, None) not in (None, ""):
-            run[key] = getattr(args, key)
-    cfg = RunConfig(matches_path=run.get("matches"), output_dir=run.get("out"))
-    if "models" in run:
-        cfg.models = tuple(m.strip() for m in run["models"].split(",") if m.strip())
-    if "seed" in run:
-        try:
-            cfg.seed = int(run["seed"])
-        except ValueError:
-            raise ValueError(f"seed must be a non-negative integer, got {run['seed']!r}") from None
-        if cfg.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
+    """The run's flags; an empty flag counts as not given."""
+    if os.environ.get("MATCHCAST_CONFIG"):
+        raise ValueError(
+            "MATCHCAST_CONFIG is not read: give the run as flags "
+            "(--matches, --models, --out, --seed)"
+        )
+    given = {k: v for k, v in vars(args).items() if v not in (None, "")}
+    cfg = RunConfig(
+        matches_path=given.get("matches"), output_dir=given.get("out"), seed=given.get("seed")
+    )
+    if "models" in given:
+        cfg.models = tuple(m.strip() for m in given["models"].split(",") if m.strip())
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.models:
         raise ValueError("no models configured")
     repeated = next((m for i, m in enumerate(cfg.models) if m in cfg.models[:i]), None)
@@ -104,7 +73,7 @@ def build_models(cfg: RunConfig) -> tuple[list, list[str]]:
 
 def _load_records(cfg: RunConfig):
     if not cfg.matches_path:
-        raise ValueError("no matches file given (use --matches or the config file)")
+        raise ValueError("no matches file given (use --matches)")
     text = Path(cfg.matches_path).read_text(encoding="utf-8")
     return parse_matches_with_lines(text)
 
@@ -262,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "matches": "match CSV path",
         "models": "comma-separated model list",
         "out": "output directory",
-        "config": f"config file (or ${CONFIG_ENV_VAR})",
     }
 
     def flags(p: argparse.ArgumentParser, *names: str) -> None:
@@ -270,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", help=flag_help[name])
 
     p_validate = sub.add_parser("validate", help="check a match CSV")
-    flags(p_validate, "matches", "config")
+    flags(p_validate, "matches")
     p_validate.add_argument("--strict", action="store_true", help="reject irregular seasons")
     p_validate.set_defaults(func=cmd_validate)
 
     p_predict = sub.add_parser("predict", help="predict one matchday")
-    flags(p_predict, "matches", "models", "out", "config")
+    flags(p_predict, "matches", "models", "out")
     p_predict.add_argument("--matchday", type=int, required=True)
     p_predict.add_argument("--season", type=int, help="season year (if several in the file)")
     p_predict.add_argument(
@@ -286,11 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_evaluate = sub.add_parser("evaluate", help="score models over second halves")
-    flags(p_evaluate, "matches", "models", "out", "config")
+    flags(p_evaluate, "matches", "models", "out")
     p_evaluate.set_defaults(func=cmd_evaluate)
 
     p_selftest = sub.add_parser("selftest", help="run the acceptance checks")
-    flags(p_selftest, "config")
     p_selftest.add_argument("--seed", type=int, help="simulation seed (default: the frozen one)")
     p_selftest.set_defaults(func=cmd_selftest)
 

@@ -99,11 +99,10 @@ def link_rates(strengths: TeamStrengths, home: str, away: str) -> BivPoissonPara
 
 @dataclass(frozen=True)
 class ScoreGrid:
-    """Joint score probabilities on [0, max_goals]^2 plus the missing tail mass."""
+    """Joint score probabilities on [0, max_goals]^2."""
 
     max_goals: int
     mass: np.ndarray
-    truncation_deficit: float
 
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
@@ -131,10 +130,9 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     """Smallest grid whose certified missing mass is at most ``tail_tol``.
 
     The grid size is chosen from the Poisson marginal tails (a certified
-    upper bound on the mass outside the grid); the recorded deficit is the
-    exact missing mass 1 - sum(grid).  Rates that would need more than
-    ``MAX_GRID_GOALS`` goals per side raise ``ValueError``, as does a
-    ``tail_tol`` outside (0, 1e-3] (NaN included).
+    upper bound on the mass outside the grid).  Rates that would need
+    more than ``MAX_GRID_GOALS`` goals per side raise ``ValueError``, as
+    does a ``tail_tol`` outside (0, 1e-3] (NaN included).
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must lie in (0, 0.001], got {tail_tol}")
@@ -164,9 +162,7 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
             )
         block *= 2
     max_goals = int(above.argmin())
-    mass = _joint_mass(params, max_goals)
-    deficit = max(0.0, 1.0 - float(mass.sum()))
-    return ScoreGrid(max_goals=max_goals, mass=mass, truncation_deficit=deficit)
+    return ScoreGrid(max_goals=max_goals, mass=_joint_mass(params, max_goals))
 
 
 def outcome_probs(params: BivPoissonParams) -> Prediction:

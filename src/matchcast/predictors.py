@@ -173,6 +173,7 @@ def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Pred
     for line, row in read_rows(csv_text, PREDICTIONS_CSV_HEADER):
         try:
             season, matchday = int(row[0]), int(row[1])
+            home, away = normalize_team(row[2]), normalize_team(row[3])
             probs = [float(x) for x in row[4:7]]
         except ValueError as exc:
             raise ValueError(f"line {line}: {exc}") from None
@@ -180,7 +181,7 @@ def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Pred
         if any(p < 0.0 for p in probs) or not 1.0 - 1e-3 <= total <= 1.0 + 1e-3:
             raise ValueError(f"line {line}: probabilities {probs} are not a distribution")
         probs = [p / total for p in probs]
-        key = (season, matchday, normalize_team(row[2]), normalize_team(row[3]))
+        key = (season, matchday, home, away)
         if key in table:
             raise ValueError(f"line {line}: duplicate prediction for {key}")
         table[key] = Prediction(*probs)

@@ -11,7 +11,7 @@ import pytest
 
 import matchcast
 import matchcast.selftest as selftest
-from matchcast.cli import main, parse_config_file
+from matchcast.cli import RunConfig, build_parser, load_config, main
 from matchcast.data import second_half_matchdays, serialize_matches
 from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
@@ -190,23 +190,22 @@ class TestPredict:
         assert written.exists()
         assert written.read_text().startswith("model,season,matchday")
 
-    def test_out_config_key_writes_csv_as_the_flag_does(self, tmp_path, capsys, monkeypatch):
+    def test_out_writes_the_csv_predict_prints_without_it(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "t1.csv"
         path.write_text(count_scenario_csv())
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={path}\nmodels=trivial\nout={tmp_path / 'cfg-out'}\n")
-        assert main(["predict", "--config", str(cfg), "--matchday", "20"]) == 0
-        written = tmp_path / "cfg-out" / "predictions_matchday20.csv"
+        argv = ["predict", "--matches", str(path), "--models", "trivial", "--matchday", "20"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        written = tmp_path / "out" / "predictions_matchday20.csv"
         assert capsys.readouterr().out == f"wrote {written}\n"
         assert written.read_text().startswith("model,season,matchday")
 
-        # Without out, predict prints the same CSV and writes nothing.
+        # Without out, or with an empty one, predict prints the same CSV and writes nothing.
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        cfg.write_text(f"matches={path}\nmodels=trivial\n")
-        assert main(["predict", "--config", str(cfg), "--matchday", "20"]) == 0
-        assert capsys.readouterr().out == written.read_text()
+        for extra in ([], ["--out", ""]):
+            assert main([*argv, *extra]) == 0
+            assert capsys.readouterr().out == written.read_text()
         assert not any(work.iterdir())
 
     def test_dump_params_exports_fitted_values(self, tmp_path, capsys):
@@ -457,14 +456,13 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestConfig:
-    def test_config_file_supplies_defaults(self, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f"# reproducible run\nmatches={matches_file}\nmodels=trivial\n"
-            f"out={tmp_path / 'cfg-out'}\nseed=7\n"
-        )
-        assert main(["evaluate", "--config", str(cfg)]) == 0
-        assert (tmp_path / "cfg-out" / "report.json").exists()
+    def test_empty_flag_counts_as_not_given(self, capsys):
+        args = build_parser().parse_args(["evaluate", "--matches", "", "--models", "", "--out", ""])
+        cfg = load_config(args)
+        assert cfg == RunConfig()
+        assert [cfg.build(spec).name for spec in cfg.models] == list(KNOWN_MODELS)
+        assert main(["validate", "--matches", ""]) == 2
+        assert capsys.readouterr().err == "error: no matches file given (use --matches)\n"
 
     def test_evaluate_writes_to_default_dir_without_out(
         self, matches_file, tmp_path, capsys, monkeypatch
@@ -473,25 +471,51 @@ class TestConfig:
         assert main(["evaluate", "--matches", str(matches_file), "--models", "trivial"]) == 0
         assert (tmp_path / "matchcast-report" / "report.json").exists()
 
-    def test_env_var_fallback(self, matches_file, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["predict", "--season", "2014", "--matchday", "6"], ["evaluate"]],
+        ids=lambda command: command[0],
+    )
+    def test_config_flag_is_unrecognized(self, command, matches_file, tmp_path, capsys):
+        # selftest's case is TestSeed::test_selftest_takes_only_seed.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial\nout={tmp_path / 'env-out'}\n")
-        monkeypatch.setenv("MATCHCAST_CONFIG", str(cfg))
-        assert main(["evaluate"]) == 0
-        assert (tmp_path / "env-out" / "report.json").exists()
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
 
-    def test_flags_override_config(self, matches_file, tmp_path, capsys):
+    def test_config_env_var_refused_by_every_command(
+        self, matches_file, tmp_path, capsys, monkeypatch
+    ):
+        # A run that silently ignored the file its user named would run on other values.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=mn-dir1\nout={tmp_path / 'x'}\n")
-        main(["evaluate", "--config", str(cfg), "--models", "trivial", "--out", str(tmp_path / "y")])
-        payload = json.loads((tmp_path / "y" / "report.json").read_text())
-        assert set(payload) == {"trivial"}
+        cfg.write_text(f"matches={matches_file}\nmodels=trivial\n")
+        monkeypatch.setenv("MATCHCAST_CONFIG", str(cfg))
+        monkeypatch.setattr(selftest, "run_all", lambda seed: pytest.fail("a check ran"))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r"
+        flags = ["--matches", str(matches_file)]
+        for command in (
+            ["validate", *flags],
+            ["predict", *flags, "--models", "trivial", "--season", "2014", "--matchday", "6"],
+            ["evaluate", *flags, "--models", "trivial", "--out", str(out)],
+            ["evaluate", *flags],
+            ["selftest", "--seed", "7"],
+        ):
+            assert main(command) == 2
+            assert capsys.readouterr() == (
+                "",
+                "error: MATCHCAST_CONFIG is not read: give the run as flags "
+                "(--matches, --models, --out, --seed)\n",
+            )
+        assert not out.exists()
+        assert not (tmp_path / "matchcast-report").exists()
 
     def test_lone_model_failing_to_build_exits_2(self, matches_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=external:{missing}\nout={tmp_path / 'r'}\n")
-        assert main(["evaluate", "--config", str(cfg)]) == 2
+        argv = ["evaluate", "--matches", str(matches_file), "--out", str(tmp_path / "r")]
+        assert main([*argv, "--models", f"external:{missing}"]) == 2
         err = capsys.readouterr().err
         assert f"model external:{missing} failed to build: " in err
         assert err.endswith("error: no usable models\n")
@@ -503,10 +527,12 @@ class TestConfig:
         forecasts = tmp_path / "forecasts.csv"
         if rows is not None:
             forecasts.write_text("season,matchday,home,away,p1,p2,p3\n" + rows)
-        cfg = tmp_path / "run.cfg"
         out = tmp_path / "r"
-        cfg.write_text(f"matches={matches_file}\nmodels=external:{forecasts}\nout={out}\n")
-        assert main(["predict", "--config", str(cfg), "--season", "2014", "--matchday", "8"]) == 2
+        argv = [
+            "predict", "--matches", str(matches_file), "--models", f"external:{forecasts}",
+            "--out", str(out), "--season", "2014", "--matchday", "8",
+        ]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.endswith("error: no usable models\n")
         assert captured.out == ""
@@ -530,11 +556,10 @@ class TestConfig:
     def test_nan_setting_leaves_the_other_models_reported(self, matches_file, tmp_path, capsys):
         forecasts = tmp_path / "forecasts.csv"
         forecasts.write_text("season,matchday,home,away,p1,p2,p3\n2014,8,A,B,nan,0.5,0.5\n")
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text(f"models=trivial,external:{forecasts},poisson-lee,bt\n")
         out = tmp_path / "r"
         argv = [
-            "evaluate", "--config", str(cfg), "--matches", str(matches_file), "--out", str(out),
+            "evaluate", "--models", f"trivial,external:{forecasts},poisson-lee,bt",
+            "--matches", str(matches_file), "--out", str(out),
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -545,55 +570,15 @@ class TestConfig:
 
     def test_predict_words_a_build_failure_as_evaluate_does(self, matches_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial,external:{missing}\n")
+        flags = ["--matches", str(matches_file), "--models", f"trivial,external:{missing}"]
         errors = []
         predict = ["predict", "--season", "2014", "--matchday", "8"]
         for argv in (["evaluate", "--out", str(tmp_path / "r")], predict):
-            assert main(argv + ["--config", str(cfg)]) == 0
+            assert main(argv + flags) == 0
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"model external:{missing} failed to build: ")
         assert errors[0].count("\n") == 1
-
-    @staticmethod
-    def assert_refused_by_every_command(key, line, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches={matches_file}\nmodels=trivial\n{line}\n")
-        out = tmp_path / "r"
-        for command in (
-            ["validate"],
-            ["predict", "--season", "2014", "--matchday", "6"],
-            ["evaluate", "--out", str(out)],
-            ["selftest"],
-        ):
-            assert main([*command, "--config", str(cfg)]) == 2
-            assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["bt.tols", "poisson.windw", "window"])
-    def test_misspelled_key_refused(self, key, matches_file, tmp_path, capsys):
-        self.assert_refused_by_every_command(key, f"{key}=0", matches_file, tmp_path, capsys)
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "bt.tol=1e-6",
-            "bt.max_iter=500",
-            "poisson.tol=1e-8",
-            "poisson.max_iter=500",
-            "poisson.tail_tol=1e-10",
-            "poisson.window=all",
-            "poisson.correlated=true",
-            "mn_dir2.w_grid=0.0,0.5,1.0",
-            "mn_dir2.alpha_grid=1.0,2.0",
-        ],
-    )
-    def test_former_model_key_refused(self, line, matches_file, tmp_path, capsys, monkeypatch):
-        # Each model is its name: no key configures one.
-        monkeypatch.setattr(selftest, "run_all", lambda seed: [])
-        key = line.split("=")[0]
-        self.assert_refused_by_every_command(key, line, matches_file, tmp_path, capsys)
 
     def test_repeated_model_refused(self, matches_file, tmp_path, capsys):
         out = tmp_path / "r"
@@ -601,33 +586,6 @@ class TestConfig:
         assert main(argv + ["--models", "trivial,mn-dir1,trivial"]) == 2
         assert "error: model trivial listed twice" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_repeated_key_refused_with_both_lines(self, matches_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"models=trivial\nmatches={matches_file}\n\n# again\n models = bt\n")
-        with pytest.raises(ValueError, match=r"run.cfg:5: key models given twice \(first on line 1\)"):
-            parse_config_file(cfg)
-        out = tmp_path / "r"
-        argv = ["evaluate", "--config", str(cfg), "--models", "trivial", "--out", str(out)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {cfg}:5: key models given twice (first on line 1)\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line", ["=5", " = 5", "bt.tol"])
-    def test_line_without_a_key_refused_with_its_number(self, line, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"models=trivial\n{line}\n")
-        with pytest.raises(ValueError, match=rf"run.cfg:2: expected key=value, got {line!r}"):
-            parse_config_file(cfg)
-        assert main(["validate", "--config", str(cfg)]) == 2
-        assert "run.cfg:2: expected key=value" in capsys.readouterr().err
-
-    def test_empty_value_is_kept(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("models=\nout = a=b\n")
-        assert parse_config_file(cfg) == {"models": "", "out": "a=b"}
 
 
 class TestSeed:
@@ -648,36 +606,30 @@ class TestSeed:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
-    def test_selftest_seed_flag_and_config_key(self, tmp_path, seeds):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=7\n")
+    def test_selftest_seed_flag(self, seeds):
         assert main(["selftest"]) == 0
         assert main(["selftest", "--seed", "11"]) == 0
-        assert main(["selftest", "--config", str(cfg)]) == 0
-        assert main(["selftest", "--config", str(cfg), "--seed", "11"]) == 0
-        assert seeds == [selftest.DEFAULT_SEED, 11, 7, 11]
+        assert main(["selftest", "--seed", "0"]) == 0
+        assert seeds == [selftest.DEFAULT_SEED, 11, 0]
 
-    def test_negative_seed_refused_before_any_check(self, tmp_path, seeds, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=-1\n")
-        for argv in (["selftest", "--seed", "-1"], ["selftest", "--config", str(cfg)]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.err == "error: seed must be a non-negative integer, got -1\n"
-            assert captured.out == ""
-        assert seeds == []
-
-    def test_non_integer_seed_refused_with_its_value(self, tmp_path, seeds, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=x\n")
-        assert main(["selftest", "--config", str(cfg)]) == 2
+    def test_negative_seed_refused_before_any_check(self, seeds, capsys):
+        assert main(["selftest", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: seed must be a non-negative integer, got 'x'\n"
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
         assert captured.out == ""
         assert seeds == []
 
-    @pytest.mark.parametrize("flag", ["--matches", "--models", "--out"])
-    def test_selftest_takes_only_config_and_seed(self, flag, seeds, capsys):
+    def test_non_integer_seed_refused_with_its_value(self, seeds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: invalid int value: 'x'" in captured.err
+        assert captured.out == ""
+        assert seeds == []
+
+    @pytest.mark.parametrize("flag", ["--matches", "--models", "--out", "--config"])
+    def test_selftest_takes_only_seed(self, flag, seeds, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["selftest", flag, "x"])
         assert exc.value.code == 2

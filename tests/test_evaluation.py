@@ -678,6 +678,24 @@ class TestExternalParsing:
         with pytest.raises(ValueError, match="duplicate"):
             parse_prediction_rows(text)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("2014.5,20,A,B,0.5,0.3,0.2", "invalid literal for int"),
+            ("2014,20,A,B,nan,0.5,0.5", "not a distribution"),
+            ("2014,20,A,B,0.9,0.4,0.2", "not a distribution"),
+            ("2014,20, ,B,0.5,0.3,0.2", "empty team name"),
+            ("2014,20,a,b,0.5,0.3,0.2", "duplicate prediction"),
+        ],
+        ids=["non-integer-season", "nan", "off-simplex", "empty-team", "duplicate-key"],
+    )
+    def test_malformed_row_refused_with_its_line(self, row, reason):
+        text = "season,matchday,home,away,p1,p2,p3\n2014,20,A,B,0.5,0.3,0.2\n\n" + row + "\n"
+        with pytest.raises(ValueError) as exc:
+            parse_prediction_rows(text)
+        assert str(exc.value).startswith("line 4: ")
+        assert reason in str(exc.value)
+
     def test_build_predictor_specs(self, tmp_path):
         path = tmp_path / "ext.csv"
         path.write_text("season,matchday,home,away,p1,p2,p3\n")

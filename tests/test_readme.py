@@ -1,11 +1,11 @@
-"""The README's library example, config block and scores.csv columns match the package."""
+"""The README's library example, CLI block and scores.csv columns match the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import matchcast
-from matchcast.cli import RUN_KEYS, build_parser, load_config
-from matchcast.predictors import KNOWN_MODELS
+from matchcast.cli import build_parser, load_config
 from matchcast.reports import SCORES_CSV_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -29,26 +29,17 @@ def test_worked_example_gives_stated_probabilities():
     assert got == tuple(float(x) for x in stated) == (0.5, 0.2917, 0.2083)
 
 
-def _config_block():
-    section = README.split("### Config file", 1)[1]
-    return re.search(r"```\n(.*?)```", section, re.S).group(1)
-
-
-def test_config_block_lists_the_run_keys():
-    listed = [
-        line.split("=", 1)[0]
-        for line in _config_block().splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert sorted(listed) == sorted(RUN_KEYS)
-
-
-def test_config_block_builds_every_model_with_the_defaults(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(_config_block(), encoding="utf-8")
-    cfg = load_config(build_parser().parse_args(["evaluate", "--config", str(path)]))
-    assert cfg.models == KNOWN_MODELS
-    assert [cfg.build(spec).name for spec in cfg.models] == list(KNOWN_MODELS)
+def test_cli_block_parses_and_names_no_config_file():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert {line[0] for line in lines} == {"matchcast"}
+    assert {line[1] for line in lines} == {"validate", "predict", "evaluate", "selftest"}
+    for line in lines:
+        load_config(build_parser().parse_args(line[1:]))
+    # The one sentence naming a config file is the one refusing it.
+    sentences = re.split(r"(?<=\.)\s+", README)
+    named = [s for s in sentences if "--config" in s or "MATCHCAST_CONFIG" in s]
+    assert len(named) == 1 and "refused" in named[0], named
 
 
 def test_scores_csv_columns_are_the_writer_header():
