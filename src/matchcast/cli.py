@@ -12,14 +12,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import MatchDataError, build_seasons, format_csv, parse_matches_with_lines
-from .evaluation import (
-    check_evaluable,
-    check_played_before,
-    context_for,
-    evaluate,
-    predict_or_reason,
-)
+from .data import build_seasons, format_csv, parse_matches_with_lines
+from .evaluation import check_evaluable, context_for, evaluate, predict_or_reason
 from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
 
@@ -79,12 +73,7 @@ def _load_records(cfg: RunConfig):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    try:
-        numbered = _load_records(cfg)
-    except (MatchDataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    numbered = _load_records(load_config(args))
     records = [r for _, r in numbered]
 
     # Duplicate fixtures, reported with every involved line.
@@ -134,7 +123,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not season.matches_of(matchday):
         print(f"error: no fixtures for matchday {matchday}", file=sys.stderr)
         return 2
-    check_played_before(season, matchday)
 
     ctx = context_for(seasons, season, matchday)
     rows: list[tuple[object, ...]] = []
@@ -268,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatchDataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
@@ -172,13 +171,9 @@ class Season:
     def matches_of(self, matchday: int) -> tuple[MatchRecord, ...]:
         return tuple(m for m in self.matches if m.matchday == matchday)
 
-    @cached_property
-    def played(self) -> tuple[MatchRecord, ...]:
-        """The played matches, in matchday order; computed on first read."""
-        return tuple(m for m in self.matches if m.played)
-
-    def played_before(self, matchday: int) -> tuple[MatchRecord, ...]:
-        return tuple(m for m in self.played if m.matchday < matchday)
+    def matches_before(self, matchday: int) -> tuple[MatchRecord, ...]:
+        """The matches of every earlier matchday, played or not, in matchday order."""
+        return tuple(m for m in self.matches if m.matchday < matchday)
 
 
 def first_half_rounds(rounds: int) -> int:

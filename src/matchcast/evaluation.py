@@ -43,6 +43,13 @@ from .scoring import (
 )
 
 
+def _unplayed(m: MatchRecord) -> ValueError:
+    """The one refusal of an unplayed match that a forecast would read or score."""
+    return ValueError(
+        f"season {m.season} matchday {m.matchday}: unplayed match {m.home} vs {m.away}"
+    )
+
+
 @dataclass(frozen=True)
 class PredictionContext:
     """Everything a predictor may see when forecasting one matchday.
@@ -50,7 +57,8 @@ class PredictionContext:
     ``history`` holds played matches strictly before the target matchday
     (earlier seasons included, for models with long training windows);
     ``fixtures`` are the target matchday's pairings with goals stripped.
-    Construction enforces both properties.
+    Construction enforces both properties: an unplayed history record is
+    refused, never dropped, so no forecast reads a shortened record.
     """
 
     season_year: int
@@ -65,7 +73,7 @@ class PredictionContext:
         current = []
         for r in self.history:
             if r.home_goals is None:
-                raise ValueError(f"history contains an unplayed match: {r}")
+                raise _unplayed(r)
             season = r.season
             if season < year:
                 continue
@@ -106,16 +114,17 @@ class Predictor(Protocol):
 def context_for(seasons: Sequence[Season], season: Season, matchday: int) -> PredictionContext:
     """Build the context for one matchday from a full dataset.
 
-    The history is the played records of every season of an earlier year,
-    in year order, then ``season``'s own played records before ``matchday``.
+    The history is every record of every season of an earlier year, in
+    year order, then ``season``'s own records before ``matchday``.  None is
+    filtered out: the context refuses the history if one is unplayed.
     """
-    earlier = (s.played for s in sorted(seasons, key=lambda s: s.year) if s.year < season.year)
+    earlier = (s.matches for s in sorted(seasons, key=lambda s: s.year) if s.year < season.year)
     fixtures = tuple(m.scheduled_copy() for m in season.matches_of(matchday))
     return PredictionContext(
         season_year=season.year,
         matchday=matchday,
         season_rounds=season.rounds,
-        history=tuple(chain(*earlier, season.played_before(matchday))),
+        history=tuple(chain(*earlier, season.matches_before(matchday))),
         fixtures=fixtures,
     )
 
@@ -298,37 +307,21 @@ def _year_summary(year: int, scored: Sequence[ScoredMatch]) -> YearSummary:
     )
 
 
-def check_played_before(season: Season, matchday: int) -> None:
-    """Refuse ``season`` if a match before ``matchday`` is unplayed.
-
-    The refits and the ``mn-dir2`` tuning for that matchday would miss it
-    without any flag.
-    """
-    m = next((m for m in season.matches if m.matchday < matchday and not m.played), None)
-    if m is not None:
-        raise ValueError(
-            f"season {season.year}: unplayed matches before matchday {matchday} "
-            f"({m.home} vs {m.away} on matchday {m.matchday})"
-        )
-
-
 def check_evaluable(seasons: Sequence[Season]) -> None:
-    """A season with a second half must be fully played.
+    """Refuse, before anything runs, an unplayed match ``evaluate`` would read or score.
 
-    Second-half matches are scored, and every refit before them must see
-    the whole earlier record of its season (``check_played_before``).
+    Second-half matches are scored, and the refits read every match of a
+    season with a second half and of every earlier year.  The refusal is
+    the one the context guard gives.
     """
+    last = max((s.year for s in seasons if second_half_matchdays(s)), default=None)
+    if last is None:
+        return
     for season in seasons:
-        matchdays = second_half_matchdays(season)
-        if not matchdays:
-            continue
-        check_played_before(season, matchdays[0])
-        m = next((m for m in season.matches if not m.played), None)
-        if m is not None:
-            raise ValueError(
-                f"season {season.year} matchday {m.matchday}: unplayed match "
-                f"{m.home} vs {m.away}"
-            )
+        if season.year < last or second_half_matchdays(season):
+            m = next((m for m in season.matches if not m.played), None)
+            if m is not None:
+                raise _unplayed(m)
 
 
 def _usable_cpus() -> int:

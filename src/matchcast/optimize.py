@@ -121,9 +121,9 @@ def minimize(
     """Minimize ``objective`` (value and gradient callable) from ``x0``.
 
     Convergence is declared when the 2-norm of the projected gradient drops
-    to ``settings.tol``; a stalled line search also terminates the run, in
-    which case ``converged`` reflects whatever the gradient norm is at that
-    point.  The gradient is taken at ``x0`` and at each accepted point.
+    to ``settings.tol``; a line search that finds no descent stops the run
+    non-converged.  The gradient is taken at ``x0`` and at each accepted
+    point.
     """
     cfg = settings or OptimSettings()
     x = _clamp(np.asarray(x0, dtype=float))
@@ -169,7 +169,7 @@ def minimize(
             step *= 0.5
         if x_new is None:
             # No descent possible (boundary or numerically flat): stop here.
-            return done(_norm(pg) <= cfg.tol, grad)
+            return done(False, grad)
 
         s = x_new - x
         y = grad_new - grad

@@ -63,7 +63,7 @@ def test_every_model_hook_counts_its_calls(two_seasons, monkeypatch):
         assert counts[f"predict.{model}.calls"] == matchdays, model
     # bt and poisson-lee train on the season so far; poisson-biv adds 2013 to 2014's fits.
     season_so_far = sum(
-        len(s.played_before(md)) for s in two_seasons for md in second_half_matchdays(s)
+        len(s.matches_before(md)) for s in two_seasons for md in second_half_matchdays(s)
     )
     earlier = len(two_seasons[0].matches) * len(second_half_matchdays(two_seasons[1]))
     for model, trained in (
@@ -75,7 +75,7 @@ def test_every_model_hook_counts_its_calls(two_seasons, monkeypatch):
         assert counts[f"fit.{model}.train_matches"] == trained, model
         assert counts[f"fit.{model}.obj_evals"] > 0, model
     grid = GridSpec.default()
-    first_halves = sum(len(s.played_before(first_half_rounds(s.rounds) + 1)) for s in two_seasons)
+    first_halves = sum(len(s.matches_before(first_half_rounds(s.rounds) + 1)) for s in two_seasons)
     assert counts["dirichlet.cv_calls"] == 2
     assert counts["dirichlet.cv_brier_evals"] == (
         len(grid.w_points) * len(grid.alpha_points) * first_halves

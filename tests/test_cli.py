@@ -85,6 +85,13 @@ class TestValidate:
         assert main(["validate", "--matches", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_missing_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        assert main(["validate", "--matches", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
 
 class TestPredict:
     def test_worked_example_row(self, tmp_path, capsys):
@@ -418,8 +425,50 @@ class TestEvaluate:
             assert code == 2
             errors.append(capsys.readouterr().err)
         m = records[0]
-        where = f"({m.home} vs {m.away} on matchday 1)"
-        assert errors == [f"error: season 2014: unplayed matches before matchday 6 {where}\n"] * 2
+        assert errors == [f"error: season 2014 matchday 1: unplayed match {m.home} vs {m.away}\n"] * 2
+        assert not (tmp_path / "r").exists()
+
+    def test_unplayed_earlier_year_match_refused_by_predict_and_evaluate(
+        self, tmp_path, capsys, two_seasons
+    ):
+        # A forecast for 2014 reads every 2013 match; training without the
+        # blanked one would be a different model, so both commands refuse.
+        records = [m for s in two_seasons for m in s.matches]
+        victim = records.index(two_seasons[0].matches_of(7)[1])
+        records[victim] = records[victim].scheduled_copy()
+        path = tmp_path / "matches.csv"
+        path.write_text(serialize_matches(records), encoding="utf-8")
+        capsys.readouterr()
+        errors = []
+        for argv in (
+            ["evaluate", "--out", str(tmp_path / "r")],
+            ["predict", "--season", "2014", "--matchday", "6"],
+            ["predict", "--season", "2014", "--matchday", "1"],
+        ):
+            code = main(argv + ["--matches", str(path), "--models", "trivial,bt,poisson-biv"])
+            assert code == 2
+            errors.append(capsys.readouterr())
+        m = records[victim]
+        line = f"error: season 2013 matchday 7: unplayed match {m.home} vs {m.away}\n"
+        assert [(e.out, e.err) for e in errors] == [("", line)] * 3
+        assert not (tmp_path / "r").exists()
+
+    def test_unplayed_match_of_a_one_round_earlier_season_refused(
+        self, tmp_path, capsys, mid_season, rng
+    ):
+        # The one-round 2013 season has no second half, so none of it is
+        # scored, yet every 2014 refit reads it.
+        earlier = list(simulate_played_season(["a", "b", "c", "d"], 2013, rng).matches_of(1))
+        earlier[1] = earlier[1].scheduled_copy()
+        path = tmp_path / "matches.csv"
+        path.write_text(serialize_matches(earlier + list(mid_season.matches)), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["evaluate", "--matches", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        m = earlier[1]
+        assert capsys.readouterr().err == (
+            f"error: season 2013 matchday 1: unplayed match {m.home} vs {m.away}\n"
+        )
         assert not (tmp_path / "r").exists()
 
 

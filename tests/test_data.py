@@ -159,24 +159,24 @@ def _venue_counts(records, team, venue):
 class TestVenueCounts:
     def test_hand_enumerated_window(self):
         season = build_season(_mini_records())
-        assert _venue_counts(season.played_before(4), "h", "home") == CountVector(2, 1, 0)
+        assert _venue_counts(season.matches_before(4), "h", "home") == CountVector(2, 1, 0)
 
     def test_empty_window(self):
         season = build_season(_mini_records())
-        assert _venue_counts(season.played_before(1), "h", "home") == CountVector()
-        assert tally_records(season.played_before(1)) == ({}, {})
+        assert _venue_counts(season.matches_before(1), "h", "home") == CountVector()
+        assert tally_records(season.matches_before(1)) == ({}, {})
 
     def test_role_without_matches(self):
         season = build_season(_mini_records())
-        assert _venue_counts(season.played_before(2), "x", "home") == CountVector()
-        assert "x" not in tally_records(season.played_before(2))[0]
+        assert _venue_counts(season.matches_before(2), "x", "home") == CountVector()
+        assert "x" not in tally_records(season.matches_before(2))[0]
 
     def test_monotone_in_matchday(self, small_season):
         for team in sorted(small_season.teams):
             for venue in VENUES:
                 prev = CountVector()
                 for md in range(small_season.rounds + 1):
-                    cur = _venue_counts(small_season.played_before(md + 1), team, venue)
+                    cur = _venue_counts(small_season.matches_before(md + 1), team, venue)
                     assert cur.wins >= prev.wins
                     assert cur.draws >= prev.draws
                     assert cur.losses >= prev.losses
@@ -187,7 +187,7 @@ class TestVenueCounts:
             played = sum(
                 1 for m in small_season.matches if m.played and m.matchday <= md
             )
-            for tallies in tally_records(small_season.played_before(md + 1)):
+            for tallies in tally_records(small_season.matches_before(md + 1)):
                 assert sum(c.total for c in tallies.values()) == played
 
 
@@ -245,18 +245,19 @@ class TestSeason:
         rebuilt = build_seasons(records)
         assert [s.year for s in rebuilt] == [2013, 2014]
 
-    def test_played_is_the_played_matches_in_matchday_order(self, small_season, rng):
+    def test_matches_before_is_every_earlier_match_in_matchday_order(self, small_season, rng):
         # Input out of matchday order, with a scheduled match before and after a played one.
         records = [m.scheduled_copy() if m.matchday in (2, 5) else m for m in small_season.matches]
         records = [records[k] for k in rng.permutation(len(records))]
         season = build_season(records)
-        played = season.played
-        assert played == tuple(m for m in season.matches if m.home_goals is not None)
-        assert [m.matchday for m in played] == sorted(m.matchday for m in played)
-        assert {m.matchday for m in played} == {1, 3, 4, 6}
-        assert len(played) == 8
-        assert all(m.played for m in played)
-        assert season.played is played
+        before = season.matches_before(6)
+        assert before == tuple(m for m in season.matches if m.matchday < 6)
+        assert [m.matchday for m in before] == sorted(m.matchday for m in before)
+        assert {m.matchday for m in before} == {1, 2, 3, 4, 5}
+        assert len(before) == 10
+        assert sum(not m.played for m in before) == 4
+        assert season.matches_before(1) == ()
+        assert season.matches_before(season.rounds + 1) == season.matches
 
     def test_mixed_years_rejected_in_single_build(self, two_seasons):
         records = [m for s in two_seasons for m in s.matches]

@@ -328,8 +328,8 @@ class TestRollingPredict:
             rolling_predict([mid_season], mid_season, 2)
 
     def test_rejects_unplayed_prior_matches(self, tmp_path, capsys):
-        # The context drops unplayed matches from the history, so the
-        # refusal lives where a matchday is requested: ``matchcast predict``.
+        # The context refuses a history holding an unplayed match, so
+        # ``matchcast predict`` exits before any refit on a shortened record.
         from matchcast.cli import main
         from matchcast.data import serialize_matches
 
@@ -339,7 +339,10 @@ class TestRollingPredict:
         path.write_text(serialize_matches(records))
         code = main(["predict", "--matches", str(path), "--matchday", "4", "--models", "bt"])
         assert code == 2
-        assert "unplayed matches before matchday 4" in capsys.readouterr().err
+        m = records[0]
+        assert capsys.readouterr().err == (
+            f"error: season 2014 matchday 1: unplayed match {m.home} vs {m.away}\n"
+        )
 
     def test_second_leg_differs_on_asymmetric_data(self, rng):
         # Construct a season where the data is asymmetric between the legs;

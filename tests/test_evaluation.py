@@ -14,7 +14,13 @@ import pytest
 import matchcast
 import matchcast.evaluation as evaluation
 from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
-from matchcast.evaluation import PredictionContext, SkippedMatchday, context_for, evaluate
+from matchcast.evaluation import (
+    PredictionContext,
+    SkippedMatchday,
+    check_evaluable,
+    context_for,
+    evaluate,
+)
 from matchcast.predictors import (
     KNOWN_MODELS,
     DavidsonPredictor,
@@ -149,20 +155,25 @@ class TestContext:
         def by_hand(season, matchday):
             years = sorted({s.year for s in seasons if s.year < season.year})
             earlier = [
-                m
-                for year in years
-                for s in seasons
-                if s.year == year
-                for m in s.matches
-                if m.home_goals is not None
+                m for year in years for s in seasons if s.year == year for m in s.matches
             ]
-            current = [
-                m for m in season.matches if m.matchday < matchday and m.home_goals is not None
-            ]
+            current = [m for m in season.matches if m.matchday < matchday]
             return tuple(earlier + current)
 
+        # Every 2015 forecast reads the 2014 league's unplayed last matchday,
+        # so its contexts refuse, naming the first such match.
+        blanked = next(m for m in seasons[2].matches if not m.played)
+        refusal = (
+            f"^season 2014 matchday {blanked.matchday}: "
+            f"unplayed match {blanked.home} vs {blanked.away}$"
+        )
         for season in seasons:
             for matchday in range(1, season.rounds + 1):
+                if season is seasons[0]:
+                    assert blanked in by_hand(season, matchday)
+                    with pytest.raises(ValueError, match=refusal):
+                        context_for(seasons, season, matchday)
+                    continue
                 ctx = context_for(seasons, season, matchday)
                 assert ctx.history == by_hand(season, matchday)
                 assert ctx.fixtures == tuple(
@@ -171,9 +182,9 @@ class TestContext:
         # A season's first matchday sees the earlier years alone, and a league
         # never sees the other league of its year.
         assert context_for(seasons, seasons[2], 1).history == two_seasons[0].matches
-        history_2015 = context_for(seasons, seasons[0], 1).history
-        assert len(history_2015) == 30 + 30 + 27
-        assert history_2015[30:60] == two_seasons[1].matches
+        wanted_2015 = by_hand(seasons[0], 1)
+        assert len(wanted_2015) == 30 + 30 + 30
+        assert wanted_2015[30:60] == two_seasons[1].matches
         assert all(
             r.home.startswith("t") for r in context_for(seasons, two_seasons[1], 10).history
         )
@@ -182,9 +193,9 @@ class TestContext:
         s2013, s2014 = two_seasons
         # Seasons out of order, the current season's records split around an earlier one's.
         history = (
-            s2014.played_before(4)[:5]
+            s2014.matches_before(4)[:5]
             + s2013.matches[10:20]
-            + s2014.played_before(4)[5:]
+            + s2014.matches_before(4)[5:]
             + s2013.matches[:10]
         )
         ctx = PredictionContext(2014, 4, s2014.rounds, history, ())
@@ -193,6 +204,29 @@ class TestContext:
         assert ctx.current_season_history() == want
         assert dataclasses.replace(ctx).current_season_history() == want
         assert PredictionContext(2015, 1, 10, history, ()).current_season_history() == ()
+
+    @pytest.mark.parametrize("year, matchday", [(2013, 3), (2013, 8), (2014, 2)])
+    def test_guard_and_check_evaluable_word_an_unplayed_match_alike(
+        self, two_seasons, year, matchday
+    ):
+        # An earlier year's first and second half, and the target season
+        # before the forecast matchday.
+        seasons = list(two_seasons)
+        k = year - 2013
+        target = seasons[k].matches_of(matchday)[1]
+        blank = target.scheduled_copy()
+        seasons[k] = build_season([blank if m == target else m for m in seasons[k].matches])
+        errors = []
+        for refuse in (
+            lambda: context_for(seasons, seasons[1], 6),
+            lambda: PredictionContext(2014, 6, 10, (blank,), ()),
+            lambda: check_evaluable(seasons),
+        ):
+            with pytest.raises(ValueError) as refused:
+                refuse()
+            errors.append(str(refused.value))
+        line = f"season {year} matchday {matchday}: unplayed match {blank.home} vs {blank.away}"
+        assert errors == [line] * 3
 
     def test_played_fixture_rejected(self, two_seasons):
         season = two_seasons[1]
@@ -301,7 +335,9 @@ class TestHarnessRobustness:
         victim = records.index(mid_season.matches_of(1)[0])
         records[victim] = records[victim].scheduled_copy()
         broken = build_season(records)
-        with pytest.raises(ValueError, match="unplayed matches before matchday 6"):
+        m = records[victim]
+        refusal = f"^season 2014 matchday 1: unplayed match {m.home} vs {m.away}$"
+        with pytest.raises(ValueError, match=refusal):
             evaluate([TrivialPredictor()], [broken])
 
     def test_infinite_log_scores_flagged_not_crashed(self, tmp_path, two_seasons):

@@ -127,7 +127,7 @@ def _bt_all_home_wins():
         # gamma is clamped at -30; def:t2 drifts to -19.5.
         (
             poisson_module,
-            lambda season: poisson_module.poisson_fit(season.played_before(4), correlated=True),
+            lambda season: poisson_module.poisson_fit(season.matches_before(4), correlated=True),
             ("def:t2", "gamma"),
             1,
             True,
@@ -290,7 +290,7 @@ class TestEagerParity:
     @pytest.mark.parametrize("before", [4, None], ids=["first-three-matchdays", "season"])
     def test_boundary_season_fits(self, problem, before, boundary_season, monkeypatch):
         matches = (
-            boundary_season.played_before(before)
+            boundary_season.matches_before(before)
             if before is not None
             else list(boundary_season.matches)
         )
