@@ -10,7 +10,7 @@ from .data import CountVector, Prediction, build_seasons, parse_matches
 from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import DirichletParams, mn_dir1_predict, posterior
 from .evaluation import PredictionContext, evaluate
-from .optimize import FitReport, OptimSettings
+from .optimize import FitReport
 from .poisson import TrainingWindow, poisson_fit, score_grid
 from .scoring import brier, log_score, spherical
 
@@ -20,7 +20,6 @@ __all__ = [
     "CountVector",
     "DirichletParams",
     "FitReport",
-    "OptimSettings",
     "Prediction",
     "PredictionContext",
     "TrainingWindow",

@@ -110,19 +110,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.season is not None:
         wanted = [s for s in seasons if s.year == args.season]
         if not wanted:
-            print(f"error: season {args.season} not in {cfg.matches_path}", file=sys.stderr)
-            return 2
+            raise ValueError(f"season {args.season} not in {cfg.matches_path}")
         season = wanted[0]
     elif len(seasons) == 1:
         season = seasons[0]
     else:
-        print("error: multiple seasons in file; pick one with --season", file=sys.stderr)
-        return 2
+        raise ValueError("multiple seasons in file; pick one with --season")
 
     matchday = args.matchday
     if not season.matches_of(matchday):
-        print(f"error: no fixtures for matchday {matchday}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no fixtures for matchday {matchday}")
 
     ctx = context_for(seasons, season, matchday)
     rows: list[tuple[object, ...]] = []
@@ -148,8 +145,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.dump_params and fitted is not None:
             param_dumps.append((name, fitted.params.to_csv()))
     if not rows:
-        print("error: no usable models", file=sys.stderr)
-        return 2
+        raise ValueError("no usable models")
     output = format_csv(("model", "season", "matchday", "home", "away", "p1", "p2", "p3"), rows)
     if cfg.output_dir:
         out_dir = Path(cfg.output_dir)
@@ -177,8 +173,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     predictors, failed = build_models(cfg)
     if not predictors:
-        print("error: no usable models", file=sys.stderr)
-        return 2
+        raise ValueError("no usable models")
 
     reports = evaluate(predictors, seasons)
     reported = {r.model for r in reports}
@@ -187,8 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"model {predictor.name} produced no predictions", file=sys.stderr)
             failed.append(predictor.name)
     if not reports:
-        print("error: no usable models", file=sys.stderr)
-        return 2
+        raise ValueError("no usable models")
     json_path, csv_path = write_reports(reports, cfg.output_dir or "matchcast-report")
     print(summary_table(reports), end="")
     if failed:

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
 
@@ -23,15 +23,7 @@ _WS = re.compile(r"\s+")
 
 SIMPLEX_TOL = 1e-9
 
-
-class MatchDataError(ValueError):
-    """Malformed or inconsistent match data. Carries the CSV line when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+T = TypeVar("T")
 
 
 def normalize_team(name: str) -> str:
@@ -42,7 +34,7 @@ def normalize_team(name: str) -> str:
     """
     collapsed = _WS.sub(" ", name.strip())
     if not collapsed:
-        raise MatchDataError("empty team name")
+        raise ValueError("empty team name")
     return collapsed.casefold()
 
 
@@ -71,16 +63,16 @@ class MatchRecord:
 
     def __post_init__(self) -> None:
         if self.matchday < 1:
-            raise MatchDataError(f"matchday must be >= 1, got {self.matchday}")
+            raise ValueError(f"matchday must be >= 1, got {self.matchday}")
         if self.home == self.away:
-            raise MatchDataError(f"home and away team are both {self.home!r}")
+            raise ValueError(f"home and away team are both {self.home!r}")
         if (self.home_goals is None) != (self.away_goals is None):
-            raise MatchDataError(
+            raise ValueError(
                 f"{self.home} vs {self.away}: goals must be both present or both absent"
             )
         for g in (self.home_goals, self.away_goals):
             if g is not None and g < 0:
-                raise MatchDataError(f"{self.home} vs {self.away}: negative goals")
+                raise ValueError(f"{self.home} vs {self.away}: negative goals")
 
     @property
     def played(self) -> bool:
@@ -94,7 +86,7 @@ class MatchRecord:
 def outcome_of(match: MatchRecord) -> Outcome:
     """Home win / draw / away win by goal comparison. Errors on scheduled matches."""
     if not match.played:
-        raise MatchDataError(f"{match.home} vs {match.away}: no result")
+        raise ValueError(f"{match.home} vs {match.away}: no result")
     if match.home_goals > match.away_goals:
         return Outcome.HOME_WIN
     if match.home_goals == match.away_goals:
@@ -190,22 +182,22 @@ def build_season(records: Sequence[MatchRecord], *, strict: bool = False) -> Sea
     38-round double round robin) is rejected too.
     """
     if not records:
-        raise MatchDataError("season has no matches")
+        raise ValueError("season has no matches")
     years = {m.season for m in records}
     if len(years) != 1:
-        raise MatchDataError(f"records span multiple seasons: {sorted(years)}")
+        raise ValueError(f"records span multiple seasons: {sorted(years)}")
     seen: set[tuple[int, int, str, str]] = set()
     for m in records:
         key = (m.season, m.matchday, m.home, m.away)
         if key in seen:
-            raise MatchDataError(f"duplicate fixture {key}")
+            raise ValueError(f"duplicate fixture {key}")
         seen.add(key)
     ordered = tuple(sorted(records, key=lambda m: m.matchday))
     teams = frozenset(t for m in ordered for t in (m.home, m.away))
     rounds = max(m.matchday for m in ordered)
     irregular = not (len(teams) == 20 and len(ordered) == 380 and rounds == 38)
     if strict and irregular:
-        raise MatchDataError(
+        raise ValueError(
             f"irregular season {next(iter(years))}: "
             f"{len(teams)} teams, {len(ordered)} matches, {rounds} rounds"
         )
@@ -265,65 +257,62 @@ def tally_records(
     )
 
 
-def _parse_goals(text: str, line: int, field: str) -> int | None:
+def _parse_goals(text: str, field: str) -> int | None:
     text = text.strip()
     if text == "":
         return None
     try:
         goals = int(text)
     except ValueError:
-        raise MatchDataError(f"{field} is not an integer: {text!r}", line) from None
+        raise ValueError(f"{field} is not an integer: {text!r}") from None
     if goals < 0:
-        raise MatchDataError(f"{field} is negative: {goals}", line)
+        raise ValueError(f"{field} is negative: {goals}")
     return goals
 
 
-def read_rows(csv_text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` per non-blank row, each as wide as ``header``, which must come first.
+def read_rows(
+    csv_text: str, header: Sequence[str], parse: Callable[[list[str]], T]
+) -> list[tuple[int, T]]:
+    """``(line, parse(row))`` per non-blank row; ``header`` must come first.
 
-    The header is compared trimmed and lower-cased; a mismatch raises :class:`MatchDataError`.
+    The header is compared trimmed and lower-cased.  A row not as wide as
+    ``header``, or a ``ValueError`` from ``parse``, raises ``ValueError``
+    prefixed ``line N: ``: the one place a CSV error gets its line.
     """
     reader = csv.reader(io.StringIO(csv_text))
     first = next(reader, None)
     if first is None:
-        raise MatchDataError("empty input")
+        raise ValueError("empty input")
     if tuple(h.strip().lower() for h in first) != tuple(header):
-        raise MatchDataError(f"bad header {first!r}, expected {','.join(header)}", line=1)
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise MatchDataError(f"expected {len(header)} fields, got {len(row)}", line)
-        yield line, row
+        raise ValueError(f"line 1: bad header {first!r}, expected {','.join(header)}")
+    parsed: list[tuple[int, T]] = []
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            parsed.append((line, parse(row)))
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {exc}") from None
+    return parsed
+
+
+def _parse_match(row: list[str]) -> MatchRecord:
+    season_s, matchday_s, home_s, away_s, hg_s, ag_s = row
+    try:
+        season, matchday = int(season_s), int(matchday_s)
+    except ValueError:
+        raise ValueError(
+            f"season/matchday must be integers: {season_s!r}, {matchday_s!r}"
+        ) from None
+    hg, ag = _parse_goals(hg_s, "home_goals"), _parse_goals(ag_s, "away_goals")
+    return MatchRecord(season, matchday, normalize_team(home_s), normalize_team(away_s), hg, ag)
 
 
 def parse_matches_with_lines(csv_text: str) -> list[tuple[int, MatchRecord]]:
     """Like :func:`parse_matches`, but pairs each record with its CSV line number."""
-    records: list[tuple[int, MatchRecord]] = []
-    for line, row in read_rows(csv_text, MATCH_CSV_HEADER):
-        season_s, matchday_s, home_s, away_s, hg_s, ag_s = row
-        try:
-            season = int(season_s.strip())
-            matchday = int(matchday_s.strip())
-        except ValueError:
-            raise MatchDataError(
-                f"season/matchday must be integers: {season_s!r}, {matchday_s!r}", line
-            ) from None
-        hg = _parse_goals(hg_s, line, "home_goals")
-        ag = _parse_goals(ag_s, line, "away_goals")
-        try:
-            record = MatchRecord(
-                season=season,
-                matchday=matchday,
-                home=normalize_team(home_s),
-                away=normalize_team(away_s),
-                home_goals=hg,
-                away_goals=ag,
-            )
-        except MatchDataError as exc:
-            raise MatchDataError(str(exc), line) from None
-        records.append((line, record))
-    return records
+    return read_rows(csv_text, MATCH_CSV_HEADER, _parse_match)
 
 
 def parse_matches(csv_text: str) -> list[MatchRecord]:
@@ -331,7 +320,7 @@ def parse_matches(csv_text: str) -> list[MatchRecord]:
 
     Expected header: ``season,matchday,home,away,home_goals,away_goals``.
     Blank goal fields mark a scheduled match.  All structural problems
-    raise :class:`MatchDataError` with the offending line number.
+    raise ``ValueError`` with the offending line number.
     """
     return [record for _, record in parse_matches_with_lines(csv_text)]
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .data import MatchRecord, Outcome, Prediction, format_csv, outcome_of
-from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
+from .optimize import FitReport, fit_report, fit_teams, minimize
 
 WORTH_SUM_TOL = 1e-9
 
@@ -131,10 +131,7 @@ class _DavidsonObjective:
         return nll, gradient
 
 
-def bt_fit(
-    matches: Sequence[MatchRecord],
-    settings: OptimSettings | None = None,
-) -> FitReport[BTParams]:
+def bt_fit(matches: Sequence[MatchRecord]) -> FitReport[BTParams]:
     """Maximum-likelihood fit to played ``matches`` from the symmetric start.
 
     The window is checked by :func:`~matchcast.optimize.fit_teams`, as for
@@ -146,7 +143,7 @@ def bt_fit(
     """
     objective = _DavidsonObjective(fit_teams(matches), matches)
     x0 = np.zeros(objective.n_params)
-    result = minimize(objective, x0, settings)
+    result = minimize(objective, x0)
 
     r, log_gamma, log_nu = objective.unpack(result.x)
     worths = np.exp(r)

@@ -294,15 +294,15 @@ def _aggregate(scored: Sequence[ScoredMatch]) -> Aggregates:
 
 
 def _year_summary(year: int, scored: Sequence[ScoredMatch]) -> YearSummary:
-    finite_logs = [s.log for s in scored if math.isfinite(s.log)]
+    agg = _aggregate(scored)
     return YearSummary(
         season=year,
-        n_scored=len(scored),
-        brier_mean=float(np.mean([s.brier for s in scored])),
-        log_mean=float(np.mean(finite_logs)) if finite_logs else math.nan,
-        spherical_mean=float(np.mean([s.spherical for s in scored])),
-        proportion_of_errors=sum(s.top_choice_error for s in scored) / len(scored),
-        entropy_mean=float(np.mean([s.entropy for s in scored])),
+        n_scored=agg.n_scored,
+        brier_mean=agg.brier.mean,
+        log_mean=agg.log.mean,
+        spherical_mean=agg.spherical.mean,
+        proportion_of_errors=agg.proportion_of_errors,
+        entropy_mean=agg.entropy.mean,
         gof=chi_square_gof([(s.match, s.prediction) for s in scored]),
     )
 

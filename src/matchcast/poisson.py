@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 import numpy as np
 
 from .data import MatchRecord, Prediction, first_half_rounds, format_csv
-from .optimize import FitReport, OptimSettings, fit_report, fit_teams, minimize
+from .optimize import FitReport, fit_report, fit_teams, minimize
 
 if TYPE_CHECKING:
     from .evaluation import PredictionContext
@@ -314,9 +314,7 @@ def _masked_lgamma(values: np.ndarray) -> np.ndarray:
 
 
 def poisson_fit(
-    matches: Sequence[MatchRecord],
-    correlated: bool = False,
-    settings: OptimSettings | None = None,
+    matches: Sequence[MatchRecord], correlated: bool = False
 ) -> FitReport[TeamStrengths]:
     """Maximum-likelihood team strengths; ``correlated=False`` pins lambda3 = 0.
 
@@ -328,7 +326,7 @@ def poisson_fit(
     x0 = np.zeros(objective.n_params)
     if correlated:
         x0[-1] = math.log(0.1)  # small positive shared component to start
-    result = minimize(objective, x0, settings)
+    result = minimize(objective, x0)
 
     mu, gamma, att, dfn, lambda3 = objective.unpack(result.x)
     strengths = TeamStrengths(

@@ -1,6 +1,6 @@
 """Model adapters: each wires one engine into the evaluation Predictor protocol.
 
-Model identifiers accepted on the command line and in config files:
+Model identifiers accepted on the command line:
 
     trivial         uniform (1/3, 1/3, 1/3) baseline
     mn-dir1         equal-weight Dirichlet count mixture, flat prior
@@ -68,7 +68,7 @@ class MnDir1Predictor:
 
 
 class MnDir2Predictor:
-    """Weighted mixture: (w, alpha) picked by first-half Brier cross-validation.
+    """Weighted mixture: (w, alpha) picked on ``GridSpec.default()`` by first-half Brier CV.
 
     Selection happens once per league season, the first time a second-half
     context of it arrives, and is keyed by the first-half records it reads:
@@ -77,8 +77,7 @@ class MnDir2Predictor:
 
     name = "mn-dir2"
 
-    def __init__(self, grid: GridSpec | None = None):
-        self.grid = grid or GridSpec.default()
+    def __init__(self):
         self._selected: dict[tuple[MatchRecord, ...], MnDir2Config] = {}
 
     def _config_for(self, ctx: PredictionContext) -> MnDir2Config:
@@ -86,7 +85,7 @@ class MnDir2Predictor:
         first_half = tuple(r for r in SEASON_WINDOW.training(ctx) if r.matchday <= half)
         cfg = self._selected.get(first_half)
         if cfg is None:
-            cfg = self._selected[first_half] = cv_select(first_half, self.grid)
+            cfg = self._selected[first_half] = cv_select(first_half, GridSpec.default())
         return cfg
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
@@ -108,15 +107,22 @@ class MnDir2Predictor:
 
 
 class _RefitPredictor:
-    """Refit on ``window`` (``_fit``), then forecast each fixture (``_forecast``).
+    """Refit on ``window`` (``fit``), then forecast each fixture (``forecast``).
 
-    A fixture the fit cannot forecast fails the matchday; the error then
-    names the fit's boundary parameters, if any.  Each call reads only its
-    context, so ``evaluate`` may run it in a worker (``parallel_refit``).
+    Each model is one row of ``_BUILDERS``.  A fixture the fit cannot
+    forecast fails the matchday; the error then names the fit's boundary
+    parameters, if any.  Each call reads only its context, so ``evaluate``
+    may run it in a worker (``parallel_refit``).
     """
 
     parallel_refit = True
     last_fit = None
+
+    def __init__(self, name: str, window: TrainingWindow, fit, forecast):
+        self.name = name
+        self.window = window
+        self._fit = fit
+        self._forecast = forecast
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
         fitted = self._fit(self.window.training(ctx))
@@ -133,31 +139,8 @@ class _RefitPredictor:
         return out
 
 
-class DavidsonPredictor(_RefitPredictor):
-    """Paired-comparison model refit on all earlier matches of the season."""
-
-    name = "bt"
-    window = SEASON_WINDOW
-
-    _forecast = staticmethod(bt_outcome_probs)
-
-    def _fit(self, matches: list[MatchRecord]):
-        return bt_fit(matches)
-
-
-class PoissonPredictor(_RefitPredictor):
-    """Goals model refit on a training window, scores summed into outcomes."""
-
-    def __init__(self, name: str, correlated: bool, window: TrainingWindow):
-        self.name = name
-        self.correlated = correlated
-        self.window = window
-
-    def _fit(self, matches: list[MatchRecord]):
-        return poisson_fit(matches, correlated=self.correlated)
-
-    def _forecast(self, params, home: str, away: str) -> Prediction:
-        return outcome_probs(link_rates(params, home, away))
+def _poisson_forecast(params, home: str, away: str) -> Prediction:
+    return outcome_probs(link_rates(params, home, away))
 
 
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")
@@ -170,21 +153,20 @@ def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Pred
     numbers) are renormalized; anything worse is rejected.
     """
     table: dict[tuple[int, int, str, str], Prediction] = {}
-    for line, row in read_rows(csv_text, PREDICTIONS_CSV_HEADER):
-        try:
-            season, matchday = int(row[0]), int(row[1])
-            home, away = normalize_team(row[2]), normalize_team(row[3])
-            probs = [float(x) for x in row[4:7]]
-        except ValueError as exc:
-            raise ValueError(f"line {line}: {exc}") from None
+
+    def add(row: list[str]) -> None:
+        season, matchday = int(row[0]), int(row[1])
+        home, away = normalize_team(row[2]), normalize_team(row[3])
+        probs = [float(x) for x in row[4:7]]
         total = sum(probs)
         if any(p < 0.0 for p in probs) or not 1.0 - 1e-3 <= total <= 1.0 + 1e-3:
-            raise ValueError(f"line {line}: probabilities {probs} are not a distribution")
-        probs = [p / total for p in probs]
+            raise ValueError(f"probabilities {probs} are not a distribution")
         key = (season, matchday, home, away)
         if key in table:
-            raise ValueError(f"line {line}: duplicate prediction for {key}")
-        table[key] = Prediction(*probs)
+            raise ValueError(f"duplicate prediction for {key}")
+        table[key] = Prediction(*(p / total for p in probs))
+
+    read_rows(csv_text, PREDICTIONS_CSV_HEADER, add)
     return table
 
 
@@ -213,9 +195,17 @@ _BUILDERS = {
     "trivial": TrivialPredictor,
     "mn-dir1": MnDir1Predictor,
     "mn-dir2": MnDir2Predictor,
-    "bt": DavidsonPredictor,
-    "poisson-lee": lambda: PoissonPredictor("poisson-lee", False, SEASON_WINDOW),
-    "poisson-biv": lambda: PoissonPredictor("poisson-biv", True, TrainingWindow("all")),
+    # Each fit is looked up when called, so a patched ``predictors.bt_fit`` is the one run.
+    "bt": lambda: _RefitPredictor("bt", SEASON_WINDOW, lambda m: bt_fit(m), bt_outcome_probs),
+    "poisson-lee": lambda: _RefitPredictor(
+        "poisson-lee", SEASON_WINDOW, lambda m: poisson_fit(m), _poisson_forecast
+    ),
+    "poisson-biv": lambda: _RefitPredictor(
+        "poisson-biv",
+        TrainingWindow("all"),
+        lambda m: poisson_fit(m, correlated=True),
+        _poisson_forecast,
+    ),
 }
 KNOWN_MODELS = tuple(_BUILDERS)
 

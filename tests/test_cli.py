@@ -565,9 +565,14 @@ class TestConfig:
         missing = tmp_path / "missing.csv"
         argv = ["evaluate", "--matches", str(matches_file), "--out", str(tmp_path / "r")]
         assert main([*argv, "--models", f"external:{missing}"]) == 2
-        err = capsys.readouterr().err
-        assert f"model external:{missing} failed to build: " in err
-        assert err.endswith("error: no usable models\n")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"model external:{missing} failed to build: "
+            f"[Errno 2] No such file or directory: '{missing}'\n"
+            "error: no usable models\n"
+        )
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("rows", [None, ""], ids=["missing-file", "no-rows"])
     def test_predict_without_a_usable_model_fails_as_evaluate_does(
@@ -721,3 +726,127 @@ def test_validate_refuses_flags_it_would_ignore(flag, matches_file, capsys):
         main(["validate", "--matches", str(matches_file), flag, "x"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+class TestRefusals:
+    """A refusal is one ``error: ...`` line on stderr and exit 2, printed by ``main`` alone."""
+
+    HEADER = "season,matchday,home,away,home_goals,away_goals\n"
+
+    @staticmethod
+    def refused(argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input"),
+            (
+                "season,round,home,away,hg,ag\n",
+                "line 1: bad header ['season', 'round', 'home', 'away', 'hg', 'ag'], "
+                "expected season,matchday,home,away,home_goals,away_goals",
+            ),
+            (HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1\n", "line 3: expected 6 fields, got 5"),
+            (
+                HEADER + "2001,1,a,b,1,0\n\n2001,1,c,d,x,0\n",
+                "line 4: home_goals is not an integer: 'x'",
+            ),
+            (HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1,-2\n", "line 3: away_goals is negative: -2"),
+            (
+                HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1,\n",
+                "line 3: c vs d: goals must be both present or both absent",
+            ),
+            (HEADER + "2001,1,C, c ,1,0\n", "line 2: home and away team are both 'c'"),
+            (HEADER + "2001,1,  ,d,1,0\n", "line 2: empty team name"),
+            (HEADER + "20x1,1,a,b,1,0\n", "line 2: season/matchday must be integers: '20x1', '1'"),
+            (HEADER + "2001,0,a,b,1,0\n", "line 2: matchday must be >= 1, got 0"),
+        ],
+        ids=[
+            "empty", "header", "fields", "non-integer", "negative", "one-blank", "self",
+            "empty-team", "season", "matchday",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "predict", "evaluate"])
+    def test_malformed_match_csv(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "matches.csv"
+        path.write_text(text)
+        argv = [command, "--matches", str(path)]
+        if command == "predict":
+            argv += ["--matchday", "1"]
+        if command == "evaluate":
+            argv += ["--out", str(tmp_path / "r")]
+        assert self.refused(argv, capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                "2014,8,A,B,0.5,0.3,0.3\n",
+                "line 2: probabilities [0.5, 0.3, 0.3] are not a distribution",
+            ),
+            (
+                "2014,8,A,B,0.5,0.3,0.2\n2014,8, a ,b,0.5,0.3,0.2\n",
+                "line 3: duplicate prediction for (2014, 8, 'a', 'b')",
+            ),
+            ("2014,8, ,B,0.5,0.3,0.2\n", "line 2: empty team name"),
+            ("2014,8,A,B,0.5,0.5\n", "line 2: expected 7 fields, got 6"),
+            ("2014,8,A,B,0.5,x,0.5\n", "line 2: could not convert string to float: 'x'"),
+        ],
+        ids=["off-simplex", "duplicate", "empty-team", "fields", "non-float"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_malformed_external_csv(self, command, rows, message, matches_file, tmp_path, capsys):
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("season,matchday,home,away,p1,p2,p3\n" + rows)
+        spec = f"external:{forecasts}"
+        argv = [command, "--matches", str(matches_file), "--models", spec]
+        if command == "predict":
+            argv += ["--season", "2014", "--matchday", "8"]
+        else:
+            argv += ["--out", str(tmp_path / "r")]
+        err = self.refused(argv, capsys)
+        assert err == f"model {spec} failed to build: {message}\nerror: no usable models\n"
+
+    def test_duplicate_fixture(self, matches_file, tmp_path, capsys):
+        first = matches_file.read_text().splitlines()[1]
+        matches_file.write_text(matches_file.read_text() + first + "\n")
+        season, matchday, home, away = first.split(",")[:4]
+        message = f"error: duplicate fixture {(int(season), int(matchday), home, away)}"
+        validate = self.refused(["validate", "--matches", str(matches_file)], capsys)
+        assert validate == f"{message} on lines 2, 62\n"
+        predict = ["predict", "--matches", str(matches_file), "--season", "2014", "--matchday", "6"]
+        assert self.refused(predict, capsys) == f"{message}\n"
+        evaluate = ["evaluate", "--matches", str(matches_file), "--out", str(tmp_path / "r")]
+        assert self.refused(evaluate, capsys) == f"{message}\n"
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        # validate's case is TestValidate.test_missing_file_exits_2_with_one_error_line.
+        for argv in (["predict", "--matchday", "6"], ["evaluate"]):
+            err = self.refused([*argv, "--matches", str(path)], capsys)
+            assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--season", "1999", "--matchday", "6"], "season 1999 not in {path}"),
+            (["--matchday", "6"], "multiple seasons in file; pick one with --season"),
+            (["--season", "2014", "--matchday", "99"], "no fixtures for matchday 99"),
+        ],
+        ids=["season-not-in-file", "several-seasons", "no-fixtures"],
+    )
+    def test_predict_target(self, flags, message, matches_file, capsys):
+        err = self.refused(["predict", "--matches", str(matches_file), *flags], capsys)
+        assert err == f"error: {message.format(path=matches_file)}\n"
+
+    def test_evaluate_without_a_model_that_predicts(self, matches_file, tmp_path, capsys):
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("season,matchday,home,away,p1,p2,p3\n1999,6,x,y,0.5,0.3,0.2\n")
+        spec = f"external:{forecasts}"
+        argv = ["evaluate", "--matches", str(matches_file), "--models", spec]
+        err = self.refused([*argv, "--out", str(tmp_path / "r")], capsys)
+        assert err == f"model {spec} produced no predictions\nerror: no usable models\n"
+        assert not (tmp_path / "r").exists()

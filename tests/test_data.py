@@ -5,7 +5,6 @@ import pytest
 
 from matchcast.data import (
     CountVector,
-    MatchDataError,
     MatchRecord,
     Outcome,
     Prediction,
@@ -34,7 +33,7 @@ class TestNormalizeTeam:
         assert normalize_team("REDBROOK") == normalize_team("redbrook")
 
     def test_empty_rejected(self):
-        with pytest.raises(MatchDataError):
+        with pytest.raises(ValueError):
             normalize_team("   ")
 
 
@@ -54,26 +53,26 @@ class TestParseMatches:
 
     def test_home_equals_away_rejected_with_line(self):
         bad = "season,matchday,home,away,home_goals,away_goals\n2014,20,Redbrook,Redbrook,1,0\n"
-        with pytest.raises(MatchDataError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_matches(bad)
 
     def test_negative_goals_rejected(self):
         bad = "season,matchday,home,away,home_goals,away_goals\n2014,1,A,B,-1,0\n"
-        with pytest.raises(MatchDataError, match="negative"):
+        with pytest.raises(ValueError, match="negative"):
             parse_matches(bad)
 
     def test_single_missing_goal_rejected(self):
         bad = "season,matchday,home,away,home_goals,away_goals\n2014,1,A,B,1,\n"
-        with pytest.raises(MatchDataError, match="both present or both absent"):
+        with pytest.raises(ValueError, match="both present or both absent"):
             parse_matches(bad)
 
     def test_bad_header_rejected(self):
-        with pytest.raises(MatchDataError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             parse_matches("season,round,home,away,hg,ag\n")
 
     def test_malformed_row_reports_line(self):
         bad = GOOD_CSV + "2014,twenty,A,B,1,0\n"
-        with pytest.raises(MatchDataError, match="line 5"):
+        with pytest.raises(ValueError, match="line 5"):
             parse_matches(bad)
 
     def test_line_numbers_skip_blanks(self):
@@ -95,7 +94,7 @@ class TestOutcomeOf:
         assert outcome_of(MatchRecord(2014, 1, "a", "b", hg, ag)) is expected
 
     def test_scheduled_match_rejected(self):
-        with pytest.raises(MatchDataError, match="no result"):
+        with pytest.raises(ValueError, match="no result"):
             outcome_of(MatchRecord(2014, 1, "a", "b"))
 
     def test_partitions_played_matches(self, small_season):
@@ -230,11 +229,11 @@ def test_tally_records_matches_brute_force(seed):
 class TestSeason:
     def test_duplicate_fixture_rejected(self):
         records = _mini_records() + [MatchRecord(2014, 1, "h", "x", 0, 1)]
-        with pytest.raises(MatchDataError, match="duplicate fixture"):
+        with pytest.raises(ValueError, match="duplicate fixture"):
             build_season(records)
 
     def test_strict_rejects_irregular(self):
-        with pytest.raises(MatchDataError, match="irregular"):
+        with pytest.raises(ValueError, match="irregular"):
             build_season(_mini_records(), strict=True)
 
     def test_irregular_flag(self, small_season):
@@ -261,7 +260,7 @@ class TestSeason:
 
     def test_mixed_years_rejected_in_single_build(self, two_seasons):
         records = [m for s in two_seasons for m in s.matches]
-        with pytest.raises(MatchDataError, match="multiple seasons"):
+        with pytest.raises(ValueError, match="multiple seasons"):
             build_season(records)
 
 

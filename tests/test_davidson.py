@@ -8,7 +8,7 @@ from matchcast.data import MatchRecord, Outcome, outcome_of
 from matchcast.davidson import BTParams, _DavidsonObjective, bt_fit, bt_outcome_probs
 from matchcast.evaluation import context_for
 from matchcast.optimize import OptimSettings, fit_teams
-from matchcast.predictors import DavidsonPredictor
+from matchcast.predictors import build_predictor
 from matchcast.selftest import double_round_robin, simulate_davidson_season
 
 
@@ -23,6 +23,14 @@ def raw_probs(pi_h, pi_a, gamma, nu):
 
 def equal_worths(teams, gamma=1.0, nu=1.0):
     return BTParams(worth={t: 1.0 / len(teams) for t in teams}, gamma=gamma, nu=nu)
+
+
+def solve_with(monkeypatch, settings):
+    """Run ``bt_fit``'s solver under ``settings``, by patching ``davidson.minimize``."""
+    real = davidson_module.minimize
+    monkeypatch.setattr(
+        davidson_module, "minimize", lambda objective, x0: real(objective, x0, settings)
+    )
 
 
 def log_likelihood(params, matches):
@@ -268,11 +276,12 @@ class TestFit:
         assert "nu" in report.boundary_flags
         assert report.params.nu < 1e-6
 
-    def test_convergence_implies_small_gradient(self, rng):
+    def test_convergence_implies_small_gradient(self, rng, monkeypatch):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=30, rng=rng)
         settings = OptimSettings(tol=1e-8, max_iter=500)
-        report = bt_fit(records, settings)
+        solve_with(monkeypatch, settings)
+        report = bt_fit(records)
         assert report.converged
         assert report.gradient_norm <= settings.tol
 
@@ -300,17 +309,18 @@ class TestFit:
         with pytest.raises(ValueError):
             bt_fit([])
 
-    def test_iteration_cap_reports_nonconvergence(self, rng):
+    def test_iteration_cap_reports_nonconvergence(self, rng, monkeypatch):
         true = BTParams(worth={"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, gamma=1.2, nu=1.1)
         records = simulate_davidson_season(true, ["a", "b", "c", "d"], replications=10, rng=rng)
-        report = bt_fit(records, OptimSettings(max_iter=2))
+        solve_with(monkeypatch, OptimSettings(max_iter=2))
+        report = bt_fit(records)
         assert not report.converged
         assert report.iterations <= 2
 
 
 def rolling_predict(seasons, season, matchday):
     """One refit through the harness path: the matchday's context, then the predictor."""
-    return DavidsonPredictor().predict(context_for(seasons, season, matchday))
+    return build_predictor("bt").predict(context_for(seasons, season, matchday))
 
 
 class TestRollingPredict:

@@ -14,6 +14,7 @@ import pytest
 import matchcast
 import matchcast.evaluation as evaluation
 from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
+from matchcast.davidson import bt_fit, bt_outcome_probs
 from matchcast.evaluation import (
     PredictionContext,
     SkippedMatchday,
@@ -23,15 +24,13 @@ from matchcast.evaluation import (
 )
 from matchcast.predictors import (
     KNOWN_MODELS,
-    DavidsonPredictor,
     MnDir1Predictor,
     MnDir2Predictor,
-    PoissonPredictor,
     TrivialPredictor,
     build_predictor,
     parse_prediction_rows,
 )
-from matchcast.poisson import TrainingWindow
+from matchcast.poisson import link_rates, outcome_probs, poisson_fit
 from matchcast.reports import reports_to_csv, reports_to_json, write_reports
 from matchcast.selftest import simulate_played_season
 
@@ -408,13 +407,10 @@ class TestSharedContext:
         assert calls == []
 
     def test_joint_run_matches_each_predictor_alone(self, two_seasons):
-        from matchcast.dirichlet import GridSpec
-
-        grid = GridSpec(w_points=(0.25, 0.5), alpha_points=(1.0, 2.0))
         makers = [
-            lambda: MnDir2Predictor(grid),
+            MnDir2Predictor,
             lambda: FailingOn(bad_matchday=7),
-            DavidsonPredictor,
+            lambda: build_predictor("bt"),
         ]
         joint = evaluate([make() for make in makers], two_seasons)
         assert [r.model for r in joint] == ["mn-dir2", "flaky", "bt"]
@@ -442,12 +438,39 @@ class TestSharedContext:
         }
 
     def test_mn_dir2_refuses_a_first_half_context_of_a_tuned_season(self, mid_season):
-        from matchcast.dirichlet import GridSpec
-
-        predictor = MnDir2Predictor(GridSpec(w_points=(0.25, 0.5), alpha_points=(1.0, 2.0)))
+        predictor = MnDir2Predictor()
         predictor.predict(context_for([mid_season], mid_season, 6))
         with pytest.raises(ValueError, match="matchday 5 is not in the second half"):
             predictor.predict(context_for([mid_season], mid_season, 5))
+
+
+def poisson_forecast(strengths, home, away):
+    return outcome_probs(link_rates(strengths, home, away))
+
+
+class TestRefitRows:
+    """Each refit model is its engine's fit on its window, then the engine's forecast."""
+
+    @pytest.mark.parametrize(
+        "spec, window, fit, forecast",
+        [
+            ("bt", "season", bt_fit, bt_outcome_probs),
+            ("poisson-lee", "season", poisson_fit, poisson_forecast),
+            ("poisson-biv", "all", lambda m: poisson_fit(m, correlated=True), poisson_forecast),
+        ],
+    )
+    def test_row_composition(self, spec, window, fit, forecast, two_seasons):
+        earlier, season = two_seasons
+        md = 7
+        current = [m for m in season.matches if m.matchday < md]
+        training = current if window == "season" else [*earlier.matches, *current]
+        direct = fit(training)
+        predictor = build_predictor(spec)
+        rolling = predictor.predict(context_for(two_seasons, season, md))
+        assert predictor.last_fit == direct
+        assert len(rolling) == 3
+        for fixture, prediction in rolling.items():
+            assert prediction == forecast(direct.params, fixture.home, fixture.away)
 
 
 class TestRefitPool:
@@ -487,12 +510,12 @@ class TestRefitPool:
 
         monkeypatch.setattr(evaluation, "score_match", failing)
         with pytest.raises(RuntimeError, match="scoring failed"):
-            evaluate([DavidsonPredictor(), build_predictor("poisson-biv")], two_seasons)
+            evaluate([build_predictor("bt"), build_predictor("poisson-biv")], two_seasons)
         assert multiprocessing.active_children() == []
 
     def test_refits_run_inline_while_another_thread_runs(self, two_seasons, monkeypatch):
         self.on_cpus(monkeypatch, 2)
-        predictor = DavidsonPredictor()
+        predictor = build_predictor("bt")
         caller = threading.Thread(target=evaluate, args=([predictor], two_seasons))
         caller.start()
         caller.join(timeout=60)
@@ -531,11 +554,11 @@ class TestRefitPool:
         parent = os.getpid()
         real = predictors.bt_fit
 
-        def dying(matches, settings=None):
+        def dying(matches):
             # A worker dies in the fit for 2014 matchday 10, the last one.
             if os.getpid() != parent and max((m.season, m.matchday) for m in matches) == (2014, 9):
                 os._exit(3)
-            return real(matches, settings)
+            return real(matches)
 
         def hung(signum, frame):
             raise TimeoutError("evaluate hung on a dead worker")
@@ -545,7 +568,7 @@ class TestRefitPool:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            trivial, bt = evaluate([TrivialPredictor(), DavidsonPredictor()], two_seasons)
+            trivial, bt = evaluate([TrivialPredictor(), build_predictor("bt")], two_seasons)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -565,7 +588,7 @@ class TestRefitPool:
             "import numpy as np\n"
             "import matchcast.evaluation as evaluation, matchcast.predictors as predictors\n"
             "from matchcast.selftest import simulate_played_season\n"
-            "def stalled(matches, settings=None):\n"
+            "def stalled(matches):\n"
             "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
             "    time.sleep(120)\n"
             "evaluation._usable_cpus = lambda: 2\n"
@@ -573,7 +596,7 @@ class TestRefitPool:
             "rng = np.random.default_rng(1)\n"
             "teams = [f't{k}' for k in range(4)]\n"
             "seasons = [simulate_played_season(teams, 2014, rng)]\n"
-            "evaluation.evaluate([predictors.DavidsonPredictor()], seasons)\n"
+            "evaluation.evaluate([predictors.build_predictor('bt')], seasons)\n"
         )
         src = str(Path(matchcast.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -616,10 +639,7 @@ class TestReportContents:
         assert report.gof.df == sum(y.gof.df for y in report.per_year)
 
     def test_mn_dir2_settings_exported_six_decimals(self, two_seasons):
-        from matchcast.dirichlet import GridSpec
-
-        grid = GridSpec(w_points=(0.25, 0.5), alpha_points=(1.0, 2.0))
-        report = evaluate([MnDir2Predictor(grid)], two_seasons)[0]
+        report = evaluate([MnDir2Predictor()], two_seasons)[0]
         assert set(report.settings_by_year) == {2013, 2014}
         for values in report.settings_by_year.values():
             assert set(values) == {"w", "alpha"}
@@ -641,8 +661,8 @@ class TestReportContents:
         predictors = [
             TrivialPredictor(),
             MnDir1Predictor(),
-            DavidsonPredictor(),
-            PoissonPredictor("poisson-lee", False, TrainingWindow("season")),
+            build_predictor("bt"),
+            build_predictor("poisson-lee"),
         ]
         reports = evaluate(predictors, two_seasons)
         assert [r.model for r in reports] == ["trivial", "mn-dir1", "bt", "poisson-lee"]
@@ -688,7 +708,7 @@ class TestLateAppearingTeam:
         assert rows[0].prediction == expected
 
     def test_fitting_model_skips_and_flags(self, season_with_newcomer):
-        report = evaluate([DavidsonPredictor()], season_with_newcomer)[0]
+        report = evaluate([build_predictor("bt")], season_with_newcomer)[0]
         assert any(s.matchday == 7 and s.season == 2014 for s in report.skipped_matchdays)
         assert report.aggregates.n_scored < 30
 

@@ -23,7 +23,7 @@ from matchcast.poisson import (
     score_grid,
 )
 from matchcast.evaluation import context_for, evaluate
-from matchcast.predictors import PoissonPredictor, build_predictor
+from matchcast.predictors import build_predictor
 from matchcast.selftest import double_round_robin, simulate_poisson_matches
 
 
@@ -542,10 +542,9 @@ class TestTrainingWindow:
         assert len(everything) == len(earlier) + len(current)
 
 
-def rolling_predict(seasons, season, matchday, window=TrainingWindow("season")):
-    """One independent-Poisson refit through the harness path."""
-    predictor = PoissonPredictor("poisson", correlated=False, window=window)
-    return predictor.predict(context_for(seasons, season, matchday))
+def rolling_predict(seasons, season, matchday):
+    """One independent-Poisson refit on the season window, through the harness path."""
+    return build_predictor("poisson-lee").predict(context_for(seasons, season, matchday))
 
 
 class TestRollingPredict:
@@ -560,9 +559,16 @@ class TestRollingPredict:
 
     def test_cross_season_window_changes_fit(self, two_seasons):
         md = 6
-        season = two_seasons[1]
-        lee_style = rolling_predict(two_seasons, season, md, TrainingWindow("season"))
-        pooled = rolling_predict(two_seasons, season, md, TrainingWindow("all"))
+        ctx = context_for(two_seasons, two_seasons[1], md)
+
+        def forecasts(kind):
+            strengths = poisson_fit(TrainingWindow(kind).training(ctx)).params
+            return {
+                f: outcome_probs(link_rates(strengths, f.home, f.away)) for f in ctx.fixtures
+            }
+
+        lee_style = forecasts("season")
+        pooled = forecasts("all")
         assert set(lee_style) == set(pooled)
         assert any(lee_style[f] != pooled[f] for f in lee_style)
 
