@@ -275,26 +275,30 @@ def read_rows(
 ) -> list[tuple[int, T]]:
     """``(line, parse(row))`` per non-blank row; ``header`` must come first.
 
-    The header is compared trimmed and lower-cased.  A row not as wide as
-    ``header``, or a ``ValueError`` from ``parse``, raises ``ValueError``
-    prefixed ``line N: ``: the one place a CSV error gets its line.
+    The header is compared trimmed and lower-cased.  A bad header, a row not
+    as wide as ``header``, a ``ValueError`` from ``parse`` or a ``csv.Error``
+    from the reader (a field past ``csv.field_size_limit()``) raises
+    ``ValueError`` prefixed ``line N: ``: the one place a CSV error gets its line.
     """
     reader = csv.reader(io.StringIO(csv_text))
-    first = next(reader, None)
-    if first is None:
-        raise ValueError("empty input")
-    if tuple(h.strip().lower() for h in first) != tuple(header):
-        raise ValueError(f"line 1: bad header {first!r}, expected {','.join(header)}")
     parsed: list[tuple[int, T]] = []
+    line = 1
     try:
+        first = next(reader, None)
+        if first is not None and tuple(h.strip().lower() for h in first) != tuple(header):
+            raise ValueError(f"bad header {first!r}, expected {','.join(header)}")
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             parsed.append((line, parse(row)))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"line {line}: {exc}") from None
+    if first is None:
+        raise ValueError("empty input")
     return parsed
 
 

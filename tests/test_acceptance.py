@@ -3,12 +3,23 @@
 Each test delegates to the corresponding check in ``matchcast.selftest``
 (the same functions behind ``matchcast selftest``) with the default frozen
 seed, asserts it passed, and prints its PASS/FAIL line.  Run with ``-s``
-(or read the failure output) to see the per-criterion details.
+(or read the failure output) to see the per-criterion details.  Every check
+runs with scipy blocked, as ``selftest`` runs where only numpy is installed.
 """
 
+import sys
 import tempfile
 
+import pytest
+
 from matchcast import selftest
+
+
+@pytest.fixture(autouse=True)
+def no_scipy(monkeypatch):
+    # A loaded submodule left in sys.modules would still import past a blocked "scipy".
+    for name in {"scipy", *(m for m in sys.modules if m.startswith("scipy."))}:
+        monkeypatch.setitem(sys.modules, name, None)
 
 
 def _run(check):

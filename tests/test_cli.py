@@ -215,7 +215,7 @@ class TestPredict:
             assert capsys.readouterr().out == written.read_text()
         assert not any(work.iterdir())
 
-    def test_dump_params_exports_fitted_values(self, tmp_path, capsys):
+    def test_dump_params_exports_fitted_values(self, matches_file, tmp_path, capsys):
         path = tmp_path / "t1.csv"
         path.write_text(count_scenario_csv())
         out_dir = tmp_path / "out"
@@ -239,6 +239,16 @@ class TestPredict:
         poisson_text = (out_dir / "params_poisson-lee_matchday20.csv").read_text()
         assert poisson_text.startswith("team,att,def")
         assert "lambda3," in poisson_text
+
+        # Without --out, every refit model prints its last fit once.
+        capsys.readouterr()
+        argv = ["predict", "--matches", str(matches_file), "--season", "2014", "--matchday", "6"]
+        assert main([*argv, "--dump-params"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        blocks = [line for line in out.splitlines() if line.startswith("# fitted parameters for ")]
+        refit = ("bt", "poisson-lee", "poisson-biv")
+        assert blocks == [f"# fitted parameters for {model}" for model in refit]
 
     def test_csv_outputs_round_trip_names_with_a_comma_and_a_quote(self, tmp_path, capsys):
         teams = ["comma, united", 'say "hi" fc', "t2", "t3", "t4", "t5"]
@@ -313,9 +323,13 @@ class TestEvaluate:
         out_dir = tmp_path / "report"
         args = ["--matches", str(matches_file), "--models", models]
         assert main(["evaluate", *args, "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        # Per-match rows live in scores.csv alone, one per scored match.
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert not [model for model, report in payload.items() if "per_match" in report]
         scores = (out_dir / "scores.csv").read_text().splitlines()
+        assert len(scores) == 1 + sum(r["aggregates"]["n_scored"] for r in payload.values())
         evaluated = {tuple(row[:5]): row[5:8] for row in csv.reader(scores[1:])}
-        capsys.readouterr()
         predicted = 0
         for season, matchday in ((2013, 6), (2014, 6), (2014, 10)):
             when = ["--season", str(season), "--matchday", str(matchday)]
@@ -472,36 +486,29 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a cold start.
-    src = str(Path(matchcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, matchcast.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # evaluate imports the pool only where it starts one.
+def test_cli_import_loads_no_scipy():
+    # evaluate imports the pool only where it starts one, and every command,
+    # `selftest` included, runs on numpy alone (scipy.stats costs most of a cold start).
     src = str(Path(matchcast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, matchcast.cli\n"
         "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
-        "assert not loaded, loaded"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_cli_import_loads_no_scipy():
-    # Every command, `selftest` included, runs on numpy alone.
-    src = str(Path(matchcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import sys, matchcast, matchcast.cli, matchcast.selftest\n"
+        "assert not loaded, loaded\n"
+        "import matchcast, matchcast.selftest\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_scipy_is_a_dev_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert not [r for r in project["dependencies"] if r.startswith("scipy")]
+    assert [r for r in project["optional-dependencies"]["dev"] if r.startswith("scipy")]
+    assert project["scripts"]["matchcast"] == "matchcast.cli:main"
 
 
 class TestConfig:
@@ -732,6 +739,9 @@ class TestRefusals:
     """A refusal is one ``error: ...`` line on stderr and exit 2, printed by ``main`` alone."""
 
     HEADER = "season,matchday,home,away,home_goals,away_goals\n"
+    # One quoted field past the csv module's default field_size_limit().
+    HUGE = '"' + "x" * 131073 + '"'
+    OVER_LIMIT = "field larger than field limit (131072)"
 
     @staticmethod
     def refused(argv, capsys):
@@ -763,10 +773,11 @@ class TestRefusals:
             (HEADER + "2001,1,  ,d,1,0\n", "line 2: empty team name"),
             (HEADER + "20x1,1,a,b,1,0\n", "line 2: season/matchday must be integers: '20x1', '1'"),
             (HEADER + "2001,0,a,b,1,0\n", "line 2: matchday must be >= 1, got 0"),
+            (HEADER + f"2001,1,a,b,1,0\n2001,1,{HUGE},d,1,0\n", f"line 3: {OVER_LIMIT}"),
         ],
         ids=[
             "empty", "header", "fields", "non-integer", "negative", "one-blank", "self",
-            "empty-team", "season", "matchday",
+            "empty-team", "season", "matchday", "over-limit",
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "predict", "evaluate"])
@@ -794,8 +805,9 @@ class TestRefusals:
             ("2014,8, ,B,0.5,0.3,0.2\n", "line 2: empty team name"),
             ("2014,8,A,B,0.5,0.5\n", "line 2: expected 7 fields, got 6"),
             ("2014,8,A,B,0.5,x,0.5\n", "line 2: could not convert string to float: 'x'"),
+            (f"2014,8,{HUGE},B,0.5,0.3,0.2\n", f"line 2: {OVER_LIMIT}"),
         ],
-        ids=["off-simplex", "duplicate", "empty-team", "fields", "non-float"],
+        ids=["off-simplex", "duplicate", "empty-team", "fields", "non-float", "over-limit"],
     )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_malformed_external_csv(self, command, rows, message, matches_file, tmp_path, capsys):
