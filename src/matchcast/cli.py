@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import build_seasons, format_csv, parse_matches_with_lines
+from .data import build_seasons, fixture_key, format_csv, parse_matches_with_lines, read_csv_text
 from .evaluation import check_evaluable, context_for, evaluate, predict_or_reason
 from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
@@ -68,27 +68,11 @@ def build_models(cfg: RunConfig) -> tuple[list, list[str]]:
 def _load_records(cfg: RunConfig):
     if not cfg.matches_path:
         raise ValueError("no matches file given (use --matches)")
-    text = Path(cfg.matches_path).read_text(encoding="utf-8")
-    return parse_matches_with_lines(text)
+    return [r for _, r in parse_matches_with_lines(read_csv_text(cfg.matches_path))]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    numbered = _load_records(load_config(args))
-    records = [r for _, r in numbered]
-
-    # Duplicate fixtures, reported with every involved line.
-    lines_by_key: dict[tuple[int, int, str, str], list[int]] = {}
-    for line, r in numbered:
-        lines_by_key.setdefault((r.season, r.matchday, r.home, r.away), []).append(line)
-    duplicates = {k: v for k, v in lines_by_key.items() if len(v) > 1}
-    for key, lines in sorted(duplicates.items()):
-        print(
-            f"error: duplicate fixture {key} on lines {', '.join(map(str, lines))}",
-            file=sys.stderr,
-        )
-    if duplicates:
-        return 2
-
+    records = _load_records(load_config(args))
     seasons = build_seasons(records, strict=args.strict)
     for season in seasons:
         scheduled = [m for m in season.matches if not m.played]
@@ -105,8 +89,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    numbered = _load_records(cfg)
-    seasons = build_seasons([r for _, r in numbered])
+    seasons = build_seasons(_load_records(cfg))
     if args.season is not None:
         wanted = [s for s in seasons if s.year == args.season]
         if not wanted:
@@ -138,9 +121,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            rows.append(
-                (name, fixture.season, fixture.matchday, fixture.home, fixture.away, *p.as_tuple())
-            )
+            rows.append((name, *fixture_key(fixture), *p.as_tuple()))
         fitted = getattr(predictor, "last_fit", None)
         if args.dump_params and fitted is not None:
             param_dumps.append((name, fitted.params.to_csv()))
@@ -167,8 +148,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    numbered = _load_records(cfg)
-    seasons = build_seasons([r for _, r in numbered])
+    seasons = build_seasons(_load_records(cfg))
     check_evaluable(seasons)
 
     predictors, failed = build_models(cfg)

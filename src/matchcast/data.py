@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
@@ -168,6 +169,11 @@ class Season:
         return tuple(m for m in self.matches if m.matchday < matchday)
 
 
+def fixture_key(m: MatchRecord) -> tuple[int, int, str, str]:
+    """(season, matchday, home, away): what names one fixture in either CSV file."""
+    return (m.season, m.matchday, m.home, m.away)
+
+
 def first_half_rounds(rounds: int) -> int:
     """Rounds belonging to the first half of a season: ceil(rounds / 2)."""
     return math.ceil(rounds / 2)
@@ -176,10 +182,10 @@ def first_half_rounds(rounds: int) -> int:
 def build_season(records: Sequence[MatchRecord], *, strict: bool = False) -> Season:
     """Assemble one season from records, rejecting duplicate fixtures.
 
-    A fixture key is (season, matchday, home, away); abandoned/replayed
-    matches are not modeled, so a repeated key is an error.  With
-    ``strict=True`` an irregular season (not a 20-team, 380-match,
-    38-round double round robin) is rejected too.
+    Abandoned/replayed matches are not modeled, so a repeated
+    :func:`fixture_key` is an error.  With ``strict=True`` an irregular
+    season (not a 20-team, 380-match, 38-round double round robin) is
+    rejected too.
     """
     if not records:
         raise ValueError("season has no matches")
@@ -188,7 +194,7 @@ def build_season(records: Sequence[MatchRecord], *, strict: bool = False) -> Sea
         raise ValueError(f"records span multiple seasons: {sorted(years)}")
     seen: set[tuple[int, int, str, str]] = set()
     for m in records:
-        key = (m.season, m.matchday, m.home, m.away)
+        key = fixture_key(m)
         if key in seen:
             raise ValueError(f"duplicate fixture {key}")
         seen.add(key)
@@ -270,53 +276,69 @@ def _parse_goals(text: str, field: str) -> int | None:
     return goals
 
 
+def read_csv_text(path: str | Path) -> str:
+    """A CSV file's text; a leading UTF-8 byte-order mark, as spreadsheets write, is skipped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def read_rows(
-    csv_text: str, header: Sequence[str], parse: Callable[[list[str]], T]
+    csv_text: str, header: Sequence[str], parse: Callable[[list[str]], T], key: Callable
 ) -> list[tuple[int, T]]:
     """``(line, parse(row))`` per non-blank row; ``header`` must come first.
 
-    The header is compared trimmed and lower-cased.  A bad header, a row not
-    as wide as ``header``, a ``ValueError`` from ``parse`` or a ``csv.Error``
-    from the reader (a field past ``csv.field_size_limit()``) raises
-    ``ValueError`` prefixed ``line N: ``: the one place a CSV error gets its line.
+    A row's line is the physical line it starts on.  The header is compared
+    trimmed and lower-cased.  A bad header, a row not as wide as ``header``,
+    a ``ValueError`` from ``parse``, a ``csv.Error`` from the reader (a field
+    past ``csv.field_size_limit()``) or a row whose ``key`` an earlier row has
+    raises ``ValueError`` prefixed ``line N: ``: the one place a CSV error gets its line.
     """
     reader = csv.reader(io.StringIO(csv_text))
     parsed: list[tuple[int, T]] = []
+    first_lines: dict[object, int] = {}
     line = 1
     try:
         first = next(reader, None)
         if first is not None and tuple(h.strip().lower() for h in first) != tuple(header):
             raise ValueError(f"bad header {first!r}, expected {','.join(header)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            parsed.append((line, parse(row)))
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    except ValueError as exc:
+        line = reader.line_num + 1
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                value = parse(row)
+                first_line = first_lines.setdefault(key(value), line)
+                if first_line != line:
+                    raise ValueError(f"duplicate fixture {key(value)}, first on line {first_line}")
+                parsed.append((line, value))
+            line = reader.line_num + 1  # a quoted field may have spanned lines
+    except (csv.Error, ValueError) as exc:
         raise ValueError(f"line {line}: {exc}") from None
     if first is None:
         raise ValueError("empty input")
     return parsed
 
 
-def _parse_match(row: list[str]) -> MatchRecord:
-    season_s, matchday_s, home_s, away_s, hg_s, ag_s = row
+def parse_fixture(row: Sequence[str]) -> tuple[int, int, str, str]:
+    """A row's first four fields, (season, matchday, home, away), as its :func:`fixture_key`."""
+    season_s, matchday_s, home_s, away_s = row[:4]
     try:
         season, matchday = int(season_s), int(matchday_s)
     except ValueError:
         raise ValueError(
             f"season/matchday must be integers: {season_s!r}, {matchday_s!r}"
         ) from None
-    hg, ag = _parse_goals(hg_s, "home_goals"), _parse_goals(ag_s, "away_goals")
-    return MatchRecord(season, matchday, normalize_team(home_s), normalize_team(away_s), hg, ag)
+    return season, matchday, normalize_team(home_s), normalize_team(away_s)
+
+
+def _parse_match(row: list[str]) -> MatchRecord:
+    fixture = parse_fixture(row)
+    hg, ag = _parse_goals(row[4], "home_goals"), _parse_goals(row[5], "away_goals")
+    return MatchRecord(*fixture, hg, ag)
 
 
 def parse_matches_with_lines(csv_text: str) -> list[tuple[int, MatchRecord]]:
-    """Like :func:`parse_matches`, but pairs each record with its CSV line number."""
-    return read_rows(csv_text, MATCH_CSV_HEADER, _parse_match)
+    """Like :func:`parse_matches`, but pairs each record with the line its row starts on."""
+    return read_rows(csv_text, MATCH_CSV_HEADER, _parse_match, fixture_key)
 
 
 def parse_matches(csv_text: str) -> list[MatchRecord]:
@@ -347,10 +369,7 @@ def serialize_matches(records: Sequence[MatchRecord]) -> str:
         MATCH_CSV_HEADER,
         (
             [
-                m.season,
-                m.matchday,
-                m.home,
-                m.away,
+                *fixture_key(m),
                 "" if m.home_goals is None else m.home_goals,
                 "" if m.away_goals is None else m.away_goals,
             ]

@@ -14,6 +14,7 @@ Model identifiers accepted on the command line:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -23,7 +24,9 @@ from .data import (
     Prediction,
     TRIVIAL_PREDICTION,
     first_half_rounds,
-    normalize_team,
+    fixture_key,
+    parse_fixture,
+    read_csv_text,
     read_rows,
     tally_records,
 )
@@ -146,28 +149,23 @@ def _poisson_forecast(params, home: str, away: str) -> Prediction:
 PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3")
 
 
+def _parse_prediction(row: list[str]) -> tuple[tuple[int, int, str, str], Prediction]:
+    key = parse_fixture(row)
+    probs = [float(x) for x in row[4:7]]
+    total = sum(probs)
+    if any(p < 0.0 for p in probs) or not 1.0 - 1e-3 <= total <= 1.0 + 1e-3:
+        raise ValueError(f"probabilities {probs} are not a distribution")
+    return key, Prediction(*(p / total for p in probs))
+
+
 def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Prediction]:
-    """Parse the prediction interchange CSV into a fixture-keyed table.
+    """Parse the prediction interchange CSV into a table keyed by :func:`fixture_key`.
 
     Probability triples off the simplex by at most 1e-3 (rounded published
     numbers) are renormalized; anything worse is rejected.
     """
-    table: dict[tuple[int, int, str, str], Prediction] = {}
-
-    def add(row: list[str]) -> None:
-        season, matchday = int(row[0]), int(row[1])
-        home, away = normalize_team(row[2]), normalize_team(row[3])
-        probs = [float(x) for x in row[4:7]]
-        total = sum(probs)
-        if any(p < 0.0 for p in probs) or not 1.0 - 1e-3 <= total <= 1.0 + 1e-3:
-            raise ValueError(f"probabilities {probs} are not a distribution")
-        key = (season, matchday, home, away)
-        if key in table:
-            raise ValueError(f"duplicate prediction for {key}")
-        table[key] = Prediction(*(p / total for p in probs))
-
-    read_rows(csv_text, PREDICTIONS_CSV_HEADER, add)
-    return table
+    rows = read_rows(csv_text, PREDICTIONS_CSV_HEADER, _parse_prediction, itemgetter(0))
+    return dict(row for _, row in rows)
 
 
 class ExternalPredictor:
@@ -179,13 +177,12 @@ class ExternalPredictor:
 
     def __init__(self, path: str | Path):
         self.name = f"external:{path}"
-        self.table = parse_prediction_rows(Path(path).read_text(encoding="utf-8"))
+        self.table = parse_prediction_rows(read_csv_text(path))
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
         out = {}
         for fixture in ctx.fixtures:
-            key = (fixture.season, fixture.matchday, fixture.home, fixture.away)
-            found = self.table.get(key)
+            found = self.table.get(fixture_key(fixture))
             if found is not None:
                 out[fixture] = found
         return out

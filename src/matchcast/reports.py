@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import Sequence
 
-from .data import format_csv
+from .data import fixture_key, format_csv
 from .evaluation import ModelReport, check_unique_names
 from .scoring import NONFINITE
 
@@ -97,10 +97,7 @@ def reports_to_csv(reports: Sequence[ModelReport]) -> str:
         (
             (
                 report.model,
-                s.match.season,
-                s.match.matchday,
-                s.match.home,
-                s.match.away,
+                *fixture_key(s.match),
                 s.prediction.p_home,
                 s.prediction.p_draw,
                 s.prediction.p_away,

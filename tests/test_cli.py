@@ -12,7 +12,7 @@ import pytest
 import matchcast
 import matchcast.selftest as selftest
 from matchcast.cli import RunConfig, build_parser, load_config, main
-from matchcast.data import second_half_matchdays, serialize_matches
+from matchcast.data import parse_matches, second_half_matchdays, serialize_matches
 from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
 from matchcast.selftest import simulate_played_season
@@ -70,7 +70,7 @@ class TestValidate:
         path.write_text(text)
         assert main(["validate", "--matches", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "lines 2, 4" in err
+        assert err == "error: line 4: duplicate fixture (2014, 1, 'a', 'b'), first on line 2\n"
 
     def test_scheduled_matches_listed(self, tmp_path, capsys):
         path = tmp_path / "sched.csv"
@@ -735,6 +735,35 @@ def test_validate_refuses_flags_it_would_ignore(flag, matches_file, capsys):
     assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "predict", "evaluate"])
+def test_byte_order_mark_is_skipped(command, matches_file, tmp_path, capsys):
+    # A spreadsheet's "CSV UTF-8" export starts with one, in either input file.
+    forecasts = tmp_path / "forecasts.csv"
+    rows = [
+        f"{m.season},{m.matchday},{m.home},{m.away},0.5,0.3,0.2"
+        for m in parse_matches(matches_file.read_text())
+    ]
+    forecasts.write_text("\n".join(["season,matchday,home,away,p1,p2,p3", *rows]) + "\n")
+    out_dir = tmp_path / "out"
+    argv = [command, "--matches", str(matches_file)]
+    if command != "validate":
+        argv += ["--models", f"trivial,external:{forecasts}", "--out", str(out_dir)]
+    if command == "predict":
+        argv += ["--season", "2014", "--matchday", "6"]
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        for path in (matches_file, forecasts):
+            path.write_text(path.read_text(encoding="utf-8-sig"), encoding=encoding)
+        assert main(argv) == 0
+        written = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+        runs.append((capsys.readouterr(), written))
+    assert matches_file.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert runs[0] == runs[1]
+    assert runs[0][0].err == ""
+    if command != "validate":
+        assert f"external:{forecasts}".encode() in b"".join(runs[0][1].values())
+
+
 class TestRefusals:
     """A refusal is one ``error: ...`` line on stderr and exit 2, printed by ``main`` alone."""
 
@@ -742,6 +771,7 @@ class TestRefusals:
     # One quoted field past the csv module's default field_size_limit().
     HUGE = '"' + "x" * 131073 + '"'
     OVER_LIMIT = "field larger than field limit (131072)"
+    TWO_LINE_ROW = '2001,1,"a\nb",c,1,0\n'
 
     @staticmethod
     def refused(argv, capsys):
@@ -774,10 +804,24 @@ class TestRefusals:
             (HEADER + "20x1,1,a,b,1,0\n", "line 2: season/matchday must be integers: '20x1', '1'"),
             (HEADER + "2001,0,a,b,1,0\n", "line 2: matchday must be >= 1, got 0"),
             (HEADER + f"2001,1,a,b,1,0\n2001,1,{HUGE},d,1,0\n", f"line 3: {OVER_LIMIT}"),
+            # A quoted two-line team name: each later row is named by the line it starts on.
+            (
+                HEADER + TWO_LINE_ROW + "2001,1,d,e,x,0\n",
+                "line 4: home_goals is not an integer: 'x'",
+            ),
+            (
+                HEADER + TWO_LINE_ROW + "2001,1,d,e,1,0\n2001,1,D,E,0,0\n",
+                "line 5: duplicate fixture (2001, 1, 'd', 'e'), first on line 4",
+            ),
+            (
+                HEADER + TWO_LINE_ROW + f'2001,1,"\n{HUGE[1:]},d,1,0\n',
+                f"line 4: {OVER_LIMIT}",
+            ),
         ],
         ids=[
             "empty", "header", "fields", "non-integer", "negative", "one-blank", "self",
-            "empty-team", "season", "matchday", "over-limit",
+            "empty-team", "season", "matchday", "over-limit", "after-two-lines",
+            "duplicate-after-two-lines", "over-limit-after-two-lines",
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "predict", "evaluate"])
@@ -800,14 +844,29 @@ class TestRefusals:
             ),
             (
                 "2014,8,A,B,0.5,0.3,0.2\n2014,8, a ,b,0.5,0.3,0.2\n",
-                "line 3: duplicate prediction for (2014, 8, 'a', 'b')",
+                "line 3: duplicate fixture (2014, 8, 'a', 'b'), first on line 2",
             ),
             ("2014,8, ,B,0.5,0.3,0.2\n", "line 2: empty team name"),
             ("2014,8,A,B,0.5,0.5\n", "line 2: expected 7 fields, got 6"),
             ("2014,8,A,B,0.5,x,0.5\n", "line 2: could not convert string to float: 'x'"),
             (f"2014,8,{HUGE},B,0.5,0.3,0.2\n", f"line 2: {OVER_LIMIT}"),
+            (
+                "2014.5,8,A,B,0.5,0.3,0.2\n",
+                "line 2: season/matchday must be integers: '2014.5', '8'",
+            ),
+            (
+                '2014,8,"A\nB",C,0.5,0.3,0.2\n2014,8,D,E,0.5,x,0.5\n',
+                "line 4: could not convert string to float: 'x'",
+            ),
+            (
+                '2014,8,"A\nB",C,0.5,0.3,0.2\n2014,8,D,E,0.5,0.3,0.2\n2014,8,d,e,0.5,0.3,0.2\n',
+                "line 5: duplicate fixture (2014, 8, 'd', 'e'), first on line 4",
+            ),
         ],
-        ids=["off-simplex", "duplicate", "empty-team", "fields", "non-float", "over-limit"],
+        ids=[
+            "off-simplex", "duplicate", "empty-team", "fields", "non-float", "over-limit",
+            "non-integer-season", "after-two-lines", "duplicate-after-two-lines",
+        ],
     )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_malformed_external_csv(self, command, rows, message, matches_file, tmp_path, capsys):
@@ -826,13 +885,14 @@ class TestRefusals:
         first = matches_file.read_text().splitlines()[1]
         matches_file.write_text(matches_file.read_text() + first + "\n")
         season, matchday, home, away = first.split(",")[:4]
-        message = f"error: duplicate fixture {(int(season), int(matchday), home, away)}"
-        validate = self.refused(["validate", "--matches", str(matches_file)], capsys)
-        assert validate == f"{message} on lines 2, 62\n"
-        predict = ["predict", "--matches", str(matches_file), "--season", "2014", "--matchday", "6"]
-        assert self.refused(predict, capsys) == f"{message}\n"
-        evaluate = ["evaluate", "--matches", str(matches_file), "--out", str(tmp_path / "r")]
-        assert self.refused(evaluate, capsys) == f"{message}\n"
+        key = (int(season), int(matchday), home, away)
+        for argv in (
+            ["validate"],
+            ["predict", "--season", "2014", "--matchday", "6"],
+            ["evaluate", "--out", str(tmp_path / "r")],
+        ):
+            err = self.refused([*argv, "--matches", str(matches_file)], capsys)
+            assert err == f"error: line 62: duplicate fixture {key}, first on line 2\n"
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "missing.csv"

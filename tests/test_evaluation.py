@@ -737,11 +737,11 @@ class TestExternalParsing:
     @pytest.mark.parametrize(
         "row, reason",
         [
-            ("2014.5,20,A,B,0.5,0.3,0.2", "invalid literal for int"),
+            ("2014.5,20,A,B,0.5,0.3,0.2", "season/matchday must be integers: '2014.5', '20'"),
             ("2014,20,A,B,nan,0.5,0.5", "not a distribution"),
             ("2014,20,A,B,0.9,0.4,0.2", "not a distribution"),
             ("2014,20, ,B,0.5,0.3,0.2", "empty team name"),
-            ("2014,20,a,b,0.5,0.3,0.2", "duplicate prediction"),
+            ("2014,20,a,b,0.5,0.3,0.2", "duplicate fixture (2014, 20, 'a', 'b'), first on line 2"),
         ],
         ids=["non-integer-season", "nan", "off-simplex", "empty-team", "duplicate-key"],
     )

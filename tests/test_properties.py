@@ -1,10 +1,21 @@
-"""Property tests on random small leagues: the leakage guard, simplex output and nesting."""
+"""Property tests on random small leagues and match CSVs.
+
+They check the leakage guard, simplex output, nesting, and the line that
+names each CSV row.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcast.data import MatchRecord, build_season, second_half_matchdays
+from matchcast.data import (
+    MatchRecord,
+    build_season,
+    fixture_key,
+    normalize_team,
+    parse_matches_with_lines,
+    second_half_matchdays,
+)
 from matchcast.evaluation import PredictionContext, context_for
 from matchcast.poisson import TrainingWindow, poisson_fit
 from matchcast.predictors import KNOWN_MODELS, build_predictor
@@ -104,3 +115,48 @@ def test_correlated_fit_scores_at_least_the_independent_fit(league, data):
         if independent.boundary_flags or correlated.boundary_flags:
             continue
         assert correlated.log_likelihood >= independent.log_likelihood - 1e-9, kind
+
+
+@st.composite
+def match_csvs(draw):
+    """Match CSV text, and per row ``(line, record, row text)`` counted by hand.
+
+    Blank, whitespace-only and all-blank-field lines fall between rows,
+    and a quoted team name may span lines.
+    """
+    line = 1
+    lines = ["season,matchday,home,away,home_goals,away_goals"]
+    rows = []
+    name_tail = st.sampled_from(["", "x", " x ", "\nx", "x\n\nx", " \n"])
+    goals = st.sampled_from([("", ""), ("0", "2"), ("1", "1"), ("3", "0")])
+    for matchday in range(1, draw(st.integers(1, 6)) + 1):
+        for filler in draw(st.lists(st.sampled_from(["", "  ", "\t", " , ,"]), max_size=3)):
+            lines.append(filler)
+            line += 1
+        home, away = "h" + draw(name_tail), "a" + draw(name_tail)
+        hg, ag = draw(goals)
+        row = f'2001,{matchday},"{home}","{away}",{hg},{ag}'
+        record = MatchRecord(
+            2001, matchday, normalize_team(home), normalize_team(away),
+            int(hg) if hg else None, int(ag) if ag else None,
+        )
+        rows.append((line + 1, record, row))
+        lines.append(row)
+        line += 1 + row.count("\n")
+    return "\n".join(lines) + "\n", rows
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(match_csvs(), st.data())
+def test_csv_rows_are_named_by_the_line_they_start_on(drawn, data):
+    text, rows = drawn
+    assert parse_matches_with_lines(text) == [(line, record) for line, record, _ in rows]
+
+    first_line, record, row = data.draw(st.sampled_from(rows))
+    gap = data.draw(st.sampled_from(["", "\n", " \n\n"]))
+    repeat_line = text.count("\n") + gap.count("\n") + 1
+    with pytest.raises(ValueError) as exc:
+        parse_matches_with_lines(text + gap + row + "\n")
+    assert str(exc.value) == (
+        f"line {repeat_line}: duplicate fixture {fixture_key(record)}, first on line {first_line}"
+    )
