@@ -11,7 +11,7 @@ from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import DirichletParams, mn_dir1_predict, posterior
 from .evaluation import PredictionContext, evaluate
 from .optimize import FitReport
-from .poisson import TrainingWindow, poisson_fit, score_grid
+from .poisson import poisson_fit, score_grid
 from .scoring import brier, log_score, spherical
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "FitReport",
     "Prediction",
     "PredictionContext",
-    "TrainingWindow",
     "brier",
     "bt_fit",
     "bt_outcome_probs",

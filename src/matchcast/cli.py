@@ -68,7 +68,10 @@ def build_models(cfg: RunConfig) -> tuple[list, list[str]]:
 def _load_records(cfg: RunConfig):
     if not cfg.matches_path:
         raise ValueError("no matches file given (use --matches)")
-    return [r for _, r in parse_matches_with_lines(read_csv_text(cfg.matches_path))]
+    records = [r for _, r in parse_matches_with_lines(read_csv_text(cfg.matches_path))]
+    if not records:
+        raise ValueError(f"no matches in {cfg.matches_path}")
+    return records
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

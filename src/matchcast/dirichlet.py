@@ -90,28 +90,15 @@ def predictive(params: DirichletParams) -> Prediction:
     )
 
 
-@dataclass(frozen=True)
-class PoolWeights:
-    """Linear-pool weight of the home-side observer; the away side gets 1-w."""
-
-    w_home: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w_home <= 1.0:
-            raise ValueError(f"w_home must lie in [0, 1], got {self.w_home}")
-
-
-def pool(
-    home_view: Prediction, away_view: Prediction, weights: PoolWeights
-) -> Prediction:
+def pool(home_view: Prediction, away_view: Prediction, w_home: float) -> Prediction:
     """Linear opinion pool of the two observers, in the home team's frame.
 
+    The home observer gets weight ``w_home``, the away observer 1 - w_home.
     ``away_view`` is expressed from the away team's perspective, so its
     win/loss components swap roles: the away observer's *loss* probability
     feeds the pooled *home-win* slot and vice versa.
     """
-    w = weights.w_home
-    v = 1.0 - w
+    w, v = w_home, 1.0 - w_home
     return Prediction(
         w * home_view.p_home + v * away_view.p_away,
         w * home_view.p_draw + v * away_view.p_draw,
@@ -121,14 +108,16 @@ def pool(
 
 @dataclass(frozen=True)
 class MnDir2Config:
-    """Tuned variant: symmetric prior concentration and a free pool weight."""
+    """Tuned variant: symmetric prior concentration and the home observer's pool weight."""
 
     alpha: float
-    weights: PoolWeights
+    w_home: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.w_home <= 1.0:
+            raise ValueError(f"w_home must lie in [0, 1], got {self.w_home}")
 
 
 def mn_dir2_predict(
@@ -138,10 +127,10 @@ def mn_dir2_predict(
     prior = DirichletParams.symmetric(cfg.alpha)
     home_view = predictive(posterior(prior, home_counts))
     away_view = predictive(posterior(prior, away_counts))
-    return pool(home_view, away_view, cfg.weights)
+    return pool(home_view, away_view, cfg.w_home)
 
 
-MN_DIR1 = MnDir2Config(1.0, PoolWeights(0.5))
+MN_DIR1 = MnDir2Config(1.0, 0.5)
 
 
 def mn_dir1_predict(home_counts: CountVector, away_counts: CountVector) -> Prediction:
@@ -212,7 +201,7 @@ def cv_select(first_half: Sequence[MatchRecord], grid: GridSpec) -> MnDir2Config
         for i, alpha in enumerate(grid.alpha_points)
         for j, w in enumerate(grid.w_points)
     )
-    return MnDir2Config(alpha=best[1], weights=PoolWeights(best[2]))
+    return MnDir2Config(alpha=best[1], w_home=best[2])
 
 
 def _brier_totals(

@@ -25,6 +25,7 @@ from .data import (
     Outcome,
     Prediction,
     Season,
+    first_half_rounds,
     outcome_of,
     second_half_matchdays,
 )
@@ -94,6 +95,17 @@ class PredictionContext:
     def current_season_history(self) -> tuple[MatchRecord, ...]:
         """The history's records of the target season, in history order."""
         return self._current
+
+    def training(self, all_seasons: bool = False) -> tuple[MatchRecord, ...]:
+        """The played matches a refit for this matchday may use.
+
+        The current season so far, or with ``all_seasons`` the whole
+        history.  Refits serve second-half matchdays only, as the
+        evaluation protocol prescribes.
+        """
+        if self.matchday <= first_half_rounds(self.season_rounds):
+            raise ValueError(f"matchday {self.matchday} is not in the second half")
+        return self.history if all_seasons else self._current
 
 
 class Predictor(Protocol):

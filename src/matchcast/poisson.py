@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Prediction, first_half_rounds, format_csv
+from .data import MatchRecord, Prediction, format_csv
 from .optimize import FitReport, fit_report, fit_teams, minimize
-
-if TYPE_CHECKING:
-    from .evaluation import PredictionContext
 
 STRENGTH_SUM_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -343,30 +340,3 @@ def poisson_fit(
         + (["lambda3"] if correlated else [])
     )
     return fit_report(strengths, result, names)
-
-
-@dataclass(frozen=True)
-class TrainingWindow:
-    """Which played matches a rolling refit may use.
-
-    ``season``: current season only; ``all``: everything available,
-    including earlier seasons.
-    """
-
-    kind: Literal["season", "all"]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("season", "all"):
-            raise ValueError(f"window must be season or all, got {self.kind!r}")
-
-    def training(self, ctx: PredictionContext) -> list[MatchRecord]:
-        """The played matches a refit for ``ctx``'s matchday may use.
-
-        Refits serve second-half matchdays only, as the evaluation
-        protocol prescribes.
-        """
-        if ctx.matchday <= first_half_rounds(ctx.season_rounds):
-            raise ValueError(f"matchday {ctx.matchday} is not in the second half")
-        if self.kind == "all":
-            return list(ctx.history)
-        return list(ctx.current_season_history())

@@ -33,9 +33,7 @@ from .data import (
 from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import GridSpec, MnDir2Config, cv_select, mn_dir1_predict, mn_dir2_predict
 from .evaluation import PredictionContext
-from .poisson import TrainingWindow, link_rates, outcome_probs, poisson_fit
-
-SEASON_WINDOW = TrainingWindow("season")
+from .poisson import link_rates, outcome_probs, poisson_fit
 
 
 class TrivialPredictor:
@@ -85,7 +83,7 @@ class MnDir2Predictor:
 
     def _config_for(self, ctx: PredictionContext) -> MnDir2Config:
         half = first_half_rounds(ctx.season_rounds)
-        first_half = tuple(r for r in SEASON_WINDOW.training(ctx) if r.matchday <= half)
+        first_half = tuple(r for r in ctx.training() if r.matchday <= half)
         cfg = self._selected.get(first_half)
         if cfg is None:
             cfg = self._selected[first_half] = cv_select(first_half, GridSpec.default())
@@ -102,7 +100,7 @@ class MnDir2Predictor:
             by_year.setdefault(first_half[0].season, []).append(cfg)
         return {
             year: {
-                "w": ",".join(f"{cfg.weights.w_home:.6f}" for cfg in cfgs),
+                "w": ",".join(f"{cfg.w_home:.6f}" for cfg in cfgs),
                 "alpha": ",".join(f"{cfg.alpha:.6f}" for cfg in cfgs),
             }
             for year, cfgs in sorted(by_year.items())
@@ -110,7 +108,7 @@ class MnDir2Predictor:
 
 
 class _RefitPredictor:
-    """Refit on ``window`` (``fit``), then forecast each fixture (``forecast``).
+    """Fit on the context (``fit``), then forecast each fixture (``forecast``).
 
     Each model is one row of ``_BUILDERS``.  A fixture the fit cannot
     forecast fails the matchday; the error then names the fit's boundary
@@ -121,14 +119,13 @@ class _RefitPredictor:
     parallel_refit = True
     last_fit = None
 
-    def __init__(self, name: str, window: TrainingWindow, fit, forecast):
+    def __init__(self, name: str, fit, forecast):
         self.name = name
-        self.window = window
         self._fit = fit
         self._forecast = forecast
 
     def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        fitted = self._fit(self.window.training(ctx))
+        fitted = self._fit(ctx)
         self.last_fit = fitted
         out = {}
         for fixture in ctx.fixtures:
@@ -193,14 +190,13 @@ _BUILDERS = {
     "mn-dir1": MnDir1Predictor,
     "mn-dir2": MnDir2Predictor,
     # Each fit is looked up when called, so a patched ``predictors.bt_fit`` is the one run.
-    "bt": lambda: _RefitPredictor("bt", SEASON_WINDOW, lambda m: bt_fit(m), bt_outcome_probs),
+    "bt": lambda: _RefitPredictor("bt", lambda ctx: bt_fit(ctx.training()), bt_outcome_probs),
     "poisson-lee": lambda: _RefitPredictor(
-        "poisson-lee", SEASON_WINDOW, lambda m: poisson_fit(m), _poisson_forecast
+        "poisson-lee", lambda ctx: poisson_fit(ctx.training()), _poisson_forecast
     ),
     "poisson-biv": lambda: _RefitPredictor(
         "poisson-biv",
-        TrainingWindow("all"),
-        lambda m: poisson_fit(m, correlated=True),
+        lambda ctx: poisson_fit(ctx.training(all_seasons=True), correlated=True),
         _poisson_forecast,
     ),
 }

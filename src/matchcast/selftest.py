@@ -25,7 +25,6 @@ from .dirichlet import (
     DirichletParams,
     GridSpec,
     MnDir2Config,
-    PoolWeights,
     cv_select,
     mn_dir1_predict,
     mn_dir2_predict,
@@ -468,7 +467,7 @@ def _cv_brute_force(first_half: list[MatchRecord], grid: GridSpec) -> MnDir2Conf
     best = None
     for w in grid.w_points:
         for alpha in grid.alpha_points:
-            cfg = MnDir2Config(alpha=alpha, weights=PoolWeights(w))
+            cfg = MnDir2Config(alpha=alpha, w_home=w)
             total = 0.0
             for match in first_half:
                 earlier = [m for m in first_half if m.matchday < match.matchday]
@@ -479,7 +478,7 @@ def _cv_brute_force(first_half: list[MatchRecord], grid: GridSpec) -> MnDir2Conf
             key = (total, alpha, w)
             if best is None or key < best:
                 best = key
-    return MnDir2Config(alpha=best[1], weights=PoolWeights(best[2]))
+    return MnDir2Config(alpha=best[1], w_home=best[2])
 
 
 def check_cv_select_brute_force(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
@@ -490,10 +489,10 @@ def check_cv_select_brute_force(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         first_half = [m for m in season.matches if m.matchday <= 3]
         fast = cv_select(first_half, grid)
         slow = _cv_brute_force(first_half, grid)
-        if (fast.alpha, fast.weights.w_home) != (slow.alpha, slow.weights.w_home):
+        if (fast.alpha, fast.w_home) != (slow.alpha, slow.w_home):
             return False, (
-                f"seed {k}: fast=({fast.alpha}, {fast.weights.w_home}) "
-                f"slow=({slow.alpha}, {slow.weights.w_home})"
+                f"seed {k}: fast=({fast.alpha}, {fast.w_home}) "
+                f"slow=({slow.alpha}, {slow.w_home})"
             )
     return True, "20 seeded seasons agree"
 

@@ -172,6 +172,27 @@ class TestPredict:
         assert "no prediction for redbrook vs port vale" in err
         assert "error: no usable models" in err
 
+    def test_first_half_matchday_fails_every_refit_model(self, matches_file, capsys):
+        # Ten rounds: matchday 3 is in the first half, which only the count
+        # models forecast.
+        argv = ["predict", "--matches", str(matches_file), "--season", "2014", "--matchday", "3"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "".join(
+            f"model {name} failed: ValueError: matchday 3 is not in the second half\n"
+            for name in ("mn-dir2", "bt", "poisson-lee", "poisson-biv")
+        )
+        third = "0.3333333333333333"
+        assert out == (
+            "model,season,matchday,home,away,p1,p2,p3\n"
+            f"trivial,2014,3,t0,t2,{third},{third},{third}\n"
+            f"trivial,2014,3,t3,t1,{third},{third},{third}\n"
+            f"trivial,2014,3,t4,t5,{third},{third},{third}\n"
+            "mn-dir1,2014,3,t0,t2,0.375,0.375,0.25\n"
+            f"mn-dir1,2014,3,t3,t1,{third},{third},{third}\n"
+            "mn-dir1,2014,3,t4,t5,0.25,0.5,0.25\n"
+        )
+
     def test_multi_season_requires_season_flag(self, matches_file, capsys):
         assert main(["predict", "--matches", str(matches_file), "--matchday", "6"]) == 2
         assert "--season" in capsys.readouterr().err
@@ -784,6 +805,10 @@ class TestRefusals:
         "text, message",
         [
             ("", "empty input"),
+            # A header and no rows, blank lines aside: refused before any model is built.
+            (HEADER, "no matches in {path}"),
+            (HEADER + "\n\n", "no matches in {path}"),
+            (HEADER + "  \n,,,,,\n\n", "no matches in {path}"),
             (
                 "season,round,home,away,hg,ag\n",
                 "line 1: bad header ['season', 'round', 'home', 'away', 'hg', 'ag'], "
@@ -819,7 +844,8 @@ class TestRefusals:
             ),
         ],
         ids=[
-            "empty", "header", "fields", "non-integer", "negative", "one-blank", "self",
+            "empty", "header-only", "header-and-blank-lines", "header-and-blank-rows",
+            "header", "fields", "non-integer", "negative", "one-blank", "self",
             "empty-team", "season", "matchday", "over-limit", "after-two-lines",
             "duplicate-after-two-lines", "over-limit-after-two-lines",
         ],
@@ -833,7 +859,7 @@ class TestRefusals:
             argv += ["--matchday", "1"]
         if command == "evaluate":
             argv += ["--out", str(tmp_path / "r")]
-        assert self.refused(argv, capsys) == f"error: {message}\n"
+        assert self.refused(argv, capsys) == f"error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -9,7 +9,6 @@ from matchcast.dirichlet import (
     DirichletParams,
     GridSpec,
     MnDir2Config,
-    PoolWeights,
     _brier_totals,
     cv_select,
     mn_dir1_predict,
@@ -101,17 +100,17 @@ class TestPool:
     def test_full_weight_returns_home_view(self):
         home = Prediction(0.6, 0.3, 0.1)
         away = Prediction(0.2, 0.3, 0.5)
-        assert pool(home, away, PoolWeights(1.0)) == home
+        assert pool(home, away, 1.0) == home
 
     def test_zero_weight_swaps_perspective(self):
         away = Prediction(0.2, 0.3, 0.5)
-        pooled = pool(Prediction(0.6, 0.3, 0.1), away, PoolWeights(0.0))
+        pooled = pool(Prediction(0.6, 0.3, 0.1), away, 0.0)
         assert pooled.as_tuple() == (0.5, 0.3, 0.2)
 
     def test_equal_weight_worked_example(self):
         home = predictive(DirichletParams(7, 3, 2))
         away = predictive(DirichletParams(3, 4, 5))
-        pooled = pool(home, away, PoolWeights(0.5))
+        pooled = pool(home, away, 0.5)
         assert pooled.p_home == pytest.approx(0.5, abs=1e-12)
         assert pooled.p_draw == pytest.approx(7 / 24, abs=1e-12)
         assert pooled.p_away == pytest.approx(5 / 24, abs=1e-12)
@@ -124,14 +123,10 @@ class TestPool:
             pooled = pool(
                 Prediction(*(float(x) for x in a)),
                 Prediction(*(float(x) for x in b)),
-                PoolWeights(w),
+                w,
             )
             assert abs(sum(pooled.as_tuple()) - 1.0) < 1e-12
             assert min(pooled.as_tuple()) >= 0.0
-
-    def test_weight_range_enforced(self):
-        with pytest.raises(ValueError):
-            PoolWeights(1.5)
 
 
 def _mixture_oracle(h, a, alpha, w):
@@ -189,7 +184,7 @@ class TestMnDir1:
 
 class TestMnDir2:
     def test_reduces_to_equal_mixture_at_alpha_one_half_weight(self, rng):
-        cfg = MnDir2Config(alpha=1.0, weights=PoolWeights(0.5))
+        cfg = MnDir2Config(alpha=1.0, w_home=0.5)
         for _ in range(200):
             h = CountVector(*(int(v) for v in rng.integers(0, 15, size=3)))
             a = CountVector(*(int(v) for v in rng.integers(0, 15, size=3)))
@@ -200,14 +195,14 @@ class TestMnDir2:
         # (0.455628, 0.299242, 0.245130) to six decimals.
         h = CountVector(6, 2, 1)
         a = CountVector(2, 3, 4)
-        cfg = MnDir2Config(alpha=3.16, weights=PoolWeights(0.63))
+        cfg = MnDir2Config(alpha=3.16, w_home=0.63)
         oracle = _mixture_oracle(h, a, 3.16, 0.63)
         got = mn_dir2_predict(h, a, cfg).as_tuple()
         assert got == pytest.approx(oracle, abs=1e-12)
         assert tuple(round(x, 6) for x in got) == (0.455628, 0.299242, 0.245130)
 
     def test_full_home_weight_ignores_away_counts(self, rng):
-        cfg = MnDir2Config(alpha=2.0, weights=PoolWeights(1.0))
+        cfg = MnDir2Config(alpha=2.0, w_home=1.0)
         h = CountVector(5, 2, 3)
         p1 = mn_dir2_predict(h, CountVector(9, 0, 0), cfg)
         p2 = mn_dir2_predict(h, CountVector(0, 0, 9), cfg)
@@ -215,12 +210,16 @@ class TestMnDir2:
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            MnDir2Config(alpha=0.0, weights=PoolWeights(0.5))
+            MnDir2Config(alpha=0.0, w_home=0.5)
 
     @pytest.mark.parametrize("alpha", [nan, inf])
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(ValueError):
-            MnDir2Config(alpha=alpha, weights=PoolWeights(0.5))
+            MnDir2Config(alpha=alpha, w_home=0.5)
+
+    def test_weight_range_enforced(self):
+        with pytest.raises(ValueError, match=r"^w_home must lie in \[0, 1\], got 1.5$"):
+            MnDir2Config(alpha=1.0, w_home=1.5)
 
 
 class TestGridSpec:
@@ -305,7 +304,7 @@ def _scalar_cv_select(first_half, grid):
     best = None
     for i, alpha in enumerate(grid.alpha_points):
         for j, w in enumerate(grid.w_points):
-            cfg = MnDir2Config(alpha=alpha, weights=PoolWeights(w))
+            cfg = MnDir2Config(alpha=alpha, w_home=w)
             total = 0.0
             for h, a, outcome in prepared:
                 total += brier(outcome, mn_dir2_predict(h, a, cfg))
@@ -313,7 +312,7 @@ def _scalar_cv_select(first_half, grid):
             key = (total, alpha, w)
             if best is None or key < best:
                 best = key
-    return prepared, totals, MnDir2Config(alpha=best[1], weights=PoolWeights(best[2]))
+    return prepared, totals, MnDir2Config(alpha=best[1], w_home=best[2])
 
 
 class TestCvSelect:
@@ -321,7 +320,7 @@ class TestCvSelect:
         grid = GridSpec(w_points=(0.4,), alpha_points=(2.0,))
         cfg = cv_select(_first_half(small_season), grid)
         assert cfg.alpha == 2.0
-        assert cfg.weights.w_home == 0.4
+        assert cfg.w_home == 0.4
 
     def test_exact_ties_break_to_smallest_alpha_then_w(self):
         # With only matchday-1 matches there are no earlier counts, so every
@@ -332,7 +331,7 @@ class TestCvSelect:
         ]
         grid = GridSpec(w_points=(0.25, 0.75), alpha_points=(1.5, 3.0))
         cfg = cv_select(matches, grid)
-        assert (cfg.alpha, cfg.weights.w_home) == (1.5, 0.25)
+        assert (cfg.alpha, cfg.w_home) == (1.5, 0.25)
 
     def test_empty_first_half_rejected(self):
         with pytest.raises(ValueError):
@@ -376,5 +375,5 @@ class TestCvSelect:
         best_score = total_brier(best)
         for alpha in grid.alpha_points:
             for w in grid.w_points:
-                other = total_brier(MnDir2Config(alpha=alpha, weights=PoolWeights(w)))
+                other = total_brier(MnDir2Config(alpha=alpha, w_home=w))
                 assert best_score <= other + 1e-12

@@ -204,6 +204,24 @@ class TestContext:
         assert dataclasses.replace(ctx).current_season_history() == want
         assert PredictionContext(2015, 1, 10, history, ()).current_season_history() == ()
 
+    def test_training_is_the_season_so_far_or_the_whole_history(self, two_seasons):
+        earlier, season = two_seasons
+        ctx = context_for(two_seasons, season, 6)
+        current = ctx.training()
+        assert current == season.matches_before(6)
+        assert len(current) == 15  # matchdays 1..5, three matches each
+        everything = ctx.training(all_seasons=True)
+        assert everything == (*earlier.matches, *current)
+        # The context's own tuples, not copies.
+        assert current is ctx.current_season_history() and everything is ctx.history
+
+    @pytest.mark.parametrize("all_seasons", [False, True])
+    def test_training_refuses_a_first_half_matchday(self, two_seasons, all_seasons):
+        # Ten rounds: matchdays 1..5 are the first half.
+        ctx = context_for(two_seasons, two_seasons[1], 5)
+        with pytest.raises(ValueError, match="^matchday 5 is not in the second half$"):
+            ctx.training(all_seasons=all_seasons)
+
     @pytest.mark.parametrize("year, matchday", [(2013, 3), (2013, 8), (2014, 2)])
     def test_guard_and_check_evaluable_word_an_unplayed_match_alike(
         self, two_seasons, year, matchday

@@ -12,7 +12,6 @@ from matchcast.poisson import (
     MAX_GRID_GOALS,
     BivPoissonParams,
     TeamStrengths,
-    TrainingWindow,
     _joint_mass,
     _masked_lgamma,
     _PoissonObjective,
@@ -523,25 +522,6 @@ class TestKernelMatchesDenseReference:
         assert got == want
 
 
-class TestTrainingWindow:
-    @pytest.mark.parametrize("kind", ["bogus", "last_n_rounds"])
-    def test_unknown_kind_refused(self, kind):
-        with pytest.raises(ValueError, match=f"window must be season or all, got '{kind}'"):
-            TrainingWindow(kind)
-
-    def test_selection_semantics(self, mid_season, two_seasons):
-        earlier = [m for m in two_seasons[0].matches]
-        season = two_seasons[1]
-        md = 6
-        ctx = context_for(two_seasons, season, md)
-        current = TrainingWindow("season").training(ctx)
-        assert all(m.season == season.year and m.matchday < md for m in current)
-        assert len(current) == 15  # matchdays 1..5, three matches each
-
-        everything = TrainingWindow("all").training(ctx)
-        assert len(everything) == len(earlier) + len(current)
-
-
 def rolling_predict(seasons, season, matchday):
     """One independent-Poisson refit on the season window, through the harness path."""
     return build_predictor("poisson-lee").predict(context_for(seasons, season, matchday))
@@ -561,14 +541,14 @@ class TestRollingPredict:
         md = 6
         ctx = context_for(two_seasons, two_seasons[1], md)
 
-        def forecasts(kind):
-            strengths = poisson_fit(TrainingWindow(kind).training(ctx)).params
+        def forecasts(all_seasons):
+            strengths = poisson_fit(ctx.training(all_seasons=all_seasons)).params
             return {
                 f: outcome_probs(link_rates(strengths, f.home, f.away)) for f in ctx.fixtures
             }
 
-        lee_style = forecasts("season")
-        pooled = forecasts("all")
+        lee_style = forecasts(False)
+        pooled = forecasts(True)
         assert set(lee_style) == set(pooled)
         assert any(lee_style[f] != pooled[f] for f in lee_style)
 

@@ -17,7 +17,7 @@ from matchcast.data import (
     second_half_matchdays,
 )
 from matchcast.evaluation import PredictionContext, context_for
-from matchcast.poisson import TrainingWindow, poisson_fit
+from matchcast.poisson import poisson_fit
 from matchcast.predictors import KNOWN_MODELS, build_predictor
 from matchcast.selftest import double_round_robin
 
@@ -108,13 +108,13 @@ def test_correlated_fit_scores_at_least_the_independent_fit(league, data):
     # and a fit there need not stop at the maximum.
     season = data.draw(st.sampled_from(league))
     ctx = context_for(league, season, data.draw(st.sampled_from(second_half_matchdays(season))))
-    for kind in ("season", "all"):
-        training = TrainingWindow(kind).training(ctx)
+    for all_seasons in (False, True):
+        training = ctx.training(all_seasons=all_seasons)
         independent = poisson_fit(training)
         correlated = poisson_fit(training, correlated=True)
         if independent.boundary_flags or correlated.boundary_flags:
             continue
-        assert correlated.log_likelihood >= independent.log_likelihood - 1e-9, kind
+        assert correlated.log_likelihood >= independent.log_likelihood - 1e-9, all_seasons
 
 
 @st.composite
