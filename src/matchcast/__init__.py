@@ -9,7 +9,7 @@ goodness-of-fit diagnostics.
 from .data import CountVector, Prediction, build_seasons, parse_matches
 from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import DirichletParams, mn_dir1_predict, posterior
-from .evaluation import PredictionContext, evaluate
+from .evaluation import Forecast, PredictionContext, evaluate
 from .optimize import FitReport
 from .poisson import poisson_fit, score_grid
 from .scoring import brier, log_score, spherical
@@ -20,6 +20,7 @@ __all__ = [
     "CountVector",
     "DirichletParams",
     "FitReport",
+    "Forecast",
     "Prediction",
     "PredictionContext",
     "brier",

@@ -112,12 +112,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     param_dumps: list[tuple[str, str]] = []
     for predictor in build_models(cfg)[0]:
         name = predictor.name
-        predictions = predict_or_reason(predictor, ctx)
-        if isinstance(predictions, str):
-            print(f"model {name} failed: {predictions}", file=sys.stderr)
+        forecast = predict_or_reason(predictor, ctx)
+        if isinstance(forecast, str):
+            print(f"model {name} failed: {forecast}", file=sys.stderr)
             continue
         for fixture in ctx.fixtures:
-            p = predictions.get(fixture)
+            p = forecast.predictions.get(fixture)
             if p is None:
                 print(
                     f"model {name}: no prediction for {fixture.home} vs {fixture.away}",
@@ -125,9 +125,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 )
                 continue
             rows.append((name, *fixture_key(fixture), *p.as_tuple()))
-        fitted = getattr(predictor, "last_fit", None)
-        if args.dump_params and fitted is not None:
-            param_dumps.append((name, fitted.params.to_csv()))
+        if args.dump_params and forecast.fit is not None:
+            param_dumps.append((name, forecast.fit.params.to_csv()))
     if not rows:
         raise ValueError("no usable models")
     output = format_csv(("model", "season", "matchday", "home", "away", "p1", "p2", "p3"), rows)

@@ -3,8 +3,8 @@
 Every predictor is driven through the same protocol: for each second-half
 matchday of each season it receives a :class:`PredictionContext` exposing
 only strictly earlier results (plus the matchday's fixtures with goals
-stripped) and returns a probability triple per fixture.  The context is
-the leakage guard: a predictor cannot read the outcome of any match it is
+stripped) and returns a :class:`Forecast` of them.  The context is the
+leakage guard: a predictor cannot read the outcome of any match it is
 asked to forecast, because that information never crosses the interface.
 """
 
@@ -29,6 +29,7 @@ from .data import (
     outcome_of,
     second_half_matchdays,
 )
+from .optimize import FitReport
 from .scoring import (
     NONFINITE,
     CalibrationTable,
@@ -108,18 +109,27 @@ class PredictionContext:
         return self.history if all_seasons else self._current
 
 
+@dataclass(frozen=True)
+class Forecast:
+    """One ``predict`` call's triple per forecast fixture, the refit behind
+    them (if any), and the settings chosen for the season (listed by year)."""
+
+    predictions: Mapping[MatchRecord, Prediction]
+    fit: FitReport | None = None
+    settings: Mapping[str, str] = field(default_factory=dict)
+
+
 class Predictor(Protocol):
-    """A named model that maps a context to one prediction per fixture.
+    """A named model that maps a context to a :class:`Forecast` of its fixtures.
 
     A predictor may set ``parallel_refit = True`` when each call reads only
     its context and the predictor's settings: ``evaluate`` may then make
-    its calls in worker processes, and what a call stores on the predictor
-    (a refit model's ``last_fit``) stays in the worker.
+    its calls in worker processes, and each forecast comes back whole.
     """
 
     name: str
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
+    def predict(self, ctx: PredictionContext) -> Forecast:
         ...
 
 
@@ -320,15 +330,15 @@ def _year_summary(year: int, scored: Sequence[ScoredMatch]) -> YearSummary:
 
 
 def check_evaluable(seasons: Sequence[Season]) -> None:
-    """Refuse, before anything runs, an unplayed match ``evaluate`` would read or score.
+    """Refuse, before anything runs, an archive ``evaluate`` cannot score.
 
-    Second-half matches are scored, and the refits read every match of a
-    season with a second half and of every earlier year.  The refusal is
-    the one the context guard gives.
+    It needs a second-half matchday.  Second-half matches are scored, and the
+    refits read every match of a season with a second half and of every
+    earlier year: an unplayed one is refused as the context guard does.
     """
     last = max((s.year for s in seasons if second_half_matchdays(s)), default=None)
     if last is None:
-        return
+        raise ValueError("no second-half matchday to score")
     for season in seasons:
         if season.year < last or second_half_matchdays(season):
             m = next((m for m in season.matches if not m.played), None)
@@ -347,9 +357,7 @@ def _skip_reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def predict_or_reason(
-    predictor: Predictor, ctx: PredictionContext
-) -> Mapping[MatchRecord, Prediction] | str:
+def predict_or_reason(predictor: Predictor, ctx: PredictionContext) -> Forecast | str:
     """``predictor.predict(ctx)``, or the reason its failure skips the matchday.
 
     A worker sends the reason rather than the exception: every string
@@ -456,31 +464,34 @@ def evaluate(
     scored_by: list[list[ScoredMatch]] = [[] for _ in predictors]
     skipped_by: list[list[SkippedMatchday]] = [[] for _ in predictors]
     missing_by = [0] * len(predictors)
+    chosen_by: list[dict] = [{} for _ in predictors]  # id(season) -> (year, settings)
     matchdays = [(s, d) for s in ordered_seasons for d in second_half_matchdays(s)]
     with _refit_pool(predictors, ordered_seasons, matchdays) as refits:
         for k, (season, matchday) in enumerate(matchdays):
             ctx = context_for(ordered_seasons, season, matchday)
             matches = season.matches_of(matchday)
             for i, predictor in enumerate(predictors):
-                future = refits.get((k, i))
+                future = refits.pop((k, i), None)
                 if future is None:
-                    predictions = predict_or_reason(predictor, ctx)
+                    forecast = predict_or_reason(predictor, ctx)
                 else:
                     try:
-                        predictions = future.result()
+                        forecast = future.result()
                     except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                        predictions = _skip_reason(exc)
-                if isinstance(predictions, str):
-                    skipped_by[i].append(SkippedMatchday(season.year, matchday, predictions))
+                        forecast = _skip_reason(exc)
+                if isinstance(forecast, str):
+                    skipped_by[i].append(SkippedMatchday(season.year, matchday, forecast))
                     continue
+                if forecast.settings:
+                    chosen_by[i][id(season)] = (season.year, forecast.settings)
                 for fixture, match in zip(ctx.fixtures, matches):
-                    prediction = predictions.get(fixture)
+                    prediction = forecast.predictions.get(fixture)
                     if prediction is None:
                         missing_by[i] += 1
                         continue
                     scored_by[i].append(score_match(match, prediction))
     reports = []
-    for predictor, scored, skipped, missing in zip(predictors, scored_by, skipped_by, missing_by):
+    for i, (predictor, scored) in enumerate(zip(predictors, scored_by)):
         if not scored:
             continue
 
@@ -497,10 +508,11 @@ def evaluate(
         if len(pairs) * 3 >= 30:
             calibration = calibration_curve(pairs)
 
-        settings: Mapping[int, Mapping[str, str]] = {}
-        exporter = getattr(predictor, "settings_by_year", None)
-        if callable(exporter):
-            settings = exporter()
+        settings: dict[int, dict[str, str]] = {}
+        for year, values in chosen_by[i].values():  # a year's leagues join with commas
+            joined = settings.setdefault(year, {})
+            for key, value in values.items():
+                joined[key] = f"{joined[key]},{value}" if key in joined else value
 
         reports.append(
             ModelReport(
@@ -511,8 +523,8 @@ def evaluate(
                 calibration=calibration,
                 gof=gof,
                 settings_by_year=settings,
-                skipped_matchdays=tuple(skipped),
-                missing_predictions=missing,
+                skipped_matchdays=tuple(skipped_by[i]),
+                missing_predictions=missing_by[i],
             )
         )
     return reports

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
 
 from .data import (
     CountVector,
@@ -32,7 +31,7 @@ from .data import (
 )
 from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import GridSpec, MnDir2Config, cv_select, mn_dir1_predict, mn_dir2_predict
-from .evaluation import PredictionContext
+from .evaluation import Forecast, PredictionContext
 from .poisson import link_rates, outcome_probs, poisson_fit
 
 
@@ -41,8 +40,8 @@ class TrivialPredictor:
 
     name = "trivial"
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        return {fixture: TRIVIAL_PREDICTION for fixture in ctx.fixtures}
+    def predict(self, ctx: PredictionContext) -> Forecast:
+        return Forecast({fixture: TRIVIAL_PREDICTION for fixture in ctx.fixtures})
 
 
 def _count_predictions(ctx: PredictionContext, predict) -> dict[MatchRecord, Prediction]:
@@ -64,8 +63,8 @@ class MnDir1Predictor:
 
     name = "mn-dir1"
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
-        return _count_predictions(ctx, mn_dir1_predict)
+    def predict(self, ctx: PredictionContext) -> Forecast:
+        return Forecast(_count_predictions(ctx, mn_dir1_predict))
 
 
 class MnDir2Predictor:
@@ -89,22 +88,12 @@ class MnDir2Predictor:
             cfg = self._selected[first_half] = cv_select(first_half, GridSpec.default())
         return cfg
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
+    def predict(self, ctx: PredictionContext) -> Forecast:
         cfg = self._config_for(ctx)
-        return _count_predictions(ctx, lambda h, a: mn_dir2_predict(h, a, cfg))
-
-    def settings_by_year(self) -> dict[int, dict[str, str]]:
-        """Each year's (w, alpha); leagues sharing a year are listed in season order."""
-        by_year: dict[int, list[MnDir2Config]] = {}
-        for first_half, cfg in self._selected.items():
-            by_year.setdefault(first_half[0].season, []).append(cfg)
-        return {
-            year: {
-                "w": ",".join(f"{cfg.w_home:.6f}" for cfg in cfgs),
-                "alpha": ",".join(f"{cfg.alpha:.6f}" for cfg in cfgs),
-            }
-            for year, cfgs in sorted(by_year.items())
-        }
+        return Forecast(
+            _count_predictions(ctx, lambda h, a: mn_dir2_predict(h, a, cfg)),
+            settings={"w": f"{cfg.w_home:.6f}", "alpha": f"{cfg.alpha:.6f}"},
+        )
 
 
 class _RefitPredictor:
@@ -113,20 +102,18 @@ class _RefitPredictor:
     Each model is one row of ``_BUILDERS``.  A fixture the fit cannot
     forecast fails the matchday; the error then names the fit's boundary
     parameters, if any.  Each call reads only its context, so ``evaluate``
-    may run it in a worker (``parallel_refit``).
+    may run it in a worker (``parallel_refit``); its forecast carries the fit.
     """
 
     parallel_refit = True
-    last_fit = None
 
     def __init__(self, name: str, fit, forecast):
         self.name = name
         self._fit = fit
         self._forecast = forecast
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
+    def predict(self, ctx: PredictionContext) -> Forecast:
         fitted = self._fit(ctx)
-        self.last_fit = fitted
         out = {}
         for fixture in ctx.fixtures:
             try:
@@ -136,7 +123,7 @@ class _RefitPredictor:
                     raise
                 flags = ", ".join(fitted.boundary_flags)
                 raise ValueError(f"{exc} (boundary fit: {flags})") from exc
-        return out
+        return Forecast(out, fit=fitted)
 
 
 def _poisson_forecast(params, home: str, away: str) -> Prediction:
@@ -176,13 +163,13 @@ class ExternalPredictor:
         self.name = f"external:{path}"
         self.table = parse_prediction_rows(read_csv_text(path))
 
-    def predict(self, ctx: PredictionContext) -> Mapping[MatchRecord, Prediction]:
+    def predict(self, ctx: PredictionContext) -> Forecast:
         out = {}
         for fixture in ctx.fixtures:
             found = self.table.get(fixture_key(fixture))
             if found is not None:
                 out[fixture] = found
-        return out
+        return Forecast(out)
 
 
 _BUILDERS = {

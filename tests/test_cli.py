@@ -13,6 +13,9 @@ import matchcast
 import matchcast.selftest as selftest
 from matchcast.cli import RunConfig, build_parser, load_config, main
 from matchcast.data import parse_matches, second_half_matchdays, serialize_matches
+from matchcast.davidson import bt_fit
+from matchcast.evaluation import context_for
+from matchcast.poisson import poisson_fit
 from matchcast.predictors import KNOWN_MODELS
 from matchcast.reports import SCORES_CSV_HEADER
 from matchcast.selftest import simulate_played_season
@@ -236,7 +239,7 @@ class TestPredict:
             assert capsys.readouterr().out == written.read_text()
         assert not any(work.iterdir())
 
-    def test_dump_params_exports_fitted_values(self, matches_file, tmp_path, capsys):
+    def test_dump_params_exports_fitted_values(self, matches_file, two_seasons, tmp_path, capsys):
         path = tmp_path / "t1.csv"
         path.write_text(count_scenario_csv())
         out_dir = tmp_path / "out"
@@ -270,6 +273,15 @@ class TestPredict:
         blocks = [line for line in out.splitlines() if line.startswith("# fitted parameters for ")]
         refit = ("bt", "poisson-lee", "poisson-biv")
         assert blocks == [f"# fitted parameters for {model}" for model in refit]
+        # Each block is the fit behind the forecasts, byte for byte.
+        ctx = context_for(two_seasons, two_seasons[1], 6)
+        direct = [
+            bt_fit(ctx.training()),
+            poisson_fit(ctx.training()),
+            poisson_fit(ctx.training(all_seasons=True), correlated=True),
+        ]
+        dumped = out.split("# fitted parameters for ")[1:]
+        assert dumped == [f"{m}\n{fit.params.to_csv()}" for m, fit in zip(refit, direct)]
 
     def test_csv_outputs_round_trip_names_with_a_comma_and_a_quote(self, tmp_path, capsys):
         teams = ["comma, united", 'say "hi" fc', "t2", "t3", "t4", "t5"]
@@ -939,6 +951,18 @@ class TestRefusals:
     def test_predict_target(self, flags, message, matches_file, capsys):
         err = self.refused(["predict", "--matches", str(matches_file), *flags], capsys)
         assert err == f"error: {message.format(path=matches_file)}\n"
+
+    @pytest.mark.parametrize(
+        "rows", ["2001,1,a,b,1,0\n2001,1,c,d,,\n", "2001,1,a,b,1,0\n2001,1,c,d,0,2\n"],
+        ids=["one-round", "one-round-played"],
+    )
+    def test_evaluate_without_a_second_half_matchday(self, rows, tmp_path, capsys):
+        # Refused before any model is built, so no model is named.
+        path = tmp_path / "matches.csv"
+        path.write_text(self.HEADER + rows)
+        argv = ["evaluate", "--matches", str(path), "--out", str(tmp_path / "r")]
+        assert self.refused(argv, capsys) == "error: no second-half matchday to score\n"
+        assert not (tmp_path / "r").exists()
 
     def test_evaluate_without_a_model_that_predicts(self, matches_file, tmp_path, capsys):
         forecasts = tmp_path / "forecasts.csv"

@@ -320,7 +320,7 @@ class TestFit:
 
 def rolling_predict(seasons, season, matchday):
     """One refit through the harness path: the matchday's context, then the predictor."""
-    return build_predictor("bt").predict(context_for(seasons, season, matchday))
+    return build_predictor("bt").predict(context_for(seasons, season, matchday)).predictions
 
 
 class TestRollingPredict:

@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchcast
@@ -16,6 +17,7 @@ import matchcast.evaluation as evaluation
 from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
 from matchcast.davidson import bt_fit, bt_outcome_probs
 from matchcast.evaluation import (
+    Forecast,
     PredictionContext,
     SkippedMatchday,
     check_evaluable,
@@ -308,7 +310,7 @@ class FailingOn:
     def predict(self, ctx):
         if ctx.matchday == self.bad_matchday:
             raise RuntimeError("synthetic failure")
-        return {f: Prediction(1 / 3, 1 / 3, 1 / 3) for f in ctx.fixtures}
+        return Forecast({f: Prediction(1 / 3, 1 / 3, 1 / 3) for f in ctx.fixtures})
 
 
 class TestHarnessRobustness:
@@ -344,6 +346,14 @@ class TestHarnessRobustness:
         broken = build_season(records)
         with pytest.raises(ValueError, match="unplayed"):
             evaluate([TrivialPredictor()], [two_seasons[0], broken])
+
+    def test_archive_without_a_second_half_refused_before_any_predictor_runs(self, rng):
+        one_round = simulate_played_season(["a", "b", "c", "d"], 2013, rng).matches_of(1)
+        calls = []
+        for seasons in ([build_season(list(one_round))], []):
+            with pytest.raises(ValueError, match="^no second-half matchday to score$"):
+                evaluate([RecordingPredictor("r", calls)], seasons)
+        assert calls == []
 
     def test_unplayed_first_half_match_rejected(self, mid_season):
         # The refits and the mn-dir2 tuning of every second-half matchday
@@ -388,7 +398,7 @@ class RecordingPredictor:
 
     def predict(self, ctx):
         self.calls.append((self.name, ctx))
-        return {f: Prediction(1 / 3, 1 / 3, 1 / 3) for f in ctx.fixtures}
+        return Forecast({f: Prediction(1 / 3, 1 / 3, 1 / 3) for f in ctx.fixtures})
 
 
 class TestSharedContext:
@@ -483,11 +493,10 @@ class TestRefitRows:
         current = [m for m in season.matches if m.matchday < md]
         training = current if window == "season" else [*earlier.matches, *current]
         direct = fit(training)
-        predictor = build_predictor(spec)
-        rolling = predictor.predict(context_for(two_seasons, season, md))
-        assert predictor.last_fit == direct
-        assert len(rolling) == 3
-        for fixture, prediction in rolling.items():
+        rolling = build_predictor(spec).predict(context_for(two_seasons, season, md))
+        assert rolling.fit == direct
+        assert len(rolling.predictions) == 3
+        for fixture, prediction in rolling.predictions.items():
             assert prediction == forecast(direct.params, fixture.home, fixture.away)
 
 
@@ -499,6 +508,22 @@ class TestRefitPool:
         # 2 starts a pool even on a one-CPU machine; 1 runs every call inline.
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
 
+    @staticmethod
+    def record_bt_fit_pids(monkeypatch, path):
+        """Make every ``bt_fit`` append its process id to ``path``; returns their reader."""
+        import matchcast.predictors as predictors
+
+        real = predictors.bt_fit
+
+        def recording(matches):
+            # The fork hands this patch to the workers; an append of one line is atomic.
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(matches)
+
+        monkeypatch.setattr(predictors, "bt_fit", recording)
+        return lambda: {int(pid) for pid in path.read_text(encoding="utf-8").split()}
+
     def test_pooled_reports_equal_the_inline_ones_byte_for_byte(
         self, tmp_path, two_seasons, monkeypatch
     ):
@@ -508,14 +533,16 @@ class TestRefitPool:
         written = []
         for cpus in (2, 1):
             self.on_cpus(monkeypatch, cpus)
+            fit_pids = self.record_bt_fit_pids(monkeypatch, tmp_path / f"bt-pids{cpus}")
             predictors = [build_predictor(spec) for spec in specs]
             reports = evaluate(predictors, two_seasons)
             # The external oracle's certain forecasts leave expected counts at zero.
             assert assert_zero_expected_terms_counted(reports[-1]) > 0
             assert multiprocessing.active_children() == []
             assert [r.model for r in reports] == list(specs)
-            # A pooled refit is fitted in the worker, not in the parent's predictor.
-            assert (predictors[KNOWN_MODELS.index("bt")].last_fit is None) == (cpus == 2)
+            # A pooled refit is fitted in a worker, not in this process.
+            pids = fit_pids()
+            assert pids and (os.getpid() in pids) == (cpus == 1)
             paths = write_reports(reports, tmp_path / f"cpus{cpus}")
             written.append([path.read_bytes() for path in paths])
         assert written[0] == written[1]
@@ -531,14 +558,29 @@ class TestRefitPool:
             evaluate([build_predictor("bt"), build_predictor("poisson-biv")], two_seasons)
         assert multiprocessing.active_children() == []
 
-    def test_refits_run_inline_while_another_thread_runs(self, two_seasons, monkeypatch):
+    def test_refits_run_inline_while_another_thread_runs(
+        self, tmp_path, two_seasons, monkeypatch
+    ):
         self.on_cpus(monkeypatch, 2)
+        fit_pids = self.record_bt_fit_pids(monkeypatch, tmp_path / "bt-pids")
         predictor = build_predictor("bt")
         caller = threading.Thread(target=evaluate, args=([predictor], two_seasons))
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
-        assert predictor.last_fit is not None  # fitted here, not in a worker
+        assert fit_pids() == {os.getpid()}  # fitted here, not in a worker
+
+    def test_a_pooled_forecast_carries_the_inline_fit(self, two_seasons, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        predictors = [build_predictor(spec) for spec in ("bt", "poisson-lee", "poisson-biv")]
+        matchdays = [(s, d) for s in two_seasons for d in second_half_matchdays(s)]
+        with evaluation._refit_pool(predictors, two_seasons, matchdays) as refits:
+            assert len(refits) == len(matchdays) * len(predictors)
+            for (k, i), future in refits.items():
+                pooled = future.result()
+                inline = predictors[i].predict(context_for(two_seasons, *matchdays[k]))
+                assert pooled.fit is not None
+                assert pooled == inline
 
     def test_a_fit_failing_in_a_worker_reads_as_inline(self, two_seasons, monkeypatch):
         import matchcast.predictors as predictors
@@ -662,6 +704,18 @@ class TestReportContents:
         for values in report.settings_by_year.values():
             assert set(values) == {"w", "alpha"}
             assert len(values["w"].split(".")[1]) == 6
+
+    def test_a_reused_mn_dir2_reports_only_its_own_run(self):
+        rng = np.random.default_rng(1)
+        teams = [f"t{k}" for k in range(6)]
+        predictor = MnDir2Predictor()
+        for year in (2001, 2002, 2002):
+            season = simulate_played_season(teams, year, rng)
+            reused = evaluate([predictor], [season])[0]
+            fresh = evaluate([MnDir2Predictor()], [season])[0]
+            assert list(reused.settings_by_year) == [year]
+            assert reused.settings_by_year == fresh.settings_by_year
+            assert "," not in "".join(reused.settings_by_year[year].values())
 
     def test_se_positive_for_varying_scores(self, two_seasons):
         report = evaluate([MnDir1Predictor()], two_seasons)[0]

@@ -524,7 +524,8 @@ class TestKernelMatchesDenseReference:
 
 def rolling_predict(seasons, season, matchday):
     """One independent-Poisson refit on the season window, through the harness path."""
-    return build_predictor("poisson-lee").predict(context_for(seasons, season, matchday))
+    ctx = context_for(seasons, season, matchday)
+    return build_predictor("poisson-lee").predict(ctx).predictions
 
 
 class TestRollingPredict:

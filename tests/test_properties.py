@@ -86,7 +86,7 @@ def test_every_model_predicts_on_the_simplex(league, data):
     ctx = context_for(league, season, matchday)
     for spec in KNOWN_MODELS:
         try:
-            predictions = build_predictor(spec).predict(ctx)
+            predictions = build_predictor(spec).predict(ctx).predictions
         except ValueError as exc:
             # On a few matches a boundary fit can give an unseen pairing a
             # rate past any score grid; the harness reports that refusal.

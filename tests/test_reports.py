@@ -10,6 +10,7 @@ from matchcast.data import Outcome, Prediction, outcome_of
 from matchcast.evaluation import (
     Aggregates,
     DistStats,
+    Forecast,
     ScoredMatch,
     ScoreStats,
     SkippedMatchday,
@@ -154,7 +155,7 @@ class Awkward:
                 out[f] = Prediction(0.0, 1.0, 0.0)
             else:
                 out[f] = Prediction(0.2, 0.3, 0.5)
-        return out
+        return Forecast(out)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from scipy.stats import chi2 as chi2_dist
 
 import matchcast
 from matchcast.data import MatchRecord, Outcome, Prediction
-from matchcast.evaluation import _aggregate, evaluate, score_match
+from matchcast.evaluation import Forecast, _aggregate, evaluate, score_match
 from matchcast.scoring import (
     _BANDWIDTHS,
     _LOO_CAP,
@@ -229,7 +229,7 @@ class TestProportionOfErrors:
             name = "silent"
 
             def predict(self, ctx):
-                return {}
+                return Forecast({})
 
         assert evaluate([Silent()], two_seasons) == []
 
