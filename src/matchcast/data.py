@@ -13,8 +13,10 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -81,7 +83,7 @@ class MatchRecord:
 
     def scheduled_copy(self) -> "MatchRecord":
         """The same fixture with goals stripped (what a predictor may see)."""
-        return replace(self, home_goals=None, away_goals=None)
+        return MatchRecord(self.season, self.matchday, self.home, self.away)
 
 
 def outcome_of(match: MatchRecord) -> Outcome:
@@ -162,11 +164,20 @@ class Season:
     irregular: bool
 
     def matches_of(self, matchday: int) -> tuple[MatchRecord, ...]:
-        return tuple(m for m in self.matches if m.matchday == matchday)
+        return self.matches[self._start(matchday) : self._start(matchday + 1)]
 
     def matches_before(self, matchday: int) -> tuple[MatchRecord, ...]:
         """The matches of every earlier matchday, played or not, in matchday order."""
-        return tuple(m for m in self.matches if m.matchday < matchday)
+        return self.matches[: self._start(matchday)]
+
+    def _start(self, matchday: int) -> int:
+        """Where ``matchday``'s matches start: the matches are in matchday order."""
+        return bisect_left(self.matches, matchday, key=lambda m: m.matchday)
+
+    @cached_property
+    def first_unplayed(self) -> MatchRecord | None:
+        """The season's first match without a result, found once per season."""
+        return next((m for m in self.matches if not m.played), None)
 
 
 def fixture_key(m: MatchRecord) -> tuple[int, int, str, str]:

@@ -15,6 +15,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Protocol, Sequence
 
@@ -52,61 +53,70 @@ def _unplayed(m: MatchRecord) -> ValueError:
     )
 
 
+def _leak(m: MatchRecord) -> ValueError:
+    return ValueError(f"history leaks match data from matchday {m.matchday} of season {m.season}")
+
+
+def _misplaced(r: MatchRecord, year: int, matchday: int) -> ValueError:
+    """Why ``r`` may not be in the season so far of ``year`` before ``matchday``."""
+    if r.home_goals is None:
+        return _unplayed(r)
+    if (r.season, r.matchday) >= (year, matchday):
+        return _leak(r)
+    return ValueError(f"season {year} so far holds a match of season {r.season}")
+
+
 @dataclass(frozen=True)
 class PredictionContext:
     """Everything a predictor may see when forecasting one matchday.
 
-    ``history`` holds played matches strictly before the target matchday
-    (earlier seasons included, for models with long training windows);
-    ``fixtures`` are the target matchday's pairings with goals stripped.
-    Construction enforces both properties: an unplayed history record is
-    refused, never dropped, so no forecast reads a shortened record.
+    ``earlier`` holds the seasons of earlier years (in year order, for
+    models with long training windows) and ``season_so_far`` the target
+    season's matches before the matchday; ``fixtures`` are the target
+    matchday's pairings with goals stripped.  Construction enforces both
+    properties: an unplayed record is refused, never dropped, so no
+    forecast reads a shortened record.  Each earlier season is checked
+    once, through its cached ``first_unplayed``.
     """
 
     season_year: int
     matchday: int
     season_rounds: int
-    history: tuple[MatchRecord, ...]
+    earlier: tuple[Season, ...]
+    season_so_far: tuple[MatchRecord, ...]
     fixtures: tuple[MatchRecord, ...]
-    _current: tuple[MatchRecord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         year, matchday = self.season_year, self.matchday
-        current = []
-        for r in self.history:
-            if r.home_goals is None:
-                raise _unplayed(r)
-            season = r.season
-            if season < year:
-                continue
-            if season == year and r.matchday < matchday:
-                current.append(r)
-            else:
-                raise ValueError(
-                    f"history leaks match data from matchday {r.matchday} "
-                    f"of season {r.season}"
-                )
-        object.__setattr__(self, "_current", tuple(current))
+        for s in self.earlier:
+            if s.year >= year:
+                raise _leak(s.matches[0])
+            if s.first_unplayed is not None:
+                raise _unplayed(s.first_unplayed)
+        for r in self.season_so_far:
+            if r.home_goals is None or r.season != year or r.matchday >= matchday:
+                raise _misplaced(r, year, matchday)
         for f in self.fixtures:
             if f.played:
                 raise ValueError(f"fixture carries a result: {f}")
             if f.season != self.season_year or f.matchday != self.matchday:
                 raise ValueError(f"fixture outside the target matchday: {f}")
 
-    def current_season_history(self) -> tuple[MatchRecord, ...]:
-        """The history's records of the target season, in history order."""
-        return self._current
+    @cached_property
+    def history(self) -> tuple[MatchRecord, ...]:
+        """Every earlier season's matches, then the season so far; built when first read."""
+        return tuple(chain(*(s.matches for s in self.earlier), self.season_so_far))
 
     def training(self, all_seasons: bool = False) -> tuple[MatchRecord, ...]:
         """The played matches a refit for this matchday may use.
 
-        The current season so far, or with ``all_seasons`` the whole
-        history.  Refits serve second-half matchdays only, as the
-        evaluation protocol prescribes.
+        The season so far, or with ``all_seasons`` the whole history.
+        Refits serve second-half matchdays only, as the evaluation
+        protocol prescribes.
         """
         if self.matchday <= first_half_rounds(self.season_rounds):
             raise ValueError(f"matchday {self.matchday} is not in the second half")
-        return self.history if all_seasons else self._current
+        return self.history if all_seasons else self.season_so_far
 
 
 @dataclass(frozen=True)
@@ -136,18 +146,18 @@ class Predictor(Protocol):
 def context_for(seasons: Sequence[Season], season: Season, matchday: int) -> PredictionContext:
     """Build the context for one matchday from a full dataset.
 
-    The history is every record of every season of an earlier year, in
-    year order, then ``season``'s own records before ``matchday``.  None is
-    filtered out: the context refuses the history if one is unplayed.
+    Its earlier seasons are every season of an earlier year, in year
+    order, and its season so far is ``season``'s records before
+    ``matchday``.  None is filtered out: the context refuses them if one
+    is unplayed.
     """
-    earlier = (s.matches for s in sorted(seasons, key=lambda s: s.year) if s.year < season.year)
-    fixtures = tuple(m.scheduled_copy() for m in season.matches_of(matchday))
     return PredictionContext(
         season_year=season.year,
         matchday=matchday,
         season_rounds=season.rounds,
-        history=tuple(chain(*earlier, season.matches_before(matchday))),
-        fixtures=fixtures,
+        earlier=tuple(sorted((s for s in seasons if s.year < season.year), key=lambda s: s.year)),
+        season_so_far=season.matches_before(matchday),
+        fixtures=tuple(m.scheduled_copy() for m in season.matches_of(matchday)),
     )
 
 
@@ -340,10 +350,9 @@ def check_evaluable(seasons: Sequence[Season]) -> None:
     if last is None:
         raise ValueError("no second-half matchday to score")
     for season in seasons:
-        if season.year < last or second_half_matchdays(season):
-            m = next((m for m in season.matches if not m.played), None)
-            if m is not None:
-                raise _unplayed(m)
+        m = season.first_unplayed
+        if m is not None and (season.year < last or second_half_matchdays(season)):
+            raise _unplayed(m)
 
 
 def _usable_cpus() -> int:

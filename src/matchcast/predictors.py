@@ -50,7 +50,7 @@ def _count_predictions(ctx: PredictionContext, predict) -> dict[MatchRecord, Pre
     The season's venue counts are tallied once for the whole matchday; a
     team with no record yet in its role gets empty counts, so the prior.
     """
-    home, away = tally_records(ctx.current_season_history())
+    home, away = tally_records(ctx.season_so_far)
     empty = CountVector()
     return {
         fixture: predict(home.get(fixture.home, empty), away.get(fixture.away, empty))

@@ -445,7 +445,8 @@ def check_leakage_guard(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             season_year=2001,
             matchday=target,
             season_rounds=season.rounds,
-            history=ctx.history + (leak,),
+            earlier=ctx.earlier,
+            season_so_far=ctx.season_so_far + (leak,),
             fixtures=ctx.fixtures,
         )
         rejected = False

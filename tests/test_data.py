@@ -257,6 +257,10 @@ class TestSeason:
         assert sum(not m.played for m in before) == 4
         assert season.matches_before(1) == ()
         assert season.matches_before(season.rounds + 1) == season.matches
+        # Both are slices of the season's matches, equal to the filters.
+        for md in range(season.rounds + 3):
+            assert season.matches_before(md) == tuple(m for m in season.matches if m.matchday < md)
+            assert season.matches_of(md) == tuple(m for m in season.matches if m.matchday == md)
 
     def test_mixed_years_rejected_in_single_build(self, two_seasons):
         records = [m for s in two_seasons for m in s.matches]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,16 @@ def assert_zero_expected_terms_counted(report):
     return sum(counts)
 
 
+def out_of_order_archive(two_seasons, rng):
+    """Years out of order, and two leagues sharing 2014 that must not see each other."""
+    return [
+        simulate_played_season([f"t{k}" for k in range(6)], 2015, rng),
+        two_seasons[1],
+        simulate_played_season([f"u{k}" for k in range(6)], 2014, rng),
+        two_seasons[0],
+    ]
+
+
 @pytest.fixture
 def oracle_predictor(tmp_path, two_seasons):
     path = tmp_path / "oracle.csv"
@@ -100,32 +111,30 @@ class TestContext:
                 season_year=season.year,
                 matchday=7,
                 season_rounds=season.rounds,
-                history=ctx.history + (leak,),
+                earlier=ctx.earlier,
+                season_so_far=ctx.season_so_far + (leak,),
                 fixtures=ctx.fixtures,
             )
 
     def test_later_season_in_history_rejected(self, two_seasons):
-        season = two_seasons[0]
-        ctx = context_for(two_seasons, season, 7)
-        with pytest.raises(ValueError, match="leaks match data from matchday 1 of season 2014"):
-            PredictionContext(
-                season_year=season.year,
-                matchday=7,
-                season_rounds=season.rounds,
-                history=ctx.history + two_seasons[1].matches_of(1),
-                fixtures=ctx.fixtures,
-            )
+        s2013, s2014 = two_seasons
+        ctx = context_for(two_seasons, s2013, 7)
+        at_2014 = context_for(two_seasons, s2014, 7)
+        # The later season's records in the season so far; a later or the
+        # same year's season among the earlier ones, last or first.
+        for base, earlier, so_far in (
+            (ctx, (), ctx.season_so_far + s2014.matches_of(1)),
+            (ctx, (s2014,), ctx.season_so_far),
+            (at_2014, (s2013, s2014), at_2014.season_so_far),
+            (at_2014, (s2014, s2013), at_2014.season_so_far),
+        ):
+            with pytest.raises(
+                ValueError, match="^history leaks match data from matchday 1 of season 2014$"
+            ):
+                dataclasses.replace(base, earlier=earlier, season_so_far=so_far)
 
     def test_evaluate_contexts_equal_fresh_ones(self, two_seasons, rng):
-        teams = [f"t{k}" for k in range(6)]
-        others = [f"u{k}" for k in range(6)]
-        # Years out of order, and two leagues sharing 2014 that must not see each other.
-        seasons = [
-            simulate_played_season(teams, 2015, rng),
-            two_seasons[1],
-            simulate_played_season(others, 2014, rng),
-            two_seasons[0],
-        ]
+        seasons = out_of_order_archive(two_seasons, rng)
         calls = []
         evaluate([RecordingPredictor("r", calls)], seasons)
         ordered = sorted(seasons, key=lambda s: s.year)
@@ -135,6 +144,39 @@ class TestContext:
             for matchday in second_half_matchdays(season)
         ]
         assert [ctx for _, ctx in calls] == expected
+
+    def test_history_is_built_from_the_earlier_seasons_and_the_season_so_far(
+        self, two_seasons, rng
+    ):
+        seasons = out_of_order_archive(two_seasons, rng)
+        for season in seasons:
+            earlier = [s for s in sorted(seasons, key=lambda s: s.year) if s.year < season.year]
+            for matchday in range(1, season.rounds + 1):
+                ctx = context_for(seasons, season, matchday)
+                assert ctx.history == tuple(
+                    chain(*(s.matches for s in earlier), season.matches_before(matchday))
+                )
+                if matchday in second_half_matchdays(season):
+                    assert ctx.training(all_seasons=True) is ctx.history
+
+    def test_no_earlier_season_is_walked_once_per_later_context(self, rng):
+        class CountedMatches(tuple):
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        seasons = []
+        for year in range(2010, 2016):
+            season = simulate_played_season([f"t{k}" for k in range(6)], year, rng)
+            matches = CountedMatches(season.matches)
+            matches.walks = 0
+            seasons.append(dataclasses.replace(season, matches=matches))
+        reports = evaluate([TrivialPredictor(), MnDir1Predictor()], seasons)
+        assert [r.aggregates.n_scored for r in reports] == [6 * 15] * 2
+        # Each season is walked as often as the last one, which no later
+        # context reads: once for its first unplayed match and twice for its
+        # second-half matchdays.  A context slices its own season's matches.
+        assert [s.matches.walks for s in seasons] == [1 + 2] * 6
 
     def test_history_equals_a_hand_built_filter(self, two_seasons, rng):
         teams = [f"t{k}" for k in range(6)]
@@ -192,19 +234,19 @@ class TestContext:
 
     def test_current_season_history_equals_the_filter(self, two_seasons):
         s2013, s2014 = two_seasons
-        # Seasons out of order, the current season's records split around an earlier one's.
-        history = (
-            s2014.matches_before(4)[:5]
-            + s2013.matches[10:20]
-            + s2014.matches_before(4)[5:]
-            + s2013.matches[:10]
-        )
-        ctx = PredictionContext(2014, 4, s2014.rounds, history, ())
-        want = tuple(r for r in history if r.season == 2014)
+        ctx = context_for(two_seasons, s2014, 4)
+        want = tuple(r for r in ctx.history if r.season == 2014)
         assert len(want) == 9
-        assert ctx.current_season_history() == want
-        assert dataclasses.replace(ctx).current_season_history() == want
-        assert PredictionContext(2015, 1, 10, history, ()).current_season_history() == ()
+        assert ctx.season_so_far == want == s2014.matches_before(4)
+        assert dataclasses.replace(ctx).season_so_far == want
+        assert PredictionContext(2015, 1, 10, (s2013, s2014), (), ()).season_so_far == ()
+        # The season so far holds the target season alone, at any position.
+        for at in (0, 5, 9):
+            so_far = want[:at] + (s2013.matches[at],) + want[at:]
+            with pytest.raises(
+                ValueError, match="^season 2014 so far holds a match of season 2013$"
+            ):
+                PredictionContext(2014, 4, s2014.rounds, (s2013,), so_far, ())
 
     def test_training_is_the_season_so_far_or_the_whole_history(self, two_seasons):
         earlier, season = two_seasons
@@ -215,7 +257,7 @@ class TestContext:
         everything = ctx.training(all_seasons=True)
         assert everything == (*earlier.matches, *current)
         # The context's own tuples, not copies.
-        assert current is ctx.current_season_history() and everything is ctx.history
+        assert current is ctx.season_so_far and everything is ctx.history
 
     @pytest.mark.parametrize("all_seasons", [False, True])
     def test_training_refuses_a_first_half_matchday(self, two_seasons, all_seasons):
@@ -235,10 +277,13 @@ class TestContext:
         target = seasons[k].matches_of(matchday)[1]
         blank = target.scheduled_copy()
         seasons[k] = build_season([blank if m == target else m for m in seasons[k].matches])
+        # An earlier year's match is refused through its season, the target
+        # season's through the season so far.
+        earlier, so_far = ((seasons[0],), ()) if k == 0 else ((), (blank,))
         errors = []
         for refuse in (
             lambda: context_for(seasons, seasons[1], 6),
-            lambda: PredictionContext(2014, 6, 10, (blank,), ()),
+            lambda: PredictionContext(2014, 6, 10, earlier, so_far, ()),
             lambda: check_evaluable(seasons),
         ):
             with pytest.raises(ValueError) as refused:
@@ -255,7 +300,8 @@ class TestContext:
                 season_year=season.year,
                 matchday=7,
                 season_rounds=season.rounds,
-                history=ctx.history,
+                earlier=ctx.earlier,
+                season_so_far=ctx.season_so_far,
                 fixtures=(season.matches_of(7)[0],),
             )
 

@@ -56,9 +56,9 @@ def test_leakage_guard_rejects_future_or_unplayed_records(league, data):
     matchday = data.draw(st.integers(1, season.rounds))
     ctx = context_for(league, season, matchday)
 
-    def rebuilt(history, fixtures=ctx.fixtures):
+    def rebuilt(season_so_far, fixtures=ctx.fixtures):
         return PredictionContext(
-            ctx.season_year, ctx.matchday, ctx.season_rounds, history, fixtures
+            ctx.season_year, ctx.matchday, ctx.season_rounds, ctx.earlier, season_so_far, fixtures
         )
 
     records = [m for s in league for m in s.matches]
@@ -69,13 +69,14 @@ def test_leakage_guard_rejects_future_or_unplayed_records(league, data):
         or (m.season == ctx.season_year and m.matchday >= ctx.matchday)
     ]
     leak = data.draw(st.sampled_from(future + [m.scheduled_copy() for m in records]))
-    at = data.draw(st.integers(0, len(ctx.history)))
+    so_far = ctx.season_so_far
+    at = data.draw(st.integers(0, len(so_far)))
     with pytest.raises(ValueError):
-        rebuilt(ctx.history[:at] + (leak,) + ctx.history[at:])
+        rebuilt(so_far[:at] + (leak,) + so_far[at:])
 
     played_fixtures = [m for m in records if m.season == season.year and m.matchday == matchday]
     with pytest.raises(ValueError):
-        rebuilt(ctx.history, fixtures=(data.draw(st.sampled_from(played_fixtures)),))
+        rebuilt(so_far, fixtures=(data.draw(st.sampled_from(played_fixtures)),))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
