@@ -153,5 +153,7 @@ def bt_fit(matches: Sequence[MatchRecord]) -> FitReport[BTParams]:
         gamma=float(math.exp(log_gamma)),
         nu=float(math.exp(log_nu)),
     )
+    # The first team's log-worth is fixed at 0: the free coordinates are
+    # every parameter that can drift.
     names = [f"worth:{t}" for t in objective.teams[1:]] + ["gamma", "nu"]
-    return fit_report(params, result, names)
+    return fit_report(params, result, dict(zip(names, result.x)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -70,13 +70,15 @@ def fit_teams(matches: Sequence[MatchRecord]) -> list[str]:
     return sorted({t for m in matches for t in (m.home, m.away)})
 
 
-def fit_report(params: P, result: OptimResult, names: Sequence[str]) -> FitReport[P]:
-    """The report of a fit whose free parameters, in order, are ``names``.
+def fit_report(params: P, result: OptimResult, log_scale: Mapping[str, float]) -> FitReport[P]:
+    """The report of a fit whose parameters, by name, take ``log_scale``'s values.
 
-    Separable data sends log-scale parameters toward infinity, and the
-    gradient flattens well before the box, so a parameter is flagged once
-    it drifts to ``DRIFT_LIMIT`` or beyond; that covers a clamped one too,
-    as ``DRIFT_LIMIT < BOX``.
+    ``log_scale`` holds every parameter on the solver's log scale, those
+    derived from the free coordinates included, such as a team eliminated
+    by a zero-sum constraint.  Separable data sends such parameters toward
+    infinity, and the gradient flattens well before the box, so a parameter
+    is flagged once it drifts to ``DRIFT_LIMIT`` or beyond; that covers a
+    clamped one too, as ``DRIFT_LIMIT < BOX``.
     """
     return FitReport(
         params=params,
@@ -85,7 +87,7 @@ def fit_report(params: P, result: OptimResult, names: Sequence[str]) -> FitRepor
         converged=result.converged,
         gradient_norm=result.grad_norm,
         boundary_flags=tuple(
-            sorted(name for name, value in zip(names, result.x) if abs(value) >= DRIFT_LIMIT)
+            sorted(name for name, value in log_scale.items() if abs(value) >= DRIFT_LIMIT)
         ),
     )
 

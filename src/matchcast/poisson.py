@@ -333,10 +333,12 @@ def poisson_fit(
         gamma_home=gamma,
         lambda3=lambda3,
     )
-    names = (
-        ["mu", "gamma"]
-        + [f"att:{t}" for t in teams[:-1]]
-        + [f"def:{t}" for t in teams[:-1]]
-        + (["lambda3"] if correlated else [])
-    )
-    return fit_report(strengths, result, names)
+    log_scale = {
+        "mu": mu,
+        "gamma": gamma,
+        **{f"att:{t}": float(a) for t, a in zip(teams, att)},
+        **{f"def:{t}": float(d) for t, d in zip(teams, dfn)},
+    }
+    if correlated:
+        log_scale["lambda3"] = float(result.x[-1])
+    return fit_report(strengths, result, log_scale)

@@ -145,26 +145,33 @@ _LOO_BLOCK = 32
 def _loo_errors(probs: np.ndarray, events: np.ndarray) -> list[float]:
     """Leave-one-out squared error of the Nadaraya-Watson smoother, per bandwidth.
 
-    Closed form from the Gaussian weight matrix, built ``_LOO_BLOCK`` rows
-    at a time so no n x n array is held.  Each row's dot product and sum
-    still run over all n columns in order, so the errors equal the dense
-    computation bit for bit.  The diagonal weight is exp(-0.0) = 1.0.
+    Closed form from the Gaussian weight matrix.  Pairs with one probability
+    share one weight row, so the rows are built per distinct value,
+    ``_LOO_BLOCK`` at a time (no n x n array is held), and gathered back per
+    pair.  The columns run events first, so a row's numerator is the sum of
+    its leading slice.  Both are numpy row sums, whose bits follow the row's
+    values alone, not where it sits; so the errors equal the dense n x n
+    computation in the same column order bit for bit.  The diagonal weight
+    is exp(-0.0) = 1.0.
     """
-    n = probs.size
-    num = np.empty((len(_BANDWIDTHS), n))
-    den = np.empty((len(_BANDWIDTHS), n))
-    for start in range(0, n, _LOO_BLOCK):
+    values, inverse = np.unique(probs, return_inverse=True)
+    hit = events == 1.0
+    n_hits = int(hit.sum())
+    cols = np.concatenate((probs[hit], probs[~hit]))
+    num = np.empty((len(_BANDWIDTHS), values.size))
+    den = np.empty((len(_BANDWIDTHS), values.size))
+    for start in range(0, values.size, _LOO_BLOCK):
         rows = slice(start, start + _LOO_BLOCK)
-        diff = probs[rows, None] - probs[None, :]
+        diff = values[rows, None] - cols[None, :]
         for b, bw in enumerate(_BANDWIDTHS):
             d = diff / bw
             w = -0.5 * d
             w *= d
             np.exp(w, out=w)
-            num[b, rows] = w @ events
+            num[b, rows] = w[:, :n_hits].sum(axis=1)
             den[b, rows] = w.sum(axis=1)
-    num -= events
-    den -= 1.0
+    num = num[:, inverse] - events
+    den = den[:, inverse] - 1.0
     errors = []
     for num_b, den_b in zip(num, den):
         ok = den_b > 0

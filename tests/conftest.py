@@ -35,8 +35,9 @@ def two_seasons(rng):
 def boundary_season():
     """4-team double round robin whose first three matchdays fit to a boundary.
 
-    The correlated Poisson fit on them sends gamma to the -30 clamp and
-    def:t2 to -19.5, and gives t1 an away rate near 1e13 at t2.
+    The correlated Poisson fit on them sends gamma to the -30 clamp,
+    def:t2 to -19.5 and the derived att:t3 to -15.7, and gives t1 an away
+    rate near 1e13 at t2.
     """
     from matchcast.data import MatchRecord
     from matchcast.selftest import double_round_robin

@@ -60,7 +60,7 @@ class TestMinimize:
         # Unconstrained minimum at 50, box at 30: the solution pins to the wall.
         result = minimize(quadratic(np.array([50.0])), np.zeros(1))
         assert result.x[0] == 30.0
-        assert fit_report(None, result, ["x"]).boundary_flags == ("x",)
+        assert fit_report(None, result, {"x": result.x[0]}).boundary_flags == ("x",)
         assert result.converged  # projected gradient vanishes at the face
 
     def test_drift_limit_inside_the_box(self):
@@ -124,11 +124,12 @@ def _bt_all_home_wins():
     [
         # gamma drifts to 21.4 inside the box.
         (davidson_module, lambda season: _bt_all_home_wins(), ("gamma",), -2, False),
-        # gamma is clamped at -30; def:t2 drifts to -19.5.
+        # gamma is clamped at -30; def:t2 drifts to -19.5, and the derived
+        # last team's att:t3 to -15.7.
         (
             poisson_module,
             lambda season: poisson_module.poisson_fit(season.matches_before(4), correlated=True),
-            ("def:t2", "gamma"),
+            ("att:t3", "def:t2", "gamma"),
             1,
             True,
         ),

@@ -567,7 +567,7 @@ class TestRollingPredict:
         (skipped,) = report.skipped_matchdays
         assert skipped.matchday == 4
         assert skipped.reason.startswith("ValueError: rates ")
-        assert skipped.reason.endswith("goals per side (boundary fit: def:t2, gamma)")
+        assert skipped.reason.endswith("goals per side (boundary fit: att:t3, def:t2, gamma)")
 
 
 class TestCsvExport:

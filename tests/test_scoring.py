@@ -329,10 +329,11 @@ print(repr(calibration_curve(scored)))
 """
 
 
-# Reference copies of the calibration kernels as first written: one
-# Python loop per pair, and the dense n x n weight matrix per bandwidth.
-# The smoothed curve takes numpy sums, as the shipped kernel does.  The
-# shipped kernels must equal them bit for bit.
+# Reference copies of the calibration kernels: one Python loop per pair,
+# and the dense n x n weight matrix per bandwidth, one row per pair.  Its columns run events first and its sums are numpy
+# row sums, as in the shipped kernel, which builds one row per distinct
+# probability; the smoothed curve takes numpy sums too.  The shipped
+# kernels must equal them bit for bit.
 
 def _unroll_loop(scored):
     probs, events = [], []
@@ -344,6 +345,23 @@ def _unroll_loop(scored):
 
 
 def _loo_error_dense(probs, events, bw):
+    hit = events == 1.0
+    cols = np.concatenate((probs[hit], probs[~hit]))
+    d = (probs[:, None] - cols[None, :]) / bw
+    w = np.exp(-0.5 * d * d)
+    num = w[:, : int(hit.sum())].sum(axis=1) - events
+    den = w.sum(axis=1) - 1.0
+    ok = den > 0
+    if not ok.any():
+        return math.inf
+    resid = events[ok] - num[ok] / den[ok]
+    return float(np.mean(resid * resid))
+
+
+def _loo_error_blas(probs, events, bw):
+    # The reference before one row per distinct probability: columns in
+    # pair order and a BLAS dot for the numerator.  Its errors differ from
+    # the shipped ones in the last bits, but the chosen bandwidth must not.
     d = (probs[:, None] - probs[None, :]) / bw
     w = np.exp(-0.5 * d * d)
     num = w @ events - np.diag(w) * events
@@ -355,7 +373,11 @@ def _loo_error_dense(probs, events, bw):
     return float(np.mean(resid * resid))
 
 
-def _calibration_curve_dense(scored, bins=10):
+def _chosen_bandwidth(errors):
+    return min(zip(errors, _BANDWIDTHS))[1]
+
+
+def _calibration_curve_dense(scored, bins=10, loo_error=_loo_error_dense):
     probs, events = _unroll_loop(scored)
     grid = np.linspace(0.05, 0.95, 19)
     if probs.size > _LOO_CAP:
@@ -364,8 +386,7 @@ def _calibration_curve_dense(scored, bins=10):
         sel_p, sel_e = probs[pick], events[pick]
     else:
         sel_p, sel_e = probs, events
-    errors = [(_loo_error_dense(sel_p, sel_e, bw), bw) for bw in _BANDWIDTHS]
-    bw = min(errors)[1]
+    bw = _chosen_bandwidth([loo_error(sel_p, sel_e, bw) for bw in _BANDWIDTHS])
     d = (grid[:, None] - probs[None, :]) / bw
     w = np.exp(-0.5 * d * d)
     den = w.sum(axis=1)
@@ -384,6 +405,16 @@ def _calibration_curve_dense(scored, bins=10):
     )
 
 
+def _parity_pairs(n, ordered):
+    rng = np.random.default_rng(n)
+    probs = rng.dirichlet((1.0, 1.0, 1.0), size=n // 3 + 1).reshape(-1)[:n]
+    events = (rng.random(n) < probs).astype(float)
+    if ordered:
+        order = np.argsort(probs, kind="stable")
+        probs, events = probs[order], events[order]
+    return probs, events
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("n_scored", [0, 1, 7, 500])
     def test_unroll_equals_the_pair_loop(self, n_scored):
@@ -399,20 +430,37 @@ class TestKernelParity:
     @pytest.mark.parametrize("n", [30, 31, 999, 1140, 2000])
     @pytest.mark.parametrize("ordered", [False, True])
     def test_blocked_loo_equals_dense(self, n, ordered):
-        rng = np.random.default_rng(n)
-        probs = rng.dirichlet((1.0, 1.0, 1.0), size=n // 3 + 1).reshape(-1)[:n]
-        events = (rng.random(n) < probs).astype(float)
-        if ordered:
-            order = np.argsort(probs, kind="stable")
-            probs, events = probs[order], events[order]
+        probs, events = _parity_pairs(n, ordered)
         assert _loo_errors(probs, events) == [
             _loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS
         ]
+
+    @pytest.mark.parametrize("n", [30, 31, 999, 1140, 2000])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_bandwidth_equals_the_blas_references(self, n, ordered):
+        probs, events = _parity_pairs(n, ordered)
+        assert _chosen_bandwidth(_loo_errors(probs, events)) == _chosen_bandwidth(
+            [_loo_error_blas(probs, events, bw) for bw in _BANDWIDTHS]
+        )
 
     def test_blocked_loo_equals_dense_for_the_uniform_forecast(self):
         probs, events = _unroll_loop(
             [(Outcome((k % 3) + 1), UNIFORM) for k in range(400)]
         )
+        errors = _loo_errors(probs, events)
+        assert errors == [_loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS]
+        assert _chosen_bandwidth(errors) == _chosen_bandwidth(
+            [_loo_error_blas(probs, events, bw) for bw in _BANDWIDTHS]
+        )
+
+    @pytest.mark.parametrize("n", [30, 31, 33, 999, 1141, 2000])
+    @pytest.mark.parametrize("n_values", [1, 40])
+    def test_blocked_loo_equals_dense_with_ties(self, n, n_values):
+        # Every probability equal, or 40 values (more than one block of
+        # rows) at random positions.
+        rng = np.random.default_rng(n)
+        probs = rng.choice(rng.random(n_values), size=n)
+        events = (rng.random(n) < probs).astype(float)
         assert _loo_errors(probs, events) == [
             _loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS
         ]
@@ -421,6 +469,7 @@ class TestKernelParity:
         probs, events = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         errors = _loo_errors(probs, events)
         assert errors == [_loo_error_dense(probs, events, bw) for bw in _BANDWIDTHS]
+        assert errors == [_loo_error_blas(probs, events, bw) for bw in _BANDWIDTHS]
         assert errors[:3] == [math.inf] * 3
 
     @pytest.mark.parametrize("n_scored", [40, 4000])
@@ -428,6 +477,8 @@ class TestKernelParity:
         scored = _calibrated_pairs(np.random.default_rng(n_scored), n_scored)
         table = calibration_curve(scored)
         assert table == _calibration_curve_dense(scored)
+        blas = _calibration_curve_dense(scored, loo_error=_loo_error_blas)
+        assert table.bandwidth == blas.bandwidth
         assert (table.n_pairs > _LOO_CAP) == (n_scored == 4000)
 
 
