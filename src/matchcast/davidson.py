@@ -139,7 +139,8 @@ def bt_fit(matches: Sequence[MatchRecord]) -> FitReport[BTParams]:
     = 1, so repeated fits on the same data are identical.  Parameters
     running off to the clamp box (separable data, or no draws pushing nu
     to zero) come back flagged in ``boundary_flags`` rather than as an
-    exception.
+    exception.  A window with no draw flags ``nu``, and one with no draw
+    and only home wins, or only away wins, flags ``gamma`` too.
     """
     objective = _DavidsonObjective(fit_teams(matches), matches)
     x0 = np.zeros(objective.n_params)
@@ -156,4 +157,13 @@ def bt_fit(matches: Sequence[MatchRecord]) -> FitReport[BTParams]:
     # The first team's log-worth is fixed at 0: the free coordinates are
     # every parameter that can drift.
     names = [f"worth:{t}" for t in objective.teams[1:]] + ["gamma", "nu"]
-    return fit_report(params, result, dict(zip(names, result.x)))
+    # Outcome counts alone decide two limits, which the solver can stop
+    # short of as the gradient flattens: with no draw the likelihood falls
+    # in nu everywhere, and with no draw and one side never winning it
+    # rises without bound along gamma.
+    unbounded = []
+    if not objective.is_draw.any():
+        unbounded.append("nu")
+        if objective.is_win.all() or not objective.is_win.any():
+            unbounded.append("gamma")
+    return fit_report(params, result, dict(zip(names, result.x)), unbounded)

@@ -212,7 +212,8 @@ def _brier_totals(
     Bit-identical to the scalar loop ``total += brier(outcome,
     mn_dir2_predict(h, a, cfg))`` over ``prepared``: each array operation
     is the scalar code's operation, in its order, and the sum runs match by
-    match.
+    match.  One concentration is scored at a time, so only its (w, match,
+    outcome) slab is held.
     """
     home = np.array([(h.wins, h.draws, h.losses) for h, _, _ in prepared], dtype=float)
     away = np.array([(a.wins, a.draws, a.losses) for _, a, _ in prepared], dtype=float)
@@ -220,18 +221,22 @@ def _brier_totals(
         [(o is Outcome.HOME_WIN, o is Outcome.DRAW, o is Outcome.AWAY_WIN) for _, _, o in prepared],
         dtype=float,
     )
-    alpha = np.array(grid.alpha_points)[:, None, None]  # (alpha, match, outcome)
-    prior_total = alpha + alpha + alpha
-    home_view = (alpha + home) / (prior_total + home.sum(axis=1)[:, None])
-    away_view = (alpha + away) / (prior_total + away.sum(axis=1)[:, None])
-    w = np.array(grid.w_points)[None, :, None, None]  # (alpha, w, match, outcome)
-    # The away observer's (win, draw, loss) feeds the pool as (loss, draw, win).
-    pooled = w * home_view[:, None] + (1.0 - w) * away_view[:, None, :, ::-1]
-    diff = hit - pooled
-    # Python's float ``**`` calls the C library's pow, which is not always
-    # correctly rounded; NumPy squares by multiplying, so it can differ from
-    # ``brier`` in the last bit.  Square through Python to keep every bit.
-    sq = np.fromiter(map(pow, diff.ravel().tolist(), repeat(2.0)), float, diff.size)
-    sq = sq.reshape(diff.shape)
-    per_match = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
-    return np.add.accumulate(per_match, axis=2)[..., -1]
+    home_seen = home.sum(axis=1)[:, None]
+    away_seen = away.sum(axis=1)[:, None]
+    w = np.array(grid.w_points)[:, None, None]  # (w, match, outcome)
+    totals = np.empty((len(grid.alpha_points), len(grid.w_points)))
+    for i, alpha in enumerate(grid.alpha_points):
+        prior_total = alpha + alpha + alpha
+        home_view = (alpha + home) / (prior_total + home_seen)
+        away_view = (alpha + away) / (prior_total + away_seen)
+        # The away observer's (win, draw, loss) feeds the pool as (loss, draw, win).
+        pooled = w * home_view + (1.0 - w) * away_view[:, ::-1]
+        diff = hit - pooled
+        # Python's float ``**`` calls the C library's pow, which is not always
+        # correctly rounded; NumPy squares by multiplying, so it can differ from
+        # ``brier`` in the last bit.  Square through Python to keep every bit.
+        sq = np.fromiter(map(pow, diff.ravel().tolist(), repeat(2.0)), float, diff.size)
+        sq = sq.reshape(diff.shape)
+        per_match = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+        totals[i] = np.add.accumulate(per_match, axis=1)[:, -1]
+    return totals

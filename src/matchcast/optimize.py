@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generic, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -70,7 +70,12 @@ def fit_teams(matches: Sequence[MatchRecord]) -> list[str]:
     return sorted({t for m in matches for t in (m.home, m.away)})
 
 
-def fit_report(params: P, result: OptimResult, log_scale: Mapping[str, float]) -> FitReport[P]:
+def fit_report(
+    params: P,
+    result: OptimResult,
+    log_scale: Mapping[str, float],
+    unbounded: Iterable[str] = (),
+) -> FitReport[P]:
     """The report of a fit whose parameters, by name, take ``log_scale``'s values.
 
     ``log_scale`` holds every parameter on the solver's log scale, those
@@ -78,17 +83,18 @@ def fit_report(params: P, result: OptimResult, log_scale: Mapping[str, float]) -
     by a zero-sum constraint.  Separable data sends such parameters toward
     infinity, and the gradient flattens well before the box, so a parameter
     is flagged once it drifts to ``DRIFT_LIMIT`` or beyond; that covers a
-    clamped one too, as ``DRIFT_LIMIT < BOX``.
+    clamped one too, as ``DRIFT_LIMIT < BOX``.  ``unbounded`` names the
+    parameters the window's data shows in closed form to have no finite
+    MLE; they are flagged wherever the solver stopped.
     """
+    drifted = {name for name, value in log_scale.items() if abs(value) >= DRIFT_LIMIT}
     return FitReport(
         params=params,
         log_likelihood=-result.fun,
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.grad_norm,
-        boundary_flags=tuple(
-            sorted(name for name, value in log_scale.items() if abs(value) >= DRIFT_LIMIT)
-        ),
+        boundary_flags=tuple(sorted(drifted.union(unbounded))),
     )
 
 

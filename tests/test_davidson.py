@@ -261,6 +261,19 @@ class TestFit:
         report = bt_fit(matches)
         assert "gamma" in report.boundary_flags
 
+    def test_only_away_wins_flag_gamma_from_the_counts(self):
+        # The solver stops at log gamma -9.5, well inside DRIFT_LIMIT; with no
+        # draw and no home win the likelihood rises without bound as gamma
+        # falls, so the counts flag it.
+        window = [
+            MatchRecord(2014, 1, "t1", "t2", 0, 1),
+            MatchRecord(2014, 2, "t1", "t0", 0, 1),
+            MatchRecord(2014, 3, "t0", "t2", 0, 1),
+        ]
+        report = bt_fit(window)
+        assert report.converged
+        assert report.boundary_flags == ("gamma", "nu")
+
     def test_zero_draws_pushes_nu_to_boundary(self):
         # Wins alternate between home and away so gamma stays finite and the
         # only degenerate direction is the tie parameter.
@@ -273,7 +286,7 @@ class TestFit:
                 records.append(MatchRecord(2014, matchday, h, a, hg, ag))
                 k += 1
         report = bt_fit(records)
-        assert "nu" in report.boundary_flags
+        assert report.boundary_flags == ("nu",)
         assert report.params.nu < 1e-6
 
     def test_convergence_implies_small_gradient(self, rng, monkeypatch):

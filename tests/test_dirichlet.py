@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import inf, nan
 
@@ -338,17 +339,45 @@ class TestCvSelect:
             cv_select([], GridSpec.default())
 
     # With glibc's pow behind Python's ``**``, seeds 2 and 7 each hold a
-    # total that squaring as ``d * d`` would move by one ulp.
-    @pytest.mark.parametrize("seed", [2, 7, 2014])
-    def test_matches_scalar_loop_on_a_full_first_half(self, seed):
+    # total that squaring as ``d * d`` would move by one ulp.  The 7 w x 3
+    # alpha grid is not square, so a swapped axis cannot pass.
+    @pytest.mark.parametrize(
+        ("seed", "grid"),
+        [
+            pytest.param(2, GridSpec.default(), id="2"),
+            pytest.param(7, GridSpec.default(), id="7"),
+            pytest.param(2014, GridSpec.default(), id="2014"),
+            pytest.param(
+                7,
+                GridSpec(w_points=tuple(k / 6.0 for k in range(7)), alpha_points=(0.5, 2.0, 9.0)),
+                id="7-w7xa3",
+            ),
+        ],
+    )
+    def test_matches_scalar_loop_on_a_full_first_half(self, seed, grid):
         teams = [f"t{k}" for k in range(20)]
         season = simulate_played_season(teams, 2010, np.random.default_rng(seed))
         first_half = _first_half(season)
         assert len(first_half) == 190
-        grid = GridSpec.default()
         prepared, totals, expected = _scalar_cv_select(first_half, grid)
         assert np.array_equal(_brier_totals(prepared, grid), totals)
         assert cv_select(first_half, grid) == expected
+
+    def test_one_selection_holds_one_concentration_at_a_time(self):
+        # Scoring all 400 default grid points in one broadcast peaked at
+        # 12.4 MiB on this half; one concentration's slab needs under 1 MiB.
+        teams = [f"t{k}" for k in range(20)]
+        season = simulate_played_season(teams, 2010, np.random.default_rng(7))
+        first_half = _first_half(season)
+        assert len(first_half) == 190
+        grid = GridSpec.default()
+        tracemalloc.start()
+        try:
+            cv_select(first_half, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_selected_point_beats_or_ties_every_grid_point(self, rng):
         season = simulate_played_season([f"t{k}" for k in range(4)], 2010, rng)

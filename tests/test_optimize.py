@@ -122,8 +122,9 @@ def _bt_all_home_wins():
 @pytest.mark.parametrize(
     "module, fit, flags, gamma_at, gamma_clamped",
     [
-        # gamma drifts to 21.4 inside the box.
-        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma",), -2, False),
+        # gamma drifts to 21.4 inside the box; with no draw, nu is flagged
+        # wherever it stops.
+        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma", "nu"), -2, False),
         # gamma is clamped at -30; def:t2 drifts to -19.5, and the derived
         # last team's att:t3 to -15.7.
         (
