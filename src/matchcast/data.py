@@ -13,12 +13,13 @@ import csv
 import io
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_goals")
 
@@ -34,11 +35,12 @@ def normalize_team(name: str) -> str:
 
     Fixture files in the wild are inconsistently cased and padded; two
     spellings that differ only in whitespace or case must compare equal.
+    The name is interned, so a long archive holds each team's name once.
     """
     collapsed = _WS.sub(" ", name.strip())
     if not collapsed:
         raise ValueError("empty team name")
-    return collapsed.casefold()
+    return sys.intern(collapsed.casefold())
 
 
 class Outcome(IntEnum):
@@ -49,7 +51,7 @@ class Outcome(IntEnum):
     AWAY_WIN = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     """One played or scheduled fixture.
 
@@ -97,7 +99,7 @@ def outcome_of(match: MatchRecord) -> Outcome:
     return Outcome.AWAY_WIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountVector:
     """(wins, draws, losses) tally for one team in one venue role."""
 
@@ -121,7 +123,7 @@ class CountVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A point on the 2-simplex: P(home win), P(draw), P(away win)."""
 
@@ -362,15 +364,22 @@ def parse_matches(csv_text: str) -> list[MatchRecord]:
     return [record for _, record in parse_matches_with_lines(csv_text)]
 
 
-def format_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """A header and rows as CSV with ``\\n`` line ends, quoted where a field needs it.
 
-    The csv module writes a float as its repr: inf, -inf and nan included.
+    Rows are written as they are drawn, so a file opened with ``newline=""``
+    never holds the whole text.  The csv module writes a float as its repr:
+    inf, -inf and nan included.
     """
-    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def format_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """:func:`write_csv`'s text as one string."""
+    out = io.StringIO()
+    write_csv(out, header, rows)
     return out.getvalue()
 
 

@@ -161,7 +161,7 @@ def context_for(seasons: Sequence[Season], season: Season, matchday: int) -> Pre
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredMatch:
     """One second-half match scored under every rule."""
 

@@ -10,9 +10,9 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .data import fixture_key, format_csv
+from .data import fixture_key, format_csv, write_csv
 from .evaluation import ModelReport, check_unique_names
 from .scoring import NONFINITE
 
@@ -86,16 +86,11 @@ def reports_to_json(reports: Sequence[ModelReport]) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def reports_to_csv(reports: Sequence[ModelReport]) -> str:
-    """Every scored match of every model, one row each, headed by ``SCORES_CSV_HEADER``.
-
-    A repeated model name raises ``ValueError``.
-    """
-    check_unique_names([r.model for r in reports])
-    return format_csv(
-        SCORES_CSV_HEADER,
-        (
-            (
+def _score_rows(reports: Sequence[ModelReport]) -> Iterator[tuple]:
+    """``scores.csv``'s rows below its header: every scored match of every model."""
+    for report in reports:
+        for s in report.per_match:
+            yield (
                 report.model,
                 *fixture_key(s.match),
                 s.prediction.p_home,
@@ -110,20 +105,31 @@ def reports_to_csv(reports: Sequence[ModelReport]) -> str:
                 s.entropy,
                 "" if s.cond_home_win is None else s.cond_home_win,
             )
-            for report in reports
-            for s in report.per_match
-        ),
-    )
+
+
+def reports_to_csv(reports: Sequence[ModelReport]) -> str:
+    """Every scored match of every model, one row each, headed by ``SCORES_CSV_HEADER``.
+
+    A repeated model name raises ``ValueError``.
+    """
+    check_unique_names([r.model for r in reports])
+    return format_csv(SCORES_CSV_HEADER, _score_rows(reports))
 
 
 def write_reports(reports: Sequence[ModelReport], out_dir: str | Path) -> tuple[Path, Path]:
-    """Write ``report.json`` and ``scores.csv``; returns the two paths."""
+    """Write ``report.json`` and ``scores.csv``; returns the two paths.
+
+    ``scores.csv`` is written a row at a time, in the bytes of
+    :func:`reports_to_csv`.  A repeated model name raises ``ValueError``
+    before either file is opened.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     csv_path = out / "scores.csv"
     json_path.write_text(reports_to_json(reports), encoding="utf-8")
-    csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
+    with csv_path.open("w", encoding="utf-8", newline="") as f:
+        write_csv(f, SCORES_CSV_HEADER, _score_rows(reports))
     return json_path, csv_path
 
 

@@ -108,8 +108,10 @@ class CalibrationTable:
 
 def _unroll(scored: Sequence[tuple[Outcome, Prediction]]) -> tuple[np.ndarray, np.ndarray]:
     # Three (probability, event indicator) pairs per prediction, in order.
-    probs = np.array([p.as_tuple() for _, p in scored]).reshape(-1)
-    outcomes = np.array([outcome for outcome, _ in scored], dtype=int)
+    probs = np.fromiter(
+        (v for _, p in scored for v in (p.p_home, p.p_draw, p.p_away)), float, 3 * len(scored)
+    )
+    outcomes = np.fromiter((outcome for outcome, _ in scored), int, len(scored))
     events = (outcomes[:, None] == np.arange(1, 4)).astype(float).reshape(-1)
     return probs, events
 
@@ -195,11 +197,12 @@ def _smoothed(
         sel_p, sel_e = probs, events
     bw = min(zip(_loo_errors(sel_p, sel_e), _BANDWIDTHS))[1]
 
-    d = (grid[:, None] - probs[None, :]) / bw
-    w = np.exp(-0.5 * d * d)
-    den = w.sum(axis=1)
     points = []
-    for g, w_row, den_g in zip(grid, w, den):
+    for g in grid:
+        # One grid point's weights at a time: no grid x pairs matrix is held.
+        d = (g - probs) / bw
+        w_row = np.exp(-0.5 * d * d)
+        den_g = w_row.sum()
         if den_g < 1e-8:  # no effective sample mass near this grid point
             continue
         # numpy sums, not BLAS dot products: a threaded dot's summation

@@ -1,3 +1,4 @@
+import pickle
 from math import inf, nan
 
 import numpy as np
@@ -19,6 +20,7 @@ from matchcast.data import (
     serialize_matches,
     tally_records,
 )
+from matchcast.evaluation import score_match
 
 GOOD_CSV = """season,matchday,home,away,home_goals,away_goals
 2014,20,Redbrook,Port Vale,1,0
@@ -35,6 +37,35 @@ class TestNormalizeTeam:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_team("   ")
+
+    def test_one_string_per_team(self):
+        assert normalize_team(" Club  A ") is normalize_team("club a")
+        first, _, third = parse_matches(GOOD_CSV)
+        assert first.home is third.away and first.away is third.home
+
+
+_PLAYED = MatchRecord(2014, 20, "redbrook", "port vale", 1, 0)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _PLAYED,
+        MatchRecord(2014, 21, "port vale", "redbrook"),
+        CountVector(3, 1, 2),
+        Prediction(0.5, 0.3, 0.2),
+        score_match(_PLAYED, Prediction(0.5, 0.3, 0.2)),
+        score_match(_PLAYED, Prediction(0.0, 1.0, 0.0)),
+    ],
+    ids=["played", "scheduled", "counts", "prediction", "scored", "scored-inf-log"],
+)
+def test_per_match_records_are_slotted_and_pickle(record):
+    # A long archive holds one of these per match, without a __dict__ each;
+    # the refit pool sends them between processes.
+    assert not hasattr(record, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert type(copy) is type(record) and copy == record
 
 
 class TestParseMatches:

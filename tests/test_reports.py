@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,33 @@ def test_repeated_model_name_refused_by_both_writers(tricky_reports, tmp_path):
     with pytest.raises(ValueError, match="given twice"):
         write_reports(reports, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_written_scores_are_the_bytes_of_reports_to_csv(tricky_reports, tmp_path):
+    # scores.csv is streamed a row at a time; an absent cond_home_win cell
+    # and an infinite log score are among its rows.
+    awkward = tricky_reports[1]
+    assert any(s.cond_home_win is None for s in awkward.per_match)
+    assert any(math.isinf(s.log) for s in awkward.per_match)
+    json_path, csv_path = write_reports(tricky_reports, tmp_path)
+    assert csv_path.read_bytes() == reports_to_csv(tricky_reports).encode("utf-8")
+    assert json_path.read_bytes() == reports_to_json(tricky_reports).encode("utf-8")
+
+
+def test_scores_are_written_without_holding_the_whole_text(tricky_reports, tmp_path):
+    # Building scores.csv as one string and then encoding it peaked at
+    # about 4.9 MiB on an 11,400-row archive.
+    awkward = tricky_reports[1]
+    rows = awkward.per_match * (12_000 // len(awkward.per_match) + 1)
+    big = dataclasses.replace(awkward, per_match=rows)
+    tracemalloc.start()
+    try:
+        _, csv_path = write_reports([big], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(csv_path.read_text(encoding="utf-8").splitlines()) == len(rows) + 1 > 12_000
+    assert peak < 2**20
 
 
 # Every dataclass report.json is written from, below the model level.

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,21 @@ class TestKernelParity:
         blas = _calibration_curve_dense(scored, loo_error=_loo_error_blas)
         assert table.bandwidth == blas.bandwidth
         assert (table.n_pairs > _LOO_CAP) == (n_scored == 4000)
+
+
+    def test_smoother_builds_one_grid_row_at_a_time(self):
+        # 3,800 predictions give a long archive's 11,400 pairs.  The whole
+        # 19 x n weight matrices peaked at 5.4 MiB; the leave-one-out
+        # blocks take 2.2 MiB and one grid row 0.1 MiB.
+        scored = _calibrated_pairs(np.random.default_rng(3800), 3800)
+        tracemalloc.start()
+        try:
+            table = calibration_curve(scored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_pairs == 11_400 and len(table.smoothed) == 19
+        assert peak < 3 * 2**20
 
 
 def _round_of_20_teams():
