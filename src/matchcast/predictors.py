@@ -1,4 +1,4 @@
-"""Model adapters: each wires one engine into the evaluation Predictor protocol.
+"""The models: each is one row of ``_Model``, the one Predictor implementation.
 
 Model identifiers accepted on the command line:
 
@@ -15,7 +15,6 @@ Model identifiers accepted on the command line:
 from __future__ import annotations
 
 from operator import itemgetter
-from pathlib import Path
 
 from .data import (
     CountVector,
@@ -35,95 +34,79 @@ from .evaluation import Forecast, PredictionContext
 from .poisson import link_rates, outcome_probs, poisson_fit
 
 
-class TrivialPredictor:
-    """The baseline every model must beat: the uniform forecast."""
+class _Model:
+    """A named model: ``read(ctx)`` once per matchday, then a forecast per fixture.
 
-    name = "trivial"
+    ``read`` returns ``(forecast, fit, settings)``.  ``forecast(fixture)`` is
+    the fixture's prediction, or None when the model has none for it (the
+    harness records it missing); ``fit`` is the refit behind them, if any,
+    and ``settings`` what was chosen for the season.  A fixture the forecast
+    cannot serve fails the matchday; the error then names the fit's boundary
+    parameters, if any.  A ``parallel_refit`` row reads only its context, so
+    ``evaluate`` may run it in a worker; its forecast carries the fit.
+    """
+
+    def __init__(self, name: str, read, parallel_refit: bool = False):
+        self.name = name
+        self._read = read
+        self.parallel_refit = parallel_refit
 
     def predict(self, ctx: PredictionContext) -> Forecast:
-        return Forecast({fixture: TRIVIAL_PREDICTION for fixture in ctx.fixtures})
+        forecast, fit, settings = self._read(ctx)
+        out = {}
+        for fixture in ctx.fixtures:
+            try:
+                prediction = forecast(fixture)
+            except ValueError as exc:
+                if fit is None or not fit.boundary_flags:
+                    raise
+                flags = ", ".join(fit.boundary_flags)
+                raise ValueError(f"{exc} (boundary fit: {flags})") from exc
+            if prediction is not None:
+                out[fixture] = prediction
+        return Forecast(out, fit, settings)
 
 
-def _count_predictions(ctx: PredictionContext, predict) -> dict[MatchRecord, Prediction]:
-    """``predict(home team's home record, away team's away record)`` per fixture.
+def _venue_counts(ctx: PredictionContext, predict, *args):
+    """``forecast(fixture)``: ``predict(home team's home record, away team's away record, *args)``.
 
     The season's venue counts are tallied once for the whole matchday; a
     team with no record yet in its role gets empty counts, so the prior.
     """
     home, away = tally_records(ctx.season_so_far)
     empty = CountVector()
-    return {
-        fixture: predict(home.get(fixture.home, empty), away.get(fixture.away, empty))
-        for fixture in ctx.fixtures
-    }
+    return lambda f: predict(home.get(f.home, empty), away.get(f.away, empty), *args)
 
 
-class MnDir1Predictor:
-    """Equal-weight mixture of home-venue and away-venue count posteriors."""
-
-    name = "mn-dir1"
-
-    def predict(self, ctx: PredictionContext) -> Forecast:
-        return Forecast(_count_predictions(ctx, mn_dir1_predict))
-
-
-class MnDir2Predictor:
-    """Weighted mixture: (w, alpha) picked on ``GridSpec.default()`` by first-half Brier CV.
+def _mn_dir2() -> _Model:
+    """(w, alpha) picked on ``GridSpec.default()`` by first-half Brier CV.
 
     Selection happens once per league season, the first time a second-half
     context of it arrives, and is keyed by the first-half records it reads:
     two leagues of one year are tuned apart.
     """
+    selected: dict[tuple[MatchRecord, ...], MnDir2Config] = {}
 
-    name = "mn-dir2"
-
-    def __init__(self):
-        self._selected: dict[tuple[MatchRecord, ...], MnDir2Config] = {}
-
-    def _config_for(self, ctx: PredictionContext) -> MnDir2Config:
+    def read(ctx: PredictionContext):
         half = first_half_rounds(ctx.season_rounds)
         first_half = tuple(r for r in ctx.training() if r.matchday <= half)
-        cfg = self._selected.get(first_half)
+        cfg = selected.get(first_half)
         if cfg is None:
-            cfg = self._selected[first_half] = cv_select(first_half, GridSpec.default())
-        return cfg
+            cfg = selected[first_half] = cv_select(first_half, GridSpec.default())
+        settings = {"w": f"{cfg.w_home:.6f}", "alpha": f"{cfg.alpha:.6f}"}
+        return _venue_counts(ctx, mn_dir2_predict, cfg), None, settings
 
-    def predict(self, ctx: PredictionContext) -> Forecast:
-        cfg = self._config_for(ctx)
-        return Forecast(
-            _count_predictions(ctx, lambda h, a: mn_dir2_predict(h, a, cfg)),
-            settings={"w": f"{cfg.w_home:.6f}", "alpha": f"{cfg.alpha:.6f}"},
-        )
+    return _Model("mn-dir2", read)
 
 
-class _RefitPredictor:
-    """Fit on the context (``fit``), then forecast each fixture (``forecast``).
+def _refit(name: str, fit, forecast) -> _Model:
+    """Fit on the context (``fit``), then ``forecast(params, home, away)`` per fixture."""
 
-    Each model is one row of ``_BUILDERS``.  A fixture the fit cannot
-    forecast fails the matchday; the error then names the fit's boundary
-    parameters, if any.  Each call reads only its context, so ``evaluate``
-    may run it in a worker (``parallel_refit``); its forecast carries the fit.
-    """
+    def read(ctx: PredictionContext):
+        fitted = fit(ctx)
+        return lambda f: forecast(fitted.params, f.home, f.away), fitted, {}
 
-    parallel_refit = True
-
-    def __init__(self, name: str, fit, forecast):
-        self.name = name
-        self._fit = fit
-        self._forecast = forecast
-
-    def predict(self, ctx: PredictionContext) -> Forecast:
-        fitted = self._fit(ctx)
-        out = {}
-        for fixture in ctx.fixtures:
-            try:
-                out[fixture] = self._forecast(fitted.params, fixture.home, fixture.away)
-            except ValueError as exc:
-                if not fitted.boundary_flags:
-                    raise
-                flags = ", ".join(fitted.boundary_flags)
-                raise ValueError(f"{exc} (boundary fit: {flags})") from exc
-        return Forecast(out, fit=fitted)
+    return _Model(name, read, parallel_refit=True)
 
 
 def _poisson_forecast(params, home: str, away: str) -> Prediction:
@@ -152,36 +135,18 @@ def parse_prediction_rows(csv_text: str) -> dict[tuple[int, int, str, str], Pred
     return dict(row for _, row in rows)
 
 
-class ExternalPredictor:
-    """Published third-party forecasts, matched to fixtures by key.
-
-    Fixtures absent from the file simply get no prediction; the evaluation
-    harness records and flags them.
-    """
-
-    def __init__(self, path: str | Path):
-        self.name = f"external:{path}"
-        self.table = parse_prediction_rows(read_csv_text(path))
-
-    def predict(self, ctx: PredictionContext) -> Forecast:
-        out = {}
-        for fixture in ctx.fixtures:
-            found = self.table.get(fixture_key(fixture))
-            if found is not None:
-                out[fixture] = found
-        return Forecast(out)
-
-
+# Each row looks its engine up when called, so a patched ``predictors.bt_fit`` is the one run.
 _BUILDERS = {
-    "trivial": TrivialPredictor,
-    "mn-dir1": MnDir1Predictor,
-    "mn-dir2": MnDir2Predictor,
-    # Each fit is looked up when called, so a patched ``predictors.bt_fit`` is the one run.
-    "bt": lambda: _RefitPredictor("bt", lambda ctx: bt_fit(ctx.training()), bt_outcome_probs),
-    "poisson-lee": lambda: _RefitPredictor(
+    "trivial": lambda: _Model("trivial", lambda ctx: (lambda f: TRIVIAL_PREDICTION, None, {})),
+    "mn-dir1": lambda: _Model(
+        "mn-dir1", lambda ctx: (_venue_counts(ctx, mn_dir1_predict), None, {})
+    ),
+    "mn-dir2": _mn_dir2,
+    "bt": lambda: _refit("bt", lambda ctx: bt_fit(ctx.training()), bt_outcome_probs),
+    "poisson-lee": lambda: _refit(
         "poisson-lee", lambda ctx: poisson_fit(ctx.training()), _poisson_forecast
     ),
-    "poisson-biv": lambda: _RefitPredictor(
+    "poisson-biv": lambda: _refit(
         "poisson-biv",
         lambda ctx: poisson_fit(ctx.training(all_seasons=True), correlated=True),
         _poisson_forecast,
@@ -197,7 +162,9 @@ def build_predictor(spec: str):
     malformed file raises at build time.
     """
     if spec.startswith("external:"):
-        return ExternalPredictor(spec.split(":", 1)[1])
+        # Published forecasts, matched by key; a fixture absent from the file gets none.
+        table = parse_prediction_rows(read_csv_text(spec.split(":", 1)[1]))
+        return _Model(spec, lambda ctx: (lambda f: table.get(fixture_key(f)), None, {}))
     builder = _BUILDERS.get(spec)
     if builder is None:
         known = ", ".join(KNOWN_MODELS)

@@ -37,6 +37,11 @@ def test_count_model_hooks_count_one_tally_per_matchday(two_seasons):
     matchdays = sum(len(second_half_matchdays(s)) for s in two_seasons)
     assert tracer.counts["data.tally_calls"] == 2 * matchdays
     assert tracer.counts["dirichlet.cv_calls"] == 2
+    # Both rows reach the engines through the names the tracer patches.
+    fixtures = sum(
+        len(s.matches_of(md)) for s in two_seasons for md in second_half_matchdays(s)
+    )
+    assert tracer.names.count("dirichlet.predict") == 2 * fixtures
     assert patched
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"

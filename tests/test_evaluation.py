@@ -15,8 +15,17 @@ import pytest
 
 import matchcast
 import matchcast.evaluation as evaluation
-from matchcast.data import Prediction, build_season, outcome_of, second_half_matchdays
+from matchcast.data import (
+    CountVector,
+    Prediction,
+    build_season,
+    first_half_rounds,
+    outcome_of,
+    second_half_matchdays,
+    tally_records,
+)
 from matchcast.davidson import bt_fit, bt_outcome_probs
+from matchcast.dirichlet import GridSpec, cv_select, mn_dir1_predict, mn_dir2_predict
 from matchcast.evaluation import (
     Forecast,
     PredictionContext,
@@ -27,9 +36,6 @@ from matchcast.evaluation import (
 )
 from matchcast.predictors import (
     KNOWN_MODELS,
-    MnDir1Predictor,
-    MnDir2Predictor,
-    TrivialPredictor,
     build_predictor,
     parse_prediction_rows,
 )
@@ -171,7 +177,7 @@ class TestContext:
             matches = CountedMatches(season.matches)
             matches.walks = 0
             seasons.append(dataclasses.replace(season, matches=matches))
-        reports = evaluate([TrivialPredictor(), MnDir1Predictor()], seasons)
+        reports = evaluate([build_predictor("trivial"), build_predictor("mn-dir1")], seasons)
         assert [r.aggregates.n_scored for r in reports] == [6 * 15] * 2
         # Each season is walked as often as the last one, which no later
         # context reads: once for its first unplayed match and twice for its
@@ -308,7 +314,7 @@ class TestContext:
 
 class TestTrivialBaseline:
     def test_exact_mean_scores(self, two_seasons):
-        report = evaluate([TrivialPredictor()], two_seasons)[0]
+        report = evaluate([build_predictor("trivial")], two_seasons)[0]
         agg = report.aggregates
         assert agg.n_scored == 30  # 5 second-half rounds x 3 matches x 2 seasons
         assert agg.brier.mean == pytest.approx(2 / 3, abs=1e-12)
@@ -321,7 +327,7 @@ class TestTrivialBaseline:
         assert agg.entropy.mean == pytest.approx(math.log(3), abs=1e-12)
 
     def test_totals_match_means(self, two_seasons):
-        agg = evaluate([TrivialPredictor()], two_seasons)[0].aggregates
+        agg = evaluate([build_predictor("trivial")], two_seasons)[0].aggregates
         assert agg.brier.total == pytest.approx(agg.brier.mean * agg.n_scored, rel=1e-12, abs=0.0)
 
 
@@ -338,7 +344,7 @@ class TestOraclePredictor:
         assert report.missing_predictions == 0
 
     def test_dominating_predictor_orders_totals(self, two_seasons, oracle_predictor):
-        reports = evaluate([oracle_predictor, TrivialPredictor()], two_seasons)
+        reports = evaluate([oracle_predictor, build_predictor("trivial")], two_seasons)
         assert assert_zero_expected_terms_counted(reports[0]) > 0
         assert assert_zero_expected_terms_counted(reports[1]) == 0
         assert reports[0].aggregates.brier.total < reports[1].aggregates.brier.total
@@ -391,7 +397,7 @@ class TestHarnessRobustness:
         records[victim] = records[victim].scheduled_copy()
         broken = build_season(records)
         with pytest.raises(ValueError, match="unplayed"):
-            evaluate([TrivialPredictor()], [two_seasons[0], broken])
+            evaluate([build_predictor("trivial")], [two_seasons[0], broken])
 
     def test_archive_without_a_second_half_refused_before_any_predictor_runs(self, rng):
         one_round = simulate_played_season(["a", "b", "c", "d"], 2013, rng).matches_of(1)
@@ -411,7 +417,7 @@ class TestHarnessRobustness:
         m = records[victim]
         refusal = f"^season 2014 matchday 1: unplayed match {m.home} vs {m.away}$"
         with pytest.raises(ValueError, match=refusal):
-            evaluate([TrivialPredictor()], [broken])
+            evaluate([build_predictor("trivial")], [broken])
 
     def test_infinite_log_scores_flagged_not_crashed(self, tmp_path, two_seasons):
         # A vertex prediction on the WRONG outcome yields an infinite log score.
@@ -475,14 +481,14 @@ class TestSharedContext:
         # both report writers refuse one too.
         calls = []
         twin = RecordingPredictor("r", calls)
-        predictors = [twin, TrivialPredictor(), RecordingPredictor("r", calls)]
+        predictors = [twin, build_predictor("trivial"), RecordingPredictor("r", calls)]
         with pytest.raises(ValueError, match="predictor name 'r' given twice"):
             evaluate(predictors, two_seasons)
         assert calls == []
 
     def test_joint_run_matches_each_predictor_alone(self, two_seasons):
         makers = [
-            MnDir2Predictor,
+            lambda: build_predictor("mn-dir2"),
             lambda: FailingOn(bad_matchday=7),
             lambda: build_predictor("bt"),
         ]
@@ -501,8 +507,10 @@ class TestSharedContext:
     def test_mn_dir2_tunes_each_league_of_a_year_on_its_own_first_half(self, rng):
         league_a = simulate_played_season([f"t{k}" for k in range(6)], 2014, rng)
         league_b = simulate_played_season([f"u{k}" for k in range(6)], 2014, rng)
-        joint = evaluate([MnDir2Predictor()], [league_a, league_b])[0]
-        a_alone, b_alone = (evaluate([MnDir2Predictor()], [s])[0] for s in (league_a, league_b))
+        joint = evaluate([build_predictor("mn-dir2")], [league_a, league_b])[0]
+        a_alone, b_alone = (
+            evaluate([build_predictor("mn-dir2")], [s])[0] for s in (league_a, league_b)
+        )
         a, b = a_alone.settings_by_year[2014], b_alone.settings_by_year[2014]
         assert a != b  # the two leagues choose differently
         b_rows = [s for s in joint.per_match if s.match.home.startswith("u")]
@@ -512,7 +520,7 @@ class TestSharedContext:
         }
 
     def test_mn_dir2_refuses_a_first_half_context_of_a_tuned_season(self, mid_season):
-        predictor = MnDir2Predictor()
+        predictor = build_predictor("mn-dir2")
         predictor.predict(context_for([mid_season], mid_season, 6))
         with pytest.raises(ValueError, match="matchday 5 is not in the second half"):
             predictor.predict(context_for([mid_season], mid_season, 5))
@@ -544,6 +552,31 @@ class TestRefitRows:
         assert len(rolling.predictions) == 3
         for fixture, prediction in rolling.predictions.items():
             assert prediction == forecast(direct.params, fixture.home, fixture.away)
+
+
+class TestCountRows:
+    """Each count model is its engine's forecast on the season's venue tallies."""
+
+    def test_row_composition(self, two_seasons):
+        season = two_seasons[1]
+        ctx = context_for(two_seasons, season, 7)
+        home, away = tally_records(ctx.season_so_far)
+        empty = CountVector()
+
+        def direct(predict, *args):
+            return {
+                f: predict(home.get(f.home, empty), away.get(f.away, empty), *args)
+                for f in ctx.fixtures
+            }
+
+        half = first_half_rounds(season.rounds)
+        cfg = cv_select([m for m in season.matches if m.matchday <= half], GridSpec.default())
+        settings = {"w": f"{cfg.w_home:.6f}", "alpha": f"{cfg.alpha:.6f}"}
+        mn_dir1 = build_predictor("mn-dir1").predict(ctx)
+        mn_dir2 = build_predictor("mn-dir2").predict(ctx)
+        assert mn_dir1 == Forecast(direct(mn_dir1_predict), fit=None, settings={})
+        assert mn_dir2 == Forecast(direct(mn_dir2_predict, cfg), fit=None, settings=settings)
+        assert len(mn_dir1.predictions) == len(mn_dir2.predictions) == 3
 
 
 class TestRefitPool:
@@ -674,7 +707,7 @@ class TestRefitPool:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            trivial, bt = evaluate([TrivialPredictor(), build_predictor("bt")], two_seasons)
+            trivial, bt = evaluate([build_predictor("trivial"), build_predictor("bt")], two_seasons)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -736,16 +769,16 @@ class TestRefitPool:
 
 class TestReportContents:
     def test_per_year_breakdown(self, two_seasons):
-        report = evaluate([TrivialPredictor()], two_seasons)[0]
+        report = evaluate([build_predictor("trivial")], two_seasons)[0]
         assert [y.season for y in report.per_year] == [2013, 2014]
         assert all(y.n_scored == 15 for y in report.per_year)
 
     def test_gof_df_accumulates_across_seasons(self, two_seasons):
-        report = evaluate([TrivialPredictor()], two_seasons)[0]
+        report = evaluate([build_predictor("trivial")], two_seasons)[0]
         assert report.gof.df == sum(y.gof.df for y in report.per_year)
 
     def test_mn_dir2_settings_exported_six_decimals(self, two_seasons):
-        report = evaluate([MnDir2Predictor()], two_seasons)[0]
+        report = evaluate([build_predictor("mn-dir2")], two_seasons)[0]
         assert set(report.settings_by_year) == {2013, 2014}
         for values in report.settings_by_year.values():
             assert set(values) == {"w", "alpha"}
@@ -754,31 +787,31 @@ class TestReportContents:
     def test_a_reused_mn_dir2_reports_only_its_own_run(self):
         rng = np.random.default_rng(1)
         teams = [f"t{k}" for k in range(6)]
-        predictor = MnDir2Predictor()
+        predictor = build_predictor("mn-dir2")
         for year in (2001, 2002, 2002):
             season = simulate_played_season(teams, year, rng)
             reused = evaluate([predictor], [season])[0]
-            fresh = evaluate([MnDir2Predictor()], [season])[0]
+            fresh = evaluate([build_predictor("mn-dir2")], [season])[0]
             assert list(reused.settings_by_year) == [year]
             assert reused.settings_by_year == fresh.settings_by_year
             assert "," not in "".join(reused.settings_by_year[year].values())
 
     def test_se_positive_for_varying_scores(self, two_seasons):
-        report = evaluate([MnDir1Predictor()], two_seasons)[0]
+        report = evaluate([build_predictor("mn-dir1")], two_seasons)[0]
         assert report.aggregates.brier.se_mean > 0.0
         assert report.aggregates.brier.se_total == pytest.approx(
             report.aggregates.brier.se_mean * report.aggregates.n_scored, rel=1e-12
         )
 
     def test_calibration_present_when_enough_pairs(self, two_seasons):
-        report = evaluate([TrivialPredictor()], two_seasons)[0]
+        report = evaluate([build_predictor("trivial")], two_seasons)[0]
         assert report.calibration is not None
         assert report.calibration.n_pairs == 90
 
     def test_all_models_run_together(self, two_seasons):
         predictors = [
-            TrivialPredictor(),
-            MnDir1Predictor(),
+            build_predictor("trivial"),
+            build_predictor("mn-dir1"),
             build_predictor("bt"),
             build_predictor("poisson-lee"),
         ]
@@ -788,7 +821,7 @@ class TestReportContents:
             assert r.aggregates.n_scored == 30
 
     def test_evaluate_is_deterministic(self, two_seasons):
-        predictors = lambda: [TrivialPredictor(), MnDir1Predictor()]  # noqa: E731
+        predictors = lambda: [build_predictor("trivial"), build_predictor("mn-dir1")]  # noqa: E731
         a = evaluate(predictors(), two_seasons)
         b = evaluate(predictors(), two_seasons)
         assert reports_to_json(a) == reports_to_json(b)
@@ -812,7 +845,7 @@ class TestLateAppearingTeam:
         from matchcast.data import CountVector, tally_records
         from matchcast.dirichlet import mn_dir1_predict
 
-        report = evaluate([MnDir1Predictor()], season_with_newcomer)[0]
+        report = evaluate([build_predictor("mn-dir1")], season_with_newcomer)[0]
         rows = [s for s in report.per_match if s.match.home == "newcomer"]
         assert len(rows) == 1
         assert not report.skipped_matchdays

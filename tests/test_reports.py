@@ -18,7 +18,7 @@ from matchcast.evaluation import (
     YearSummary,
     evaluate,
 )
-from matchcast.predictors import MnDir1Predictor, TrivialPredictor
+from matchcast.predictors import build_predictor
 from matchcast.reports import (
     SCORES_CSV_HEADER,
     reports_to_csv,
@@ -167,7 +167,8 @@ def tricky_seasons(rng):
 @pytest.fixture
 def tricky_reports(tricky_seasons):
     return evaluate(
-        [TrivialPredictor(), Awkward(tricky_seasons), MnDir1Predictor()], tricky_seasons
+        [build_predictor("trivial"), Awkward(tricky_seasons), build_predictor("mn-dir1")],
+        tricky_seasons,
     )
 
 
