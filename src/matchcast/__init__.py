@@ -11,7 +11,7 @@ from .davidson import bt_fit, bt_outcome_probs
 from .dirichlet import DirichletParams, mn_dir1_predict, posterior
 from .evaluation import Forecast, PredictionContext, evaluate
 from .optimize import FitReport
-from .poisson import poisson_fit, score_grid
+from .poisson import poisson_fit
 from .scoring import brier, log_score, spherical
 
 __version__ = "0.1.0"
@@ -33,6 +33,5 @@ __all__ = [
     "parse_matches",
     "poisson_fit",
     "posterior",
-    "score_grid",
     "spherical",
 ]

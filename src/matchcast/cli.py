@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import build_seasons, fixture_key, format_csv, parse_matches_with_lines, read_csv_text
-from .evaluation import check_evaluable, context_for, evaluate, predict_or_reason
+from .evaluation import (
+    check_evaluable, check_unique_names, context_for, evaluate, predict_or_reason,
+)
 from .predictors import KNOWN_MODELS, build_predictor
 from .reports import summary_table, write_reports
 
@@ -47,9 +49,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not cfg.models:
         raise ValueError("no models configured")
-    repeated = next((m for i, m in enumerate(cfg.models) if m in cfg.models[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"model {repeated} listed twice")
+    check_unique_names(cfg.models)
     return cfg
 
 

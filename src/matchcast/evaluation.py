@@ -413,12 +413,11 @@ def _refit_pool(
     """Futures of the ``parallel_refit`` calls, keyed (index into ``matchdays``, predictor index).
 
     Empty, so every call runs inline, on one usable CPU, with no such
-    predictor or a single call, without the ``fork`` start method, or
-    while another thread runs: a fork copies only the calling thread, and
-    a lock another thread holds stays locked in the child.  The workers
-    inherit their inputs through the fork, unpickled; the pool forks them
-    all before it starts its own thread.  They are joined on exit, and
-    pending calls are cancelled.
+    predictor or a single call, or while another thread runs: a fork
+    copies only the calling thread, and a lock another thread holds stays
+    locked in the child.  The workers inherit their inputs through the
+    fork, unpickled; the pool forks them all before it starts its own
+    thread.  They are joined on exit, and pending calls are cancelled.
     """
     pooled = [i for i, p in enumerate(predictors) if getattr(p, "parallel_refit", False)]
     cpus = _usable_cpus() if pooled and threading.active_count() == 1 else 1
@@ -427,10 +426,6 @@ def _refit_pool(
         yield {}
         return
     import multiprocessing  # here, so a run without a pool never loads it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield {}
-        return
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(

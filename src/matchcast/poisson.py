@@ -3,9 +3,11 @@
 The joint score (Y1, Y2) follows Holgate's bivariate Poisson with rates
 (lambda1, lambda2) and shared component lambda3; marginals are Poisson
 (lambda1 + lambda3) and (lambda2 + lambda3) with covariance lambda3, and
-lambda3 = 0 recovers independent marginals.  Scoring rates come from
-log-linear links in per-team attack/defence strengths with a home-advantage
-offset, identified by zero-sum constraints on the strengths.
+lambda3 = 0 recovers independent marginals.  Under the trivariate reduction
+(Y1, Y2) = (U + W, V + W) the goal difference is U - V, so match outcomes
+depend on lambda1 and lambda2 alone.  Scoring rates come from log-linear
+links in per-team attack/defence strengths with a home-advantage offset,
+identified by zero-sum constraints on the strengths.
 """
 
 from __future__ import annotations
@@ -96,45 +98,27 @@ def link_rates(strengths: TeamStrengths, home: str, away: str) -> BivPoissonPara
 
 @dataclass(frozen=True)
 class ScoreGrid:
-    """Joint score probabilities on [0, max_goals]^2."""
+    """Goals per side of the certified grid; a type, as ``bench/spans.py`` reads ``.max_goals``."""
 
     max_goals: int
-    mass: np.ndarray
 
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - _LOG_FACTORIALS[k.astype(int)] - lam)
 
 
-def _joint_mass(params: BivPoissonParams, max_goals: int) -> np.ndarray:
-    # Trivariate reduction: (Y1, Y2) = (U + W, V + W) with independent
-    # Poisson components, so the joint mass is a convolution over W.
-    size = max_goals + 1
-    goals = _GOALS[:size]
-    outer = np.outer(_poisson_pmf(goals, params.lambda1), _poisson_pmf(goals, params.lambda2))
-    if params.lambda3 == 0.0:
-        return outer
-    p_w = _poisson_pmf(goals, params.lambda3)
-    mass = np.zeros((size, size))
-    for k in range(size):
-        if p_w[k] == 0.0:
-            continue
-        mass[k:, k:] += p_w[k] * outer[: size - k, : size - k]
-    return mass
-
-
 def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> ScoreGrid:
-    """Smallest grid whose certified missing mass is at most ``tail_tol``.
+    """Smallest (U, V) grid whose certified missing mass is at most ``tail_tol``.
 
-    The grid size is chosen from the Poisson marginal tails (a certified
-    upper bound on the mass outside the grid).  Rates that would need
-    more than ``MAX_GRID_GOALS`` goals per side raise ``ValueError``, as
-    does a ``tail_tol`` outside (0, 1e-3] (NaN included).
+    The size is chosen from the tails of U ~ Poisson(lambda1) and
+    V ~ Poisson(lambda2): P(U > g) + P(V > g) bounds the mass outside the
+    grid.  Rates that would need more than ``MAX_GRID_GOALS`` goals per
+    side raise ``ValueError``, as does a ``tail_tol`` outside (0, 1e-3]
+    (NaN included).
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must lie in (0, 0.001], got {tail_tol}")
-    m1 = params.lambda1 + params.lambda3
-    m2 = params.lambda2 + params.lambda3
+    m1, m2 = params.lambda1, params.lambda2
     # Search blocks of goal counts, doubling the block until some count k
     # meets the tolerance; the first such count is where a goal-by-goal
     # search would stop.  A mean at or past ``block`` leaves at least half
@@ -158,18 +142,19 @@ def score_grid(params: BivPoissonParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
                 f"rates {m1!r}, {m2!r} need more than {MAX_GRID_GOALS} goals per side"
             )
         block *= 2
-    max_goals = int(above.argmin())
-    return ScoreGrid(max_goals=max_goals, mass=_joint_mass(params, max_goals))
+    return ScoreGrid(max_goals=int(above.argmin()))
 
 
 def outcome_probs(params: BivPoissonParams) -> Prediction:
-    """Win/draw/loss probabilities by summing ``score_grid``'s cells, renormalized."""
-    grid = score_grid(params)
-    total = float(grid.mass.sum())
+    """Win/draw/loss probabilities: the (U, V) grid's cells below, on and above the
+    diagonal, renormalized.  Y1 - Y2 = U - V, so lambda3 is never read."""
+    goals = _GOALS[: score_grid(params).max_goals + 1]
+    mass = np.outer(_poisson_pmf(goals, params.lambda1), _poisson_pmf(goals, params.lambda2))
+    total = float(mass.sum())
     return Prediction(
-        float(np.tril(grid.mass, -1).sum()) / total,
-        float(np.trace(grid.mass)) / total,
-        float(np.triu(grid.mass, 1).sum()) / total,
+        float(np.tril(mass, -1).sum()) / total,
+        float(np.trace(mass)) / total,
+        float(np.triu(mass, 1).sum()) / total,
     )
 
 

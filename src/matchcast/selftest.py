@@ -15,7 +15,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +32,11 @@ from .dirichlet import (
 )
 from .evaluation import PredictionContext, context_for, evaluate
 from .poisson import (
+    DEFAULT_TAIL_TOL,
     BivPoissonParams,
     TeamStrengths,
     link_rates,
+    outcome_probs,
     poisson_fit,
     score_grid,
 )
@@ -312,27 +314,43 @@ def check_davidson_gradient(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 
 def check_bivariate_poisson(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Independence reduction, certified grid mass, and simulated covariance.
+    """Outcomes from U - V, the certified tail bound, and simulated covariance.
 
-    With lambda3 = 0 the score grid must be the product of two Poisson
-    pmfs, here taken from the standard library's exp and factorial.
+    Standard-library sums by the sign of the goal difference: of P(U) P(V)
+    on the certified grid, renormalized (to 1e-12 relative), and of the
+    joint pmf on 40 x 40 goals (to DEFAULT_TAIL_TOL, as renormalizing a grid
+    missing mass T moves each outcome by at most T / (1 - T)).
     """
-    independent = BivPoissonParams(1.3, 0.9, 0.0)
-    mass = score_grid(independent, 1e-14).mass
 
     def pmf(k: int, lam: float) -> float:
         return math.exp(-lam) * lam**k / math.factorial(k)
 
-    worst_rel = 0.0
-    for y1 in range(16):
-        for y2 in range(16):
-            want = pmf(y1, independent.lambda1) * pmf(y2, independent.lambda2)
-            worst_rel = max(worst_rel, abs(float(mass[y1, y2]) - want) / want)
+    def by_sign(cells: Iterable[tuple[int, float]]) -> list[float]:
+        parts: list[list[float]] = [[], [], []]
+        for diff, p in cells:
+            parts[0 if diff > 0 else 1 if diff == 0 else 2].append(p)
+        return [math.fsum(part) for part in parts]
 
-    mass_ok = True
-    for tail_tol in (1e-8, 1e-10):
-        grid = score_grid(BivPoissonParams(1.4, 1.1, 0.3), tail_tol)
-        mass_ok = mass_ok and float(grid.mass.sum()) >= 1.0 - tail_tol
+    worst_rel = worst_joint = 0.0
+    for rates in ((1.3, 0.9, 0.0), (1.4, 1.1, 0.3)):
+        params = BivPoissonParams(*rates)
+        got = outcome_probs(params).as_tuple()
+        p_u, p_v, p_w = ([pmf(k, lam) for k in range(40)] for lam in rates)
+        g = range(score_grid(params).max_goals + 1)
+        grid = by_sign((u - v, p_u[u] * p_v[v]) for u in g for v in g)
+        total = math.fsum(grid)
+        worst_rel = max(worst_rel, *(abs(p - w / total) / (w / total) for p, w in zip(got, grid)))
+        joint = by_sign(
+            (y1 - y2, math.fsum(p_u[y1 - k] * p_v[y2 - k] * p_w[k] for k in range(min(y1, y2) + 1)))
+            for y1 in range(40)
+            for y2 in range(40)
+        )
+        worst_joint = max(worst_joint, *(abs(p - w) for p, w in zip(got, joint)))
+
+    def tail_ok(tail_tol: float) -> bool:
+        g = score_grid(BivPoissonParams(1.4, 1.1, 0.3), tail_tol).max_goals
+        tails = math.fsum(pmf(k, lam) for lam in (1.4, 1.1) for k in range(g + 1, g + 100))
+        return tails <= tail_tol  # P(U > g) + P(V > g)
 
     rng = _rng(seed, 7)
     n = 1_000_000
@@ -344,9 +362,10 @@ def check_bivariate_poisson(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     cov = float(prods.mean())
     se = float(prods.std(ddof=1)) / math.sqrt(n)
     cov_ok = abs(cov - lam3) <= 3 * se
-    passed = worst_rel <= 1e-12 and mass_ok and cov_ok
+    tails_ok = tail_ok(1e-8) and tail_ok(1e-10)
+    passed = worst_rel <= 1e-12 and worst_joint <= DEFAULT_TAIL_TOL and tails_ok and cov_ok
     return passed, (
-        f"independence_rel_err={worst_rel:.2e}, grid_mass_ok={mass_ok}, "
+        f"outcome_rel_err={worst_rel:.2e}, joint_abs_err={worst_joint:.2e}, tails_ok={tails_ok}, "
         f"cov={cov:.5f} (target {lam3}, 3se={3 * se:.5f})"
     )
 

@@ -678,7 +678,7 @@ class TestConfig:
         out = tmp_path / "r"
         argv = ["evaluate", "--matches", str(matches_file), "--out", str(out)]
         assert main(argv + ["--models", "trivial,mn-dir1,trivial"]) == 2
-        assert "error: model trivial listed twice" in capsys.readouterr().err
+        assert "error: predictor name 'trivial' given twice" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -9,10 +9,10 @@ import matchcast.poisson as poisson_module
 from matchcast.data import MatchRecord
 from matchcast.poisson import (
     _LOG_FACTORIALS,
+    DEFAULT_TAIL_TOL,
     MAX_GRID_GOALS,
     BivPoissonParams,
     TeamStrengths,
-    _joint_mass,
     _masked_lgamma,
     _PoissonObjective,
     _poisson_pmf,
@@ -30,7 +30,7 @@ def pmf_by_exact_summation(params, y1, y2):
     """Direct-sum oracle: the k-sum evaluated in exact rational arithmetic.
 
     Only the final exp factor is floating point, so the comparison isolates
-    the rounding of the score grid's convolution.
+    the rounding of the likelihood's shared-component sum.
     """
     l1 = Fraction(params.lambda1)
     l2 = Fraction(params.lambda2)
@@ -51,40 +51,77 @@ def pmf_by_exact_summation(params, y1, y2):
     return scale * float(total)
 
 
+def _likelihood_and_oracle(matches, theta, correlated=True):
+    """The objective's value at ``theta``, and minus the oracle's log-pmf summed over
+    ``matches`` at the rates ``link_rates`` gives each match at ``theta``."""
+    teams = sorted({t for m in matches for t in (m.home, m.away)})
+    objective = _PoissonObjective(teams, matches, correlated)
+    mu, gamma, att, dfn, lambda3 = objective.unpack(theta)
+    strengths = TeamStrengths(mu, dict(zip(teams, att)), dict(zip(teams, dfn)), gamma, lambda3)
+    want = math.fsum(
+        -math.log(
+            pmf_by_exact_summation(
+                link_rates(strengths, m.home, m.away), m.home_goals, m.away_goals
+            )
+        )
+        for m in matches
+    )
+    return objective(theta)[0], want
+
+
+# (mu, gamma, att_a, def_a, log lambda3) for a two-team window: rates about
+# (1.2, 0.9, 0.3).
+_TWO_TEAM_THETA = np.array([math.log(0.9), math.log(1.2 / 0.9), 0.0, 0.0, math.log(0.3)])
+
+
 class TestPmf:
-    """``score_grid``'s mass is the bivariate pmf, cell by cell.
+    """The correlated likelihood is the bivariate pmf, match by match.
 
     ``abs=0.0``: approx's default absolute tolerance, 1e-12, would pass a
-    cell of 0.1 that is 1e-11 off.
+    value of 0.1 that is 1e-11 off.
     """
 
     def test_zero_zero_is_exponential_factor(self):
-        grid = score_grid(BivPoissonParams(1.7, 0.6, 0.4), 1e-14)
-        assert grid.mass[0, 0] == pytest.approx(math.exp(-(1.7 + 0.6 + 0.4)), rel=1e-14, abs=0.0)
+        theta = np.array([0.1, 0.3, 0.2, -0.1, math.log(0.4)])
+        nll, want = _likelihood_and_oracle([MatchRecord(2014, 1, "a", "b", 0, 0)], theta)
+        # -log P(0, 0) = lambda1 + lambda2 + lambda3.
+        assert nll == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_independent_case_factorizes(self):
-        params = BivPoissonParams(1.2, 0.9, 0.0)
-        grid = score_grid(params, 1e-14)
-        for y1 in range(10):
-            for y2 in range(10):
-                want = pmf_by_exact_summation(params, y1, y2)
-                assert grid.mass[y1, y2] == pytest.approx(want, rel=1e-12, abs=0.0)
+        matches = [
+            MatchRecord(2014, 1, "a", "b", y1, y2) for y1 in range(10) for y2 in range(10)
+        ]
+        nll, want = _likelihood_and_oracle(matches, _TWO_TEAM_THETA[:-1], correlated=False)
+        assert nll == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("y1,y2", [(2, 1), (0, 5), (5, 5), (3, 7), (10, 10)])
     def test_against_exact_summation_oracle(self, y1, y2):
-        params = BivPoissonParams(1.2, 0.9, 0.3)
-        want = pmf_by_exact_summation(params, y1, y2)
-        assert score_grid(params, 1e-14).mass[y1, y2] == pytest.approx(want, rel=1e-12, abs=0.0)
+        match = MatchRecord(2014, 1, "a", "b", y1, y2)
+        nll, want = _likelihood_and_oracle([match], _TWO_TEAM_THETA)
+        assert nll == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_correlated_likelihood_at_random_theta(self, rng):
+        records = simulate_poisson_matches(_true_strengths(0.2), list("abcd"), 6, rng)
+        n_params = _PoissonObjective(list("abcd"), records, True).n_params
+        for _ in range(5):
+            theta = rng.uniform(-0.8, 0.8, size=n_params)
+            nll, want = _likelihood_and_oracle(records, theta)
+            assert nll == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_grid_agrees_with_pointwise_pmf(self):
-        # Every cell of the grid, out to its last goal count.
+        # ``outcome_probs`` against the joint pmf summed by the sign of
+        # Y1 - Y2.  Both scores lie below 26 goals but for under 1e-18, and
+        # renormalizing a grid that misses mass T moves each outcome by at
+        # most T / (1 - T).
         params = BivPoissonParams(1.2, 0.9, 0.3)
-        grid = score_grid(params, 1e-14)
-        assert grid.max_goals == 18
-        for i in range(grid.max_goals + 1):
-            for j in range(grid.max_goals + 1):
-                want = pmf_by_exact_summation(params, i, j)
-                assert grid.mass[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        sums = ([], [], [])
+        for y1 in range(26):
+            for y2 in range(26):
+                sign = 0 if y1 > y2 else 1 if y1 == y2 else 2
+                sums[sign].append(pmf_by_exact_summation(params, y1, y2))
+        want = [math.fsum(cells) for cells in sums]
+        got = outcome_probs(params).as_tuple()
+        assert max(abs(g - w) for g, w in zip(got, want)) <= DEFAULT_TAIL_TOL
 
 
 class TestLinkRates:
@@ -175,12 +212,6 @@ class TestLinkRates:
 
 
 class TestScoreGrid:
-    @pytest.mark.parametrize("tail_tol", [1e-4, 1e-8, 1e-10])
-    def test_mass_meets_tolerance(self, tail_tol):
-        grid = score_grid(BivPoissonParams(1.0, 1.0, 0.0), tail_tol)
-        assert float(grid.mass.sum()) >= 1.0 - tail_tol
-        assert 1.0 - float(grid.mass.sum()) <= tail_tol
-
     def test_grid_size_is_minimal_for_the_marginal_bound(self):
         # The second case needs 81 goal counts, so the tail search doubles
         # its block twice; the third needs the 513 - 1,024 block.
@@ -199,24 +230,13 @@ class TestScoreGrid:
         for params, tail_tol in cases:
             grid = score_grid(params, tail_tol)
             g = grid.max_goals
-            m1 = params.lambda1 + params.lambda3
-            m2 = params.lambda2 + params.lambda3
+            m1, m2 = params.lambda1, params.lambda2
             assert poisson_dist.sf(g, m1) + poisson_dist.sf(g, m2) <= tail_tol
             assert poisson_dist.sf(g - 1, m1) + poisson_dist.sf(g - 1, m2) > tail_tol
 
     def test_near_point_mass(self):
         grid = score_grid(BivPoissonParams(1e-6, 1e-6, 0.0), 1e-10)
         assert grid.max_goals <= 2
-        assert grid.mass[0, 0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_marginal_rows_match_poisson(self):
-        params = BivPoissonParams(1.4, 1.0, 0.5)
-        tail_tol = 1e-10
-        grid = score_grid(params, tail_tol)
-        row_sums = grid.mass.sum(axis=1)
-        for i in range(grid.max_goals + 1):
-            want = float(poisson_dist.pmf(i, params.lambda1 + params.lambda3))
-            assert abs(row_sums[i] - want) <= tail_tol
 
     def test_marginal_pmf_agrees_with_scipy(self, rng):
         # gammaln and math.lgamma differ in the last bit of some log(n!);
@@ -225,9 +245,6 @@ class TestScoreGrid:
             k = np.arange(int(lam + 10 * math.sqrt(lam)) + 10)
             got = _poisson_pmf(k.astype(float), lam)
             np.testing.assert_allclose(got, poisson_dist.pmf(k, lam), rtol=2e-13, atol=0.0)
-        goals = np.arange(13.0)
-        p_u, p_v = _poisson_pmf(goals, 1.7), _poisson_pmf(goals, 0.9)
-        assert np.array_equal(_joint_mass(BivPoissonParams(1.7, 0.9), 12), np.outer(p_u, p_v))
 
     def test_log_factorials_equal_math_lgamma(self):
         assert _LOG_FACTORIALS.size >= 2 * MAX_GRID_GOALS
@@ -243,15 +260,6 @@ class TestScoreGrid:
     def test_tail_tol_range_enforced(self):
         with pytest.raises(ValueError):
             score_grid(BivPoissonParams(1, 1, 0), 0.01)
-
-    def test_deficit_shrinks_as_tolerance_tightens(self):
-        params = BivPoissonParams(1.8, 1.2, 0.4)
-        deficits = [
-            1.0 - float(score_grid(params, tol).mass.sum())
-            for tol in (1e-4, 1e-6, 1e-8, 1e-10)
-        ]
-        assert all(a >= b for a, b in zip(deficits, deficits[1:]))
-        assert deficits[-1] <= 1e-10
 
 
 class TestOutcomeProbs:
@@ -278,6 +286,20 @@ class TestOutcomeProbs:
         prods = (y1 - y1.mean()) * (y2 - y2.mean())
         se = prods.std(ddof=1) / np.sqrt(n)
         assert abs(prods.mean()) <= 3 * se
+
+    def test_outcome_probs_ignores_lambda3(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            poisson_module, "score_grid", lambda *a: calls.append(a) or score_grid(*a)
+        )
+        rates = [(1.3, 0.9), (1e-6, 2.0), (39.5, 1.0)]
+        rates += [tuple(float(r) for r in rng.uniform(0.2, 4.0, 2)) for _ in range(5)]
+        for l1, l2 in rates:
+            want = outcome_probs(BivPoissonParams(l1, l2, 0.0))
+            for l3 in (9.4e-14, 0.4, float(rng.uniform(0.0, 1.0))):
+                assert outcome_probs(BivPoissonParams(l1, l2, l3)) == want
+        # One grid per call: the benchmark's tracer counts them.
+        assert len(calls) == 4 * len(rates)
 
     def test_point_mass_at_zero_is_certain_draw(self):
         p = outcome_probs(BivPoissonParams(1e-6, 1e-6, 0.0))
