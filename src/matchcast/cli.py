@@ -74,6 +74,11 @@ def _load_records(cfg: RunConfig):
     return records
 
 
+def _check_out_dir(path: str | None) -> None:
+    if path and os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"--out {path} is not a directory")
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     records = _load_records(load_config(args))
     seasons = build_seasons(records, strict=args.strict)
@@ -110,6 +115,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ctx = context_for(seasons, season, matchday)
     rows: list[tuple[object, ...]] = []
     param_dumps: list[tuple[str, str]] = []
+    _check_out_dir(cfg.output_dir)
     for predictor in build_models(cfg)[0]:
         name = predictor.name
         forecast = predict_or_reason(predictor, ctx)
@@ -152,6 +158,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     seasons = build_seasons(_load_records(cfg))
     check_evaluable(seasons)
+    out_dir = cfg.output_dir or "matchcast-report"
+    _check_out_dir(out_dir)
 
     predictors, failed = build_models(cfg)
     if not predictors:
@@ -165,7 +173,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             failed.append(predictor.name)
     if not reports:
         raise ValueError("no usable models")
-    json_path, csv_path = write_reports(reports, cfg.output_dir or "matchcast-report")
+    json_path, csv_path = write_reports(reports, out_dir)
     print(summary_table(reports), end="")
     if failed:
         print(f"failed models (excluded from report): {', '.join(failed)}")

@@ -26,6 +26,7 @@ MATCH_CSV_HEADER = ("season", "matchday", "home", "away", "home_goals", "away_go
 _WS = re.compile(r"\s+")
 
 SIMPLEX_TOL = 1e-9
+MAX_GOALS = 999  # past any football score; the Poisson log(n!) table covers it
 
 T = TypeVar("T")
 
@@ -55,8 +56,8 @@ class Outcome(IntEnum):
 class MatchRecord:
     """One played or scheduled fixture.
 
-    Goals are either both present (played) or both ``None`` (scheduled).
-    Team names are stored normalized; ``home != away`` always holds.
+    Goals are either both present, 0 to ``MAX_GOALS`` (played), or both
+    ``None`` (scheduled).  Team names are normalized; ``home != away`` holds.
     """
 
     season: int
@@ -67,6 +68,10 @@ class MatchRecord:
     away_goals: int | None = None
 
     def __post_init__(self) -> None:
+        for name, goals in (("home_goals", self.home_goals), ("away_goals", self.away_goals)):
+            if goals is not None and not 0 <= goals <= MAX_GOALS:
+                bound = "negative" if goals < 0 else f"above {MAX_GOALS}"
+                raise ValueError(f"{name} is {bound}: {goals}")
         if self.matchday < 1:
             raise ValueError(f"matchday must be >= 1, got {self.matchday}")
         if self.home == self.away:
@@ -75,9 +80,6 @@ class MatchRecord:
             raise ValueError(
                 f"{self.home} vs {self.away}: goals must be both present or both absent"
             )
-        for g in (self.home_goals, self.away_goals):
-            if g is not None and g < 0:
-                raise ValueError(f"{self.home} vs {self.away}: negative goals")
 
     @property
     def played(self) -> bool:
@@ -88,10 +90,17 @@ class MatchRecord:
         return MatchRecord(self.season, self.matchday, self.home, self.away)
 
 
+def unplayed_match(m: MatchRecord) -> ValueError:
+    """The one refusal of an unplayed match that a forecast, fit or tally would read."""
+    return ValueError(
+        f"season {m.season} matchday {m.matchday}: unplayed match {m.home} vs {m.away}"
+    )
+
+
 def outcome_of(match: MatchRecord) -> Outcome:
-    """Home win / draw / away win by goal comparison. Errors on scheduled matches."""
+    """Home win / draw / away win by goal comparison; an unplayed match is refused."""
     if not match.played:
-        raise ValueError(f"{match.home} vs {match.away}: no result")
+        raise unplayed_match(match)
     if match.home_goals > match.away_goals:
         return Outcome.HOME_WIN
     if match.home_goals == match.away_goals:
@@ -110,10 +119,6 @@ class CountVector:
     def __post_init__(self) -> None:
         if min(self.wins, self.draws, self.losses) < 0:
             raise ValueError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.wins + self.draws + self.losses
 
     def __add__(self, other: "CountVector") -> "CountVector":
         return CountVector(
@@ -248,7 +253,7 @@ def tally_records(
 ) -> tuple[dict[str, CountVector], dict[str, CountVector]]:
     """Every team's (home, away) record over the played ``records``.
 
-    One pass; order is irrelevant and scheduled records are skipped.  The
+    One pass; order is irrelevant and an unplayed record is refused.  The
     first dict holds each team's home record, the second its away record,
     both from that team's side; a team absent from a dict played no match
     in that role.  The rule is :func:`outcome_of`'s.
@@ -258,7 +263,7 @@ def tally_records(
     for m in records:
         home_goals = m.home_goals
         if home_goals is None:
-            continue
+            raise unplayed_match(m)
         h = home.setdefault(m.home, [0, 0, 0])
         a = away.setdefault(m.away, [0, 0, 0])
         if home_goals > m.away_goals:
@@ -276,17 +281,14 @@ def tally_records(
     )
 
 
-def _parse_goals(text: str, field: str) -> int | None:
-    text = text.strip()
-    if text == "":
-        return None
-    try:
-        goals = int(text)
-    except ValueError:
-        raise ValueError(f"{field} is not an integer: {text!r}") from None
-    if goals < 0:
-        raise ValueError(f"{field} is negative: {goals}")
-    return goals
+def parse_number(text: str, kind: type[int] | type[float], field: str) -> int | float:
+    """``kind(text)`` for plain ASCII: Python alone also reads ``1_0`` and non-ASCII digits."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} is not {'an integer' if kind is int else 'a number'}: {text!r}")
 
 
 def read_csv_text(path: str | Path) -> str:
@@ -335,7 +337,8 @@ def parse_fixture(row: Sequence[str]) -> tuple[int, int, str, str]:
     """A row's first four fields, (season, matchday, home, away), as its :func:`fixture_key`."""
     season_s, matchday_s, home_s, away_s = row[:4]
     try:
-        season, matchday = int(season_s), int(matchday_s)
+        season = parse_number(season_s, int, "season")
+        matchday = parse_number(matchday_s, int, "matchday")
     except ValueError:
         raise ValueError(
             f"season/matchday must be integers: {season_s!r}, {matchday_s!r}"
@@ -345,8 +348,12 @@ def parse_fixture(row: Sequence[str]) -> tuple[int, int, str, str]:
 
 def _parse_match(row: list[str]) -> MatchRecord:
     fixture = parse_fixture(row)
-    hg, ag = _parse_goals(row[4], "home_goals"), _parse_goals(row[5], "away_goals")
-    return MatchRecord(*fixture, hg, ag)
+    hg, ag = row[4].strip(), row[5].strip()
+    return MatchRecord(
+        *fixture,
+        parse_number(hg, int, "home_goals") if hg else None,
+        parse_number(ag, int, "away_goals") if ag else None,
+    )
 
 
 def parse_matches_with_lines(csv_text: str) -> list[tuple[int, MatchRecord]]:
@@ -385,14 +392,7 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def serialize_matches(records: Sequence[MatchRecord]) -> str:
     """Canonical CSV for records; inverse of :func:`parse_matches`."""
-    return format_csv(
-        MATCH_CSV_HEADER,
-        (
-            [
-                *fixture_key(m),
-                "" if m.home_goals is None else m.home_goals,
-                "" if m.away_goals is None else m.away_goals,
-            ]
-            for m in records
-        ),
-    )
+    def row(m: MatchRecord) -> list[object]:
+        return [*fixture_key(m), *((m.home_goals, m.away_goals) if m.played else ("", ""))]
+
+    return format_csv(MATCH_CSV_HEADER, map(row, records))

@@ -29,6 +29,7 @@ from .data import (
     first_half_rounds,
     outcome_of,
     second_half_matchdays,
+    unplayed_match,
 )
 from .optimize import FitReport
 from .scoring import (
@@ -46,13 +47,6 @@ from .scoring import (
 )
 
 
-def _unplayed(m: MatchRecord) -> ValueError:
-    """The one refusal of an unplayed match that a forecast would read or score."""
-    return ValueError(
-        f"season {m.season} matchday {m.matchday}: unplayed match {m.home} vs {m.away}"
-    )
-
-
 def _leak(m: MatchRecord) -> ValueError:
     return ValueError(f"history leaks match data from matchday {m.matchday} of season {m.season}")
 
@@ -60,7 +54,7 @@ def _leak(m: MatchRecord) -> ValueError:
 def _misplaced(r: MatchRecord, year: int, matchday: int) -> ValueError:
     """Why ``r`` may not be in the season so far of ``year`` before ``matchday``."""
     if r.home_goals is None:
-        return _unplayed(r)
+        return unplayed_match(r)
     if (r.season, r.matchday) >= (year, matchday):
         return _leak(r)
     return ValueError(f"season {year} so far holds a match of season {r.season}")
@@ -92,7 +86,7 @@ class PredictionContext:
             if s.year >= year:
                 raise _leak(s.matches[0])
             if s.first_unplayed is not None:
-                raise _unplayed(s.first_unplayed)
+                raise unplayed_match(s.first_unplayed)
         for r in self.season_so_far:
             if r.home_goals is None or r.season != year or r.matchday >= matchday:
                 raise _misplaced(r, year, matchday)
@@ -352,7 +346,7 @@ def check_evaluable(seasons: Sequence[Season]) -> None:
     for season in seasons:
         m = season.first_unplayed
         if m is not None and (season.year < last or second_half_matchdays(season)):
-            raise _unplayed(m)
+            raise unplayed_match(m)
 
 
 def _usable_cpus() -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .data import MatchRecord
+from .data import MatchRecord, unplayed_match
 
 # x -> (value, gradient): calling ``gradient()`` gives the gradient at x.
 ObjectiveFn = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
@@ -65,8 +65,8 @@ def fit_teams(matches: Sequence[MatchRecord]) -> list[str]:
     """Sorted teams of a fit's window of one or more played records, else ``ValueError``."""
     if not matches:
         raise ValueError("need at least one match to fit")
-    if any(not m.played for m in matches):
-        raise ValueError("all training matches must be played")
+    if unplayed := [m for m in matches if not m.played]:
+        raise unplayed_match(unplayed[0])
     return sorted({t for m in matches for t in (m.home, m.away)})
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchRecord, Prediction, format_csv
+from .data import MAX_GOALS, MatchRecord, Prediction, format_csv
 from .optimize import FitReport, fit_report, fit_teams, minimize
 
 STRENGTH_SUM_TOL = 1e-9
@@ -31,7 +31,9 @@ MAX_GRID_GOALS = 1024
 # lies below the last bit of every tail under 1e-3 (checked at each block).
 _TAIL_PAD = 32
 
+# log(n!) for the score grid's pmf and both likelihoods, which index it by a record's goals.
 _LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(2 * MAX_GRID_GOALS + _TAIL_PAD)])
+assert _LOG_FACTORIALS.size > MAX_GOALS
 _GOALS = np.arange(_LOG_FACTORIALS.size, dtype=float)
 
 
@@ -184,8 +186,8 @@ class _PoissonObjective:
         self.y1 = np.array([m.home_goals for m in matches], dtype=float)
         self.y2 = np.array([m.away_goals for m in matches], dtype=float)
         self.n_teams = len(self.teams)
-        self.lgamma_y1 = _masked_lgamma(self.y1)
-        self.lgamma_y2 = _masked_lgamma(self.y2)
+        self.lgamma_y1 = _LOG_FACTORIALS[self.y1.astype(int)]
+        self.lgamma_y2 = _LOG_FACTORIALS[self.y2.astype(int)]
         if correlated:
             n = len(self.y1)
             n_cells = np.minimum(self.y1, self.y2).astype(int) + 1
@@ -201,9 +203,9 @@ class _PoissonObjective:
             self.k_cell = k_cell.astype(float)
             self.y1_cell = self.y1[self.rows] - self.k_cell
             self.y2_cell = self.y2[self.rows] - self.k_cell
-            self.lgamma_y1_cell = _masked_lgamma(self.y1_cell)
-            self.lgamma_y2_cell = _masked_lgamma(self.y2_cell)
-            self.lgamma_k_cell = _masked_lgamma(self.k_cell)
+            self.lgamma_y1_cell = _LOG_FACTORIALS[self.y1_cell.astype(int)]
+            self.lgamma_y2_cell = _LOG_FACTORIALS[self.y2_cell.astype(int)]
+            self.lgamma_k_cell = _LOG_FACTORIALS[self.k_cell.astype(int)]
 
     @property
     def n_params(self) -> int:
@@ -286,13 +288,6 @@ class _PoissonObjective:
             return grad
 
         return nll, gradient
-
-
-def _masked_lgamma(values: np.ndarray) -> np.ndarray:
-    """log(v!) for the non-negative integers ``values``, from a table."""
-    counts = values.astype(int)
-    table = np.array([math.lgamma(j + 1.0) for j in range(int(counts.max()) + 1)])
-    return table[counts]
 
 
 def poisson_fit(

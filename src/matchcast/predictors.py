@@ -24,6 +24,7 @@ from .data import (
     first_half_rounds,
     fixture_key,
     parse_fixture,
+    parse_number,
     read_csv_text,
     read_rows,
     tally_records,
@@ -118,7 +119,7 @@ PREDICTIONS_CSV_HEADER = ("season", "matchday", "home", "away", "p1", "p2", "p3"
 
 def _parse_prediction(row: list[str]) -> tuple[tuple[int, int, str, str], Prediction]:
     key = parse_fixture(row)
-    probs = [float(x) for x in row[4:7]]
+    probs = [parse_number(x, float, name) for name, x in zip(PREDICTIONS_CSV_HEADER[4:], row[4:7])]
     total = sum(probs)
     if any(p < 0.0 for p in probs) or not 1.0 - 1e-3 <= total <= 1.0 + 1e-3:
         raise ValueError(f"probabilities {probs} are not a distribution")

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import matchcast
+import matchcast.cli as cli
+import matchcast.predictors as predictors
 import matchcast.selftest as selftest
 from matchcast.cli import RunConfig, build_parser, load_config, main
 from matchcast.data import parse_matches, second_half_matchdays, serialize_matches
@@ -833,12 +835,23 @@ class TestRefusals:
             ),
             (HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1,-2\n", "line 3: away_goals is negative: -2"),
             (
+                HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1000000000,0\n",
+                "line 3: home_goals is above 999: 1000000000",
+            ),
+            # Python's int() alone would read these as 10 and 3.
+            (HEADER + "2001,1,a,b,1_0,0\n", "line 2: home_goals is not an integer: '1_0'"),
+            (HEADER + "2001,1,a,b,1,\u0663\n", "line 2: away_goals is not an integer: '\u0663'"),
+            (
                 HEADER + "2001,1,a,b,1,0\n2001,1,c,d,1,\n",
                 "line 3: c vs d: goals must be both present or both absent",
             ),
             (HEADER + "2001,1,C, c ,1,0\n", "line 2: home and away team are both 'c'"),
             (HEADER + "2001,1,  ,d,1,0\n", "line 2: empty team name"),
             (HEADER + "20x1,1,a,b,1,0\n", "line 2: season/matchday must be integers: '20x1', '1'"),
+            (
+                HEADER + "2001,1_0,a,b,1,0\n",
+                "line 2: season/matchday must be integers: '2001', '1_0'",
+            ),
             (HEADER + "2001,0,a,b,1,0\n", "line 2: matchday must be >= 1, got 0"),
             (HEADER + f"2001,1,a,b,1,0\n2001,1,{HUGE},d,1,0\n", f"line 3: {OVER_LIMIT}"),
             # A quoted two-line team name: each later row is named by the line it starts on.
@@ -857,8 +870,9 @@ class TestRefusals:
         ],
         ids=[
             "empty", "header-only", "header-and-blank-lines", "header-and-blank-rows",
-            "header", "fields", "non-integer", "negative", "one-blank", "self",
-            "empty-team", "season", "matchday", "over-limit", "after-two-lines",
+            "header", "fields", "non-integer", "negative", "above-max", "underscore-goals",
+            "non-ascii-goals", "one-blank", "self", "empty-team", "season", "underscore-matchday",
+            "matchday", "over-limit", "after-two-lines",
             "duplicate-after-two-lines", "over-limit-after-two-lines",
         ],
     )
@@ -886,7 +900,10 @@ class TestRefusals:
             ),
             ("2014,8, ,B,0.5,0.3,0.2\n", "line 2: empty team name"),
             ("2014,8,A,B,0.5,0.5\n", "line 2: expected 7 fields, got 6"),
-            ("2014,8,A,B,0.5,x,0.5\n", "line 2: could not convert string to float: 'x'"),
+            ("2014,8,A,B,0.5,x,0.5\n", "line 2: p2 is not a number: 'x'"),
+            # Python's float() alone would read these as 0.45 and 0.3.
+            ("2014,8,A,B,0.4_5,0.3,0.25\n", "line 2: p1 is not a number: '0.4_5'"),
+            ("2014,8,A,B,0.45,0.25,0.\u0663\n", "line 2: p3 is not a number: '0.\u0663'"),
             (f"2014,8,{HUGE},B,0.5,0.3,0.2\n", f"line 2: {OVER_LIMIT}"),
             (
                 "2014.5,8,A,B,0.5,0.3,0.2\n",
@@ -894,7 +911,7 @@ class TestRefusals:
             ),
             (
                 '2014,8,"A\nB",C,0.5,0.3,0.2\n2014,8,D,E,0.5,x,0.5\n',
-                "line 4: could not convert string to float: 'x'",
+                "line 4: p2 is not a number: 'x'",
             ),
             (
                 '2014,8,"A\nB",C,0.5,0.3,0.2\n2014,8,D,E,0.5,0.3,0.2\n2014,8,d,e,0.5,0.3,0.2\n',
@@ -902,8 +919,9 @@ class TestRefusals:
             ),
         ],
         ids=[
-            "off-simplex", "duplicate", "empty-team", "fields", "non-float", "over-limit",
-            "non-integer-season", "after-two-lines", "duplicate-after-two-lines",
+            "off-simplex", "duplicate", "empty-team", "fields", "non-float", "underscore-float",
+            "non-ascii-float", "over-limit", "non-integer-season", "after-two-lines",
+            "duplicate-after-two-lines",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -918,6 +936,47 @@ class TestRefusals:
             argv += ["--out", str(tmp_path / "r")]
         err = self.refused(argv, capsys)
         assert err == f"model {spec} failed to build: {message}\nerror: no usable models\n"
+
+    def test_goals_above_the_bound_refused_before_any_fit(
+        self, matches_file, tmp_path, capsys, monkeypatch
+    ):
+        # Once read, such a count sized a log-factorial table in every Poisson refit.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit run on a refused archive")
+
+        monkeypatch.setattr(predictors, "poisson_fit", no_fit)
+        lines = matches_file.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:4] + ["1000000000", "0"])
+        matches_file.write_text("\n".join(lines) + "\n")
+        for argv in (
+            ["validate"],
+            ["predict", "--season", "2014", "--matchday", "6", "--models", "poisson-lee"],
+            ["evaluate", "--models", "poisson-lee", "--out", str(tmp_path / "r")],
+        ):
+            err = self.refused([*argv, "--matches", str(matches_file)], capsys)
+            assert err == "error: line 6: home_goals is above 999: 1000000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["predict", "--season", "2014", "--matchday", "6", "--out", "taken"], "taken"),
+            (["evaluate", "--out", "taken"], "taken"),
+            (["evaluate"], "matchcast-report"),
+        ],
+        ids=["predict", "evaluate", "evaluate-default"],
+    )
+    def test_out_naming_a_file_refused_before_any_model_is_built(
+        self, argv, out, matches_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_models(cfg):
+            raise AssertionError("models built for a refused --out")
+
+        monkeypatch.setattr(cli, "build_models", no_models)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / out).write_text("kept")
+        err = self.refused([*argv, "--matches", str(matches_file)], capsys)
+        assert err == f"error: --out {out} is not a directory\n"
+        assert (tmp_path / out).read_text() == "kept"
 
     def test_duplicate_fixture(self, matches_file, tmp_path, capsys):
         first = matches_file.read_text().splitlines()[1]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matchcast.data import (
+    MAX_GOALS,
     CountVector,
     MatchRecord,
     Outcome,
@@ -92,6 +93,21 @@ class TestParseMatches:
         with pytest.raises(ValueError, match="negative"):
             parse_matches(bad)
 
+    @pytest.mark.parametrize(
+        "goals, message",
+        [
+            ((-1, 0), "home_goals is negative: -1"),
+            ((0, MAX_GOALS + 1), f"away_goals is above {MAX_GOALS}: {MAX_GOALS + 1}"),
+        ],
+        ids=["negative", "above-max"],
+    )
+    def test_record_refuses_goals_out_of_range(self, goals, message):
+        # The one goal-range check: where a record is made, parsed or not.
+        with pytest.raises(ValueError) as refused:
+            MatchRecord(2014, 1, "a", "b", *goals)
+        assert str(refused.value) == message
+        assert MatchRecord(2014, 1, "a", "b", MAX_GOALS, 0).played
+
     def test_single_missing_goal_rejected(self):
         bad = "season,matchday,home,away,home_goals,away_goals\n2014,1,A,B,1,\n"
         with pytest.raises(ValueError, match="both present or both absent"):
@@ -125,7 +141,7 @@ class TestOutcomeOf:
         assert outcome_of(MatchRecord(2014, 1, "a", "b", hg, ag)) is expected
 
     def test_scheduled_match_rejected(self):
-        with pytest.raises(ValueError, match="no result"):
+        with pytest.raises(ValueError, match="^season 2014 matchday 1: unplayed match a vs b$"):
             outcome_of(MatchRecord(2014, 1, "a", "b"))
 
     def test_partitions_played_matches(self, small_season):
@@ -136,9 +152,6 @@ class TestOutcomeOf:
 
 
 class TestCountVector:
-    def test_total(self):
-        assert CountVector(2, 1, 0).total == 3
-
     def test_addition(self):
         assert CountVector(1, 2, 3) + CountVector(4, 5, 6) == CountVector(5, 7, 9)
 
@@ -218,7 +231,7 @@ class TestVenueCounts:
                 1 for m in small_season.matches if m.played and m.matchday <= md
             )
             for tallies in tally_records(small_season.matches_before(md + 1)):
-                assert sum(c.total for c in tallies.values()) == played
+                assert sum(c.wins + c.draws + c.losses for c in tallies.values()) == played
 
 
 def _brute_force_tally(records, team, venue):
@@ -234,7 +247,7 @@ def _brute_force_tally(records, team, venue):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_tally_records_matches_brute_force(seed):
-    # Scheduled matches mixed in; t5 never plays and "nobody" is unknown.
+    # Scheduled matches mixed in are refused; t5 never plays and "nobody" is unknown.
     rng = np.random.default_rng(seed)
     teams = [f"t{k}" for k in range(6)]
     records = []
@@ -244,12 +257,20 @@ def test_tally_records_matches_brute_force(seed):
         if rng.random() >= 0.2:
             goals = tuple(int(g) for g in rng.integers(0, 4, 2))
         records.append(MatchRecord(2014, 1 + i % 10, home, away, *goals))
+    unplayed = [m for m in records if not m.played]
+    if unplayed:
+        first = unplayed[0]
+        line = f"season 2014 matchday {first.matchday}: unplayed match {first.home} vs {first.away}"
+        for given in (records, iter(records)):
+            with pytest.raises(ValueError, match=f"^{line}$"):
+                tally_records(given)
+        records = [m for m in records if m.played]
     from_list = dict(zip(VENUES, tally_records(records)))
     from_iter = dict(zip(VENUES, tally_records(iter(records))))
     for venue in VENUES:
         # A team appears in a venue's dict exactly when it played there.
         assert set(from_list[venue]) == {
-            t for t in teams if _brute_force_tally(records, t, venue).total
+            t for t in teams if _brute_force_tally(records, t, venue) != CountVector()
         }
         for team in teams + ["nobody"]:
             expected = _brute_force_tally(records, team, venue)

@@ -134,8 +134,8 @@ def _mixture_oracle(h, a, alpha, w):
     """Exact-rational evaluation of the weighted two-observer mixture."""
     alpha = Fraction(alpha)
     w = Fraction(w)
-    h_total = Fraction(h.total) + 3 * alpha
-    a_total = Fraction(a.total) + 3 * alpha
+    h_total = Fraction(h.wins + h.draws + h.losses) + 3 * alpha
+    a_total = Fraction(a.wins + a.draws + a.losses) + 3 * alpha
     home = [(Fraction(c) + alpha) / h_total for c in (h.wins, h.draws, h.losses)]
     away = [(Fraction(c) + alpha) / a_total for c in (a.wins, a.draws, a.losses)]
     return (

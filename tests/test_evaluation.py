@@ -23,6 +23,7 @@ from matchcast.data import (
     outcome_of,
     second_half_matchdays,
     tally_records,
+    unplayed_match,
 )
 from matchcast.davidson import bt_fit, bt_outcome_probs
 from matchcast.dirichlet import GridSpec, cv_select, mn_dir1_predict, mn_dir2_predict
@@ -310,6 +311,34 @@ class TestContext:
                 season_so_far=ctx.season_so_far,
                 fixtures=(season.matches_of(7)[0],),
             )
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda first_half, blank: PredictionContext(2014, 6, 10, (), first_half, ()),
+        lambda first_half, blank: check_evaluable([build_season(first_half)]),
+        lambda first_half, blank: bt_fit(first_half),
+        lambda first_half, blank: poisson_fit(first_half),
+        lambda first_half, blank: outcome_of(blank),
+        lambda first_half, blank: tally_records(first_half),
+        lambda first_half, blank: cv_select(first_half, GridSpec.default()),
+    ],
+    ids=[
+        "context-guard", "check-evaluable", "bt-fit", "poisson-fit", "outcome-of",
+        "tally-records", "cv-select",
+    ],
+)
+def test_every_entry_point_refuses_an_unplayed_match_in_one_wording(two_seasons, refuse):
+    season = two_seasons[1]
+    target = season.matches_of(2)[1]
+    blank = target.scheduled_copy()
+    first_half = tuple(blank if m == target else m for m in season.matches_before(6))
+    with pytest.raises(ValueError) as refused:
+        refuse(first_half, blank)
+    assert str(refused.value) == str(unplayed_match(blank))
+    line = f"season 2014 matchday 2: unplayed match {blank.home} vs {blank.away}"
+    assert str(refused.value) == line
 
 
 class TestTrivialBaseline:
@@ -889,12 +918,21 @@ class TestExternalParsing:
         "row, reason",
         [
             ("2014.5,20,A,B,0.5,0.3,0.2", "season/matchday must be integers: '2014.5', '20'"),
+            ("2_014,20,A,B,0.5,0.3,0.2", "season/matchday must be integers: '2_014', '20'"),
+            (
+                "2014,\u0662\u0660,A,B,0.5,0.3,0.2",
+                "season/matchday must be integers: '2014', '\u0662\u0660'",
+            ),
+            ("2014,20,A,B,0.4_5,0.3,0.25", "p1 is not a number: '0.4_5'"),
             ("2014,20,A,B,nan,0.5,0.5", "not a distribution"),
             ("2014,20,A,B,0.9,0.4,0.2", "not a distribution"),
             ("2014,20, ,B,0.5,0.3,0.2", "empty team name"),
             ("2014,20,a,b,0.5,0.3,0.2", "duplicate fixture (2014, 20, 'a', 'b'), first on line 2"),
         ],
-        ids=["non-integer-season", "nan", "off-simplex", "empty-team", "duplicate-key"],
+        ids=[
+            "non-integer-season", "underscore-season", "non-ascii-matchday", "underscore-p1",
+            "nan", "off-simplex", "empty-team", "duplicate-key",
+        ],
     )
     def test_malformed_row_refused_with_its_line(self, row, reason):
         text = "season,matchday,home,away,p1,p2,p3\n2014,20,A,B,0.5,0.3,0.2\n\n" + row + "\n"

@@ -100,7 +100,7 @@ class TestFitTeams:
 
     def test_unplayed_record_rejected(self, fit):
         window = [MatchRecord(2014, 1, "a", "b", 1, 0), MatchRecord(2014, 2, "b", "a")]
-        with pytest.raises(ValueError, match="all training matches must be played"):
+        with pytest.raises(ValueError, match="^season 2014 matchday 2: unplayed match b vs a$"):
             fit(window)
 
 

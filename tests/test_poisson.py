@@ -6,14 +6,13 @@ import pytest
 from scipy.stats import poisson as poisson_dist
 
 import matchcast.poisson as poisson_module
-from matchcast.data import MatchRecord
+from matchcast.data import MAX_GOALS, MatchRecord
 from matchcast.poisson import (
     _LOG_FACTORIALS,
     DEFAULT_TAIL_TOL,
     MAX_GRID_GOALS,
     BivPoissonParams,
     TeamStrengths,
-    _masked_lgamma,
     _PoissonObjective,
     _poisson_pmf,
     link_rates,
@@ -386,12 +385,19 @@ class TestFit:
         assert float(np.array(list(strengths.attack.values())).sum()) == 0.0
         assert float(np.array(list(strengths.defense.values())).sum()) == 0.0
 
-    def test_masked_lgamma_equals_math_lgamma(self, rng):
-        values = rng.integers(-5, 40, size=(60, 7)).astype(float)
-        ok = values >= 0
-        got = _masked_lgamma(np.where(ok, values, 0.0))
-        for v, flag, g in zip(values.ravel(), ok.ravel(), got.ravel()):
-            assert g == (math.lgamma(v + 1.0) if flag else 0.0)
+    def test_likelihood_log_factorials_equal_math_lgamma(self, rng):
+        # Both likelihoods read the grid's table, up to a record's largest count.
+        records = simulate_poisson_matches(_true_strengths(), list("abcd"), 10, rng)
+        records.append(MatchRecord(2014, 1, "a", "b", MAX_GOALS, MAX_GOALS))
+        obj = _PoissonObjective(list("abcd"), records, correlated=True)
+        for values, logs in (
+            (obj.y1, obj.lgamma_y1),
+            (obj.y2, obj.lgamma_y2),
+            (obj.y1_cell, obj.lgamma_y1_cell),
+            (obj.y2_cell, obj.lgamma_y2_cell),
+            (obj.k_cell, obj.lgamma_k_cell),
+        ):
+            assert logs.tolist() == [math.lgamma(v + 1.0) for v in values.tolist()]
 
     def test_unplayed_match_rejected(self):
         with pytest.raises(ValueError, match="played"):
@@ -418,8 +424,8 @@ class _DenseObjective(_PoissonObjective):
         self.k_ok = self.k[None, :] <= np.minimum(self.y1, self.y2)[:, None]
         y1k = np.where(self.k_ok, self.y1[:, None] - self.k[None, :], 0.0)
         y2k = np.where(self.k_ok, self.y2[:, None] - self.k[None, :], 0.0)
-        self.lgamma_y1k = _masked_lgamma(y1k)
-        self.lgamma_y2k = _masked_lgamma(y2k)
+        self.lgamma_y1k = _LOG_FACTORIALS[y1k.astype(int)]
+        self.lgamma_y2k = _LOG_FACTORIALS[y2k.astype(int)]
         self.lgamma_k = np.array([math.lgamma(k + 1) for k in range(kmax + 1)])
 
     def __call__(self, theta):
