@@ -75,8 +75,12 @@ def _load_records(cfg: RunConfig):
 
 
 def _check_out_dir(path: str | None) -> None:
-    if path and os.path.exists(path) and not os.path.isdir(path):
-        raise ValueError(f"--out {path} is not a directory")
+    """Refuse an --out whose nearest existing path, itself included, is not a directory."""
+    out = Path(path or ".")
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        blocker = "" if nearest == out else f": {nearest}"
+        raise ValueError(f"--out {path}{blocker} is not a directory")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -232,11 +231,7 @@ def _brier_totals(
         # The away observer's (win, draw, loss) feeds the pool as (loss, draw, win).
         pooled = w * home_view + (1.0 - w) * away_view[:, ::-1]
         diff = hit - pooled
-        # Python's float ``**`` calls the C library's pow, which is not always
-        # correctly rounded; NumPy squares by multiplying, so it can differ from
-        # ``brier`` in the last bit.  Square through Python to keep every bit.
-        sq = np.fromiter(map(pow, diff.ravel().tolist(), repeat(2.0)), float, diff.size)
-        sq = sq.reshape(diff.shape)
+        sq = diff * diff
         per_match = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
         totals[i] = np.add.accumulate(per_match, axis=1)[:, -1]
     return totals

@@ -22,12 +22,9 @@ NONFINITE = {"nonfinite": True}
 
 
 def brier(outcome: Outcome, p: Prediction) -> float:
-    """sum_i (I(x = i) - p_i)^2, in [0, 2]."""
-    total = 0.0
-    for i, p_i in enumerate(p.as_tuple(), start=1):
-        e_i = 1.0 if outcome == i else 0.0
-        total += (e_i - p_i) ** 2
-    return total
+    """sum_i (I(x = i) - p_i)^2, in [0, 2]; squares are products, as ``_brier_totals`` squares."""
+    d1, d2, d3 = (float(outcome == i) - p_i for i, p_i in enumerate(p.as_tuple(), start=1))
+    return d1 * d1 + d2 * d2 + d3 * d3
 
 
 def log_score(outcome: Outcome, p: Prediction) -> float:
@@ -312,6 +309,7 @@ def chi_square_gof(predictions: Sequence[tuple[MatchRecord, Prediction]]) -> Gof
         if e <= 0.0:
             excluded += 1
         else:
-            statistic += (e - observed[key]) ** 2 / e
+            d = e - observed[key]
+            statistic += d * d / e
     df = 2 * len({team for team, _ in expected})
     return GofResult(statistic, df, chi_square_p_value(statistic, df), excluded)

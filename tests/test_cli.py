@@ -957,26 +957,36 @@ class TestRefusals:
             assert err == "error: line 6: home_goals is above 999: 1000000000\n"
 
     @pytest.mark.parametrize(
-        "argv, out",
+        "argv, out, blocker",
         [
-            (["predict", "--season", "2014", "--matchday", "6", "--out", "taken"], "taken"),
-            (["evaluate", "--out", "taken"], "taken"),
-            (["evaluate"], "matchcast-report"),
+            (["predict", "--season", "2014", "--matchday", "6"], "taken", "taken"),
+            (["evaluate"], "taken", "taken"),
+            (["evaluate"], None, "matchcast-report"),
+            (["predict", "--season", "2014", "--matchday", "6"], "afile/sub", "afile"),
+            (["predict", "--season", "2014", "--matchday", "6"], "afile/sub/deeper", "afile"),
+            (["evaluate"], "afile/sub", "afile"),
+            (["evaluate"], "afile/sub/deeper", "afile"),
         ],
-        ids=["predict", "evaluate", "evaluate-default"],
+        ids=[
+            "predict", "evaluate", "evaluate-default",
+            "predict-under-a-file", "predict-two-under-a-file",
+            "evaluate-under-a-file", "evaluate-two-under-a-file",
+        ],
     )
     def test_out_naming_a_file_refused_before_any_model_is_built(
-        self, argv, out, matches_file, tmp_path, capsys, monkeypatch
+        self, argv, out, blocker, matches_file, tmp_path, capsys, monkeypatch
     ):
         def no_models(cfg):
             raise AssertionError("models built for a refused --out")
 
         monkeypatch.setattr(cli, "build_models", no_models)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / out).write_text("kept")
-        err = self.refused([*argv, "--matches", str(matches_file)], capsys)
-        assert err == f"error: --out {out} is not a directory\n"
-        assert (tmp_path / out).read_text() == "kept"
+        (tmp_path / blocker).write_text("kept")
+        flags = [] if out is None else ["--out", out]
+        err = self.refused([*argv, *flags, "--matches", str(matches_file)], capsys)
+        named = blocker if out in (None, blocker) else f"{out}: {blocker}"
+        assert err == f"error: --out {named} is not a directory\n"
+        assert (tmp_path / blocker).read_text() == "kept"
 
     def test_duplicate_fixture(self, matches_file, tmp_path, capsys):
         first = matches_file.read_text().splitlines()[1]

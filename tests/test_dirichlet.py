@@ -338,9 +338,10 @@ class TestCvSelect:
         with pytest.raises(ValueError):
             cv_select([], GridSpec.default())
 
-    # With glibc's pow behind Python's ``**``, seeds 2 and 7 each hold a
-    # total that squaring as ``d * d`` would move by one ulp.  The 7 w x 3
-    # alpha grid is not square, so a swapped axis cannot pass.
+    # Both sides square by multiplying.  Seeds 2 and 7 each hold a total
+    # that glibc's pow (Python's float ``**``) would move by one ulp, so a
+    # ``**`` on either side alone fails them.  The 7 w x 3 alpha grid is not
+    # square, so a swapped axis cannot pass.
     @pytest.mark.parametrize(
         ("seed", "grid"),
         [

@@ -20,6 +20,7 @@ from matchcast.data import (
     Prediction,
     build_season,
     first_half_rounds,
+    fixture_key,
     outcome_of,
     second_half_matchdays,
     tally_records,
@@ -606,6 +607,40 @@ class TestCountRows:
         assert mn_dir1 == Forecast(direct(mn_dir1_predict), fit=None, settings={})
         assert mn_dir2 == Forecast(direct(mn_dir2_predict, cfg), fit=None, settings=settings)
         assert len(mn_dir1.predictions) == len(mn_dir2.predictions) == 3
+
+    def test_renaming_teams_moves_no_count_model_bit(self, two_seasons, tmp_path, rng):
+        # t0..t5 become r5..r0, so every order by team name is reversed.
+        names = sorted({t for s in two_seasons for t in s.teams})
+        rename = dict(zip(names, (f"r{k}" for k in reversed(range(len(names))))))
+        back = {new: old for old, new in rename.items()}
+
+        def relabel(m, table):
+            return dataclasses.replace(m, home=table[m.home], away=table[m.away])
+
+        renamed = [build_season([relabel(m, rename) for m in s.matches]) for s in two_seasons]
+        matches = [m for s in two_seasons for m in s.matches]
+        probs = rng.dirichlet((2.0, 1.0, 1.5), len(matches)).tolist()
+
+        def models(csv_name, table):
+            path = tmp_path / csv_name
+            rows = ["season,matchday,home,away,p1,p2,p3"]
+            for m, p in zip(matches, probs):
+                rows.append(",".join(map(str, (*fixture_key(relabel(m, table)), *p))))
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            specs = ("trivial", "mn-dir1", "mn-dir2", f"external:{path}")
+            return [build_predictor(spec) for spec in specs]
+
+        same = {t: t for t in names}
+        original = evaluate(models("original.csv", same), two_seasons)
+        moved = evaluate(models("renamed.csv", rename), renamed)
+        assert len(original) == len(moved) == 4
+        for a, b in zip(original, moved):
+            assert len(a.per_match) == 30
+            assert [(s.match, s.prediction.as_tuple()) for s in a.per_match] == [
+                (relabel(s.match, back), s.prediction.as_tuple()) for s in b.per_match
+            ]
+            assert a.settings_by_year == b.settings_by_year
+        assert set(original[2].settings_by_year) == {2013, 2014}
 
 
 class TestRefitPool:

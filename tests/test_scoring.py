@@ -69,6 +69,21 @@ class TestBrier:
             for outcome in Outcome:
                 assert 0.0 <= brier(outcome, p) <= 2.0
 
+    # glibc's pow, behind Python's float ``**``, rounds one square of each of
+    # these one ulp away from the product, and the sum keeps the difference.
+    @pytest.mark.parametrize(
+        "outcome, p",
+        [
+            (Outcome.HOME_WIN, Prediction(0.1951219512195122, 0.1, 0.7048780487804879)),
+            (Outcome.HOME_WIN, Prediction(0.6415094339622641, 0.2, 0.15849056603773587)),
+            (Outcome.DRAW, Prediction(0.8048780487804879, 0.19512195121951215, 0.0)),
+        ],
+    )
+    def test_squares_are_products(self, outcome, p):
+        e = [1.0 if outcome == i else 0.0 for i in (1, 2, 3)]
+        d1, d2, d3 = (e_i - p_i for e_i, p_i in zip(e, p.as_tuple()))
+        assert brier(outcome, p) == d1 * d1 + d2 * d2 + d3 * d3
+
 
 class TestLogScore:
     def test_golden_value(self):
@@ -578,6 +593,18 @@ class TestChiSquareGof:
     def test_odd_df_refused(self, df):
         with pytest.raises(ValueError, match="even"):
             chi_square_p_value(1.0, df)
+
+    # As for Brier: glibc's pow squares these e - o one ulp off the product.
+    @pytest.mark.parametrize(
+        "goals, e", [((0, 0), 0.8048780487804879), ((1, 0), 0.6415094339622641)]
+    )
+    def test_statistic_squares_are_products(self, goals, e):
+        # The away side expects no wins, so the home side's term is the whole statistic.
+        m = MatchRecord(2014, 1, "a", "b", *goals)
+        result = chi_square_gof([(m, Prediction(e, 1.0 - e, 0.0))])
+        o = int(goals[0] > goals[1])
+        assert result.excluded_terms == 1
+        assert result.statistic == (e - o) * (e - o) / e
 
     def test_statistic_accumulates_known_cells(self):
         # Single match, hand-computed: the home cell contributes
