@@ -10,10 +10,7 @@ asked to forecast, because that information never crosses the interface.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -126,9 +123,8 @@ class Forecast:
 class Predictor(Protocol):
     """A named model that maps a context to a :class:`Forecast` of its fixtures.
 
-    A predictor may set ``parallel_refit = True`` when each call reads only
-    its context and the predictor's settings: ``evaluate`` may then make
-    its calls in worker processes, and each forecast comes back whole.
+    ``evaluate`` calls it once per second-half matchday, in this process,
+    in matchday order.
     """
 
     name: str
@@ -349,89 +345,12 @@ def check_evaluable(seasons: Sequence[Season]) -> None:
             raise unplayed_match(m)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (``taskset`` narrows them); 1 where unknown."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _skip_reason(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def predict_or_reason(predictor: Predictor, ctx: PredictionContext) -> Forecast | str:
-    """``predictor.predict(ctx)``, or the reason its failure skips the matchday.
-
-    A worker sends the reason rather than the exception: every string
-    pickles, so it reads in the parent exactly as it would inline.
-    """
+    """``predictor.predict(ctx)``, or the reason its failure skips the matchday."""
     try:
         return predictor.predict(ctx)
     except Exception as exc:  # noqa: BLE001 - predictor failures are data
-        return _skip_reason(exc)
-
-
-# A pool worker's inputs, inherited through the fork: predictors, seasons
-# and the (season, matchday) of each matchday index.
-_worker_inputs: tuple = ()
-
-
-def _init_worker(predictors, seasons, matchdays) -> None:
-    global _worker_inputs
-    _worker_inputs = (predictors, seasons, matchdays)
-    # A worker whose parent is killed would otherwise wait for tasks forever.
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-
-
-def _exit_with_parent() -> None:
-    from multiprocessing import connection, parent_process
-
-    connection.wait([parent_process().sentinel])
-    os._exit(1)
-
-
-def _refit(i: int, k: int):
-    """Predictor ``i`` on matchday ``k``, from a context built (and guarded) here."""
-    predictors, seasons, matchdays = _worker_inputs
-    season, matchday = matchdays[k]
-    return predict_or_reason(predictors[i], context_for(seasons, season, matchday))
-
-
-@contextlib.contextmanager
-def _refit_pool(
-    predictors: Sequence[Predictor],
-    seasons: Sequence[Season],
-    matchdays: Sequence[tuple[Season, int]],
-):
-    """Futures of the ``parallel_refit`` calls, keyed (index into ``matchdays``, predictor index).
-
-    Empty, so every call runs inline, on one usable CPU, with no such
-    predictor or a single call, or while another thread runs: a fork
-    copies only the calling thread, and a lock another thread holds stays
-    locked in the child.  The workers inherit their inputs through the
-    fork, unpickled; the pool forks them all before it starts its own
-    thread.  They are joined on exit, and pending calls are cancelled.
-    """
-    pooled = [i for i, p in enumerate(predictors) if getattr(p, "parallel_refit", False)]
-    cpus = _usable_cpus() if pooled and threading.active_count() == 1 else 1
-    tasks = [(k, i) for k in range(len(matchdays)) for i in pooled] if cpus > 1 else []
-    if len(tasks) < 2:
-        yield {}
-        return
-    import multiprocessing  # here, so a run without a pool never loads it
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        min(cpus, len(tasks)),
-        multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(predictors, seasons, matchdays),
-    )
-    try:
-        yield {(k, i): pool.submit(_refit, i, k) for k, i in tasks}
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        return f"{type(exc).__name__}: {exc}"
 
 
 def evaluate(
@@ -449,12 +368,7 @@ def evaluate(
     breakdown.  A predictor that produced no prediction at all gets no
     report, so one empty model never costs the others theirs.  Predictor
     names key the reports, so a repeated name is refused before any runs.
-
-    ``parallel_refit`` predictors are called on one worker process per
-    usable CPU, each from an equal context that the worker builds; their
-    results are taken in the inline order, so the reports are the same.
-    A worker that dies breaks the pool: each call still unanswered is
-    skipped, its reason naming ``BrokenProcessPool``.
+    Every call runs in this process, matchday after matchday.
     """
     check_unique_names([p.name for p in predictors])
     ordered_seasons = sorted(seasons, key=lambda s: s.year)
@@ -463,20 +377,12 @@ def evaluate(
     skipped_by: list[list[SkippedMatchday]] = [[] for _ in predictors]
     missing_by = [0] * len(predictors)
     chosen_by: list[dict] = [{} for _ in predictors]  # id(season) -> (year, settings)
-    matchdays = [(s, d) for s in ordered_seasons for d in second_half_matchdays(s)]
-    with _refit_pool(predictors, ordered_seasons, matchdays) as refits:
-        for k, (season, matchday) in enumerate(matchdays):
+    for season in ordered_seasons:
+        for matchday in second_half_matchdays(season):
             ctx = context_for(ordered_seasons, season, matchday)
             matches = season.matches_of(matchday)
             for i, predictor in enumerate(predictors):
-                future = refits.pop((k, i), None)
-                if future is None:
-                    forecast = predict_or_reason(predictor, ctx)
-                else:
-                    try:
-                        forecast = future.result()
-                    except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                        forecast = _skip_reason(exc)
+                forecast = predict_or_reason(predictor, ctx)
                 if isinstance(forecast, str):
                     skipped_by[i].append(SkippedMatchday(season.year, matchday, forecast))
                     continue

@@ -1,4 +1,4 @@
-"""Box-clamped BFGS minimizer with backtracking line search, and the fit contract.
+"""Box-clamped Newton and BFGS minimizers with backtracking line search, and the fit contract.
 
 Both likelihood fits in this package are smooth, low-dimensional and
 unconstrained apart from a wide safety box that catches separable data
@@ -7,9 +7,11 @@ speed here: the same data and settings must always produce the same fit,
 so there is no randomized restart logic.
 
 An objective returns its value and a zero-argument callable that finishes
-the gradient from the arrays that same call built.  The solver calls it at
-the start point and at accepted line-search points only, so a rejected
-trial costs a value and nothing more.
+the gradient from the arrays that same call built, and may add a third
+that finishes the Hessian: ``minimize`` then takes Newton steps, and BFGS
+steps otherwise.  The solver calls them at the start point and at accepted
+line-search points only, so a rejected trial costs a value and nothing
+more.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import numpy as np
 
 from .data import MatchRecord, unplayed_match
 
-# x -> (value, gradient): calling ``gradient()`` gives the gradient at x.
-ObjectiveFn = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+# x -> (value, gradient[, hessian]): calling ``gradient()`` gives the gradient
+# at x, and ``hessian()`` the Hessian.
+ObjectiveFn = Callable[[np.ndarray], tuple]
 P = TypeVar("P")
 
 BOX = 30.0          # iterates clamped to [-BOX, BOX]^d
 DRIFT_LIMIT = 15.0  # |x| past any plausible finite MLE on a log scale
+NEWTON_TOL = 1e-10  # Newton's stop on the projected gradient norm
 
 
 @dataclass(frozen=True)
@@ -108,17 +112,37 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, -BOX), BOX)
 
 
+def _pinned(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    # Components at a box face whose gradient points outward: there the
+    # objective cannot be decreased without leaving the box.
+    return ((x >= BOX) & (grad < 0.0)) | ((x <= -BOX) & (grad > 0.0))
+
+
 def _projected_gradient(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # Zero out components that point outward at an active box face:
-    # there the objective cannot be decreased without leaving the box.
-    upper = x >= BOX
-    lower = x <= -BOX
-    if not (upper.any() or lower.any()):
-        return grad
-    g = grad.copy()
-    g[upper & (g < 0.0)] = 0.0
-    g[lower & (g > 0.0)] = 0.0
-    return g
+    return np.where(_pinned(x, grad), 0.0, grad)
+
+
+def _newton_direction(x: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """The Newton step over the coordinates not pinned at a box face.
+
+    Where the Hessian is not positive definite, a Levenberg shift of its
+    diagonal makes it so; if none does, the step is steepest descent.
+    """
+    free = ~_pinned(x, grad)
+    h = hess[np.ix_(free, free)]
+    direction = np.zeros_like(grad)
+    direction[free] = -grad[free]
+    scale = max(1.0, float(np.abs(np.diag(h)).max(initial=0.0)))
+    shift = 0.0
+    for _ in range(40):
+        shifted = h + shift * np.eye(h.shape[0])
+        try:
+            np.linalg.cholesky(shifted)
+            direction[free] = -np.linalg.solve(shifted, grad[free])
+            break
+        except np.linalg.LinAlgError:
+            shift = max(10.0 * shift, 1e-8 * scale)
+    return direction
 
 
 def minimize(
@@ -126,69 +150,81 @@ def minimize(
     x0: np.ndarray,
     settings: OptimSettings | None = None,
 ) -> OptimResult:
-    """Minimize ``objective`` (value and gradient callable) from ``x0``.
+    """Minimize ``objective`` (value, gradient and maybe Hessian callables) from ``x0``.
 
-    Convergence is declared when the 2-norm of the projected gradient drops
-    to ``settings.tol``; a line search that finds no descent stops the run
-    non-converged.  The gradient is taken at ``x0`` and at each accepted
-    point.
+    With a Hessian, each step is Newton's, and the run converges when the
+    2-norm of the projected gradient drops to ``NEWTON_TOL``; otherwise
+    steps are BFGS's, converging at ``settings.tol``.  A line search that
+    finds no descent, or the iteration cap, stops the run non-converged.
+    The derivatives are taken at ``x0`` and at each accepted point.
     """
     cfg = settings or OptimSettings()
     x = _clamp(np.asarray(x0, dtype=float))
-    n = x.size
-    f, gradient = objective(x)
-    grad = gradient()
-    eye = np.eye(n)
+    f, *derivatives = objective(x)
+    newton = len(derivatives) == 2
+    tol = NEWTON_TOL if newton else cfg.tol
+    grad = derivatives[0]()
+    hess = derivatives[1]() if newton else None
+    eye = np.eye(x.size)
     h_inv = eye
     iterations = 0
     c1 = 1e-4
 
-    def done(converged: bool, g: np.ndarray) -> OptimResult:
+    def done(converged: bool) -> OptimResult:
         return OptimResult(
             x=x.copy(),
             fun=float(f),
-            grad_norm=_norm(_projected_gradient(x, g)),
+            grad_norm=_norm(_projected_gradient(x, grad)),
             iterations=iterations,
             converged=converged,
         )
 
     for iterations in range(1, cfg.max_iter + 1):
-        pg = _projected_gradient(x, grad)
-        if _norm(pg) <= cfg.tol:
+        if _norm(_projected_gradient(x, grad)) <= tol:
             iterations -= 1
-            return done(True, grad)
+            return done(True)
 
-        direction = -h_inv @ grad
-        if float(direction @ grad) >= 0.0:
-            h_inv = eye
-            direction = -grad
+        if newton:
+            direction = _newton_direction(x, grad, hess)
+        else:
+            direction = -h_inv @ grad
+            if float(direction @ grad) >= 0.0:
+                h_inv = eye
+                direction = -grad
 
-        # Backtracking Armijo search on the clamped candidate point.
+        # Backtracking Armijo search on the clamped candidate point.  A Newton
+        # step must also lower the value as rounded, or a flat boundary fit
+        # creeps on by rounding to the iteration cap.  Once the decrement
+        # falls below that rounding, the test cannot tell a good step from a
+        # bad one: the full step is taken.
         step = 1.0
         slope = float(grad @ direction)
-        x_new = f_new = grad_new = None
+        untested = newton and -slope <= 1e-12 * abs(f)
         for _ in range(60):
             candidate = _clamp(x + step * direction)
             if (candidate != x).any():
-                f_cand, gradient = objective(candidate)
-                if math.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
-                    x_new, f_new, grad_new = candidate, f_cand, gradient()
+                f_cand, *derivatives = objective(candidate)
+                armijo = f_cand <= f + c1 * step * slope and (f_cand < f or not newton)
+                if math.isfinite(f_cand) and (untested or armijo):
                     break
             step *= 0.5
-        if x_new is None:
+        else:
             # No descent possible (boundary or numerically flat): stop here.
-            return done(False, grad)
+            return done(False)
 
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * _norm(s) * _norm(y):
-            rho = 1.0 / sy
-            left = eye - rho * np.outer(s, y)
-            # eye is symmetric, so this copy is bitwise eye - rho * outer(s, y).T.
-            right = np.ascontiguousarray(left.T)
-            h_inv = left @ h_inv @ right + rho * np.outer(s, s)
-        x, f, grad = x_new, f_new, grad_new
+        grad_new = derivatives[0]()
+        if newton:
+            hess = derivatives[1]()
+        else:
+            s = candidate - x
+            y = grad_new - grad
+            sy = float(s @ y)
+            if sy > 1e-12 * _norm(s) * _norm(y):
+                rho = 1.0 / sy
+                left = eye - rho * np.outer(s, y)
+                # eye is symmetric, so this copy is bitwise eye - rho * outer(s, y).T.
+                right = np.ascontiguousarray(left.T)
+                h_inv = left @ h_inv @ right + rho * np.outer(s, s)
+        x, f, grad = candidate, f_cand, grad_new
 
-    pg = _projected_gradient(x, grad)
-    return done(_norm(pg) <= cfg.tol, grad)
+    return done(_norm(_projected_gradient(x, grad)) <= tol)

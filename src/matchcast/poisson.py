@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +35,9 @@ _TAIL_PAD = 32
 _LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(2 * MAX_GRID_GOALS + _TAIL_PAD)])
 assert _LOG_FACTORIALS.size > MAX_GOALS
 _GOALS = np.arange(_LOG_FACTORIALS.size, dtype=float)
+# Which of a match's Hessian cells a pair of its (eta1, eta2, log lambda3)
+# rows reads: 0-2 the diagonal, then (eta1, eta2), (eta1 or eta2, log lambda3).
+_CELL = np.array([[0, 3, 4], [3, 1, 4], [4, 4, 2]])
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,12 @@ class _PoissonObjective:
     the correlated model runs over the live cells k <= min(y1, y2) only,
     row-major by match; its row sums are taken on the dense match x k
     layout, whose reduction order fixes the rounding of the fits.  A call
-    returns the value and a callable that finishes the gradient from that
-    call's arrays.
+    returns the value and two callables that finish the gradient and the
+    Hessian from that call's arrays.  In (eta1, eta2, log lambda3), with
+    eta = log lambda, a match's Hessian is
+    diag(lambda1, lambda2, lambda3) - Var[k] w w^T with w = (1, 1, -1), for
+    k the shared count under the live cells' weights (Karlis & Ntzoufras
+    2003); Var[k] = 0 if independent.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord], correlated: bool):
@@ -180,14 +187,12 @@ class _PoissonObjective:
         index = {t: k for k, t in enumerate(self.teams)}
         self.home_idx = np.array([index[m.home] for m in matches])
         self.away_idx = np.array([index[m.away] for m in matches])
-        # Gradient scatter: (home, away) for attack, (away, home) for defence.
-        self.att_idx = np.concatenate((self.home_idx, self.away_idx))
-        self.def_idx = np.concatenate((self.away_idx, self.home_idx))
         self.y1 = np.array([m.home_goals for m in matches], dtype=float)
         self.y2 = np.array([m.away_goals for m in matches], dtype=float)
         self.n_teams = len(self.teams)
         self.lgamma_y1 = _LOG_FACTORIALS[self.y1.astype(int)]
         self.lgamma_y2 = _LOG_FACTORIALS[self.y2.astype(int)]
+        self._scatter(len(matches))
         if correlated:
             n = len(self.y1)
             n_cells = np.minimum(self.y1, self.y2).astype(int) + 1
@@ -207,6 +212,35 @@ class _PoissonObjective:
             self.lgamma_y2_cell = _LOG_FACTORIALS[self.y2_cell.astype(int)]
             self.lgamma_k_cell = _LOG_FACTORIALS[self.k_cell.astype(int)]
 
+    def _scatter(self, n: int) -> None:
+        """Where each match's derivatives in (eta1, eta2[, log lambda3]) land.
+
+        Each entry below puts one row on a full coordinate (mu, gamma,
+        att_0..T-1, def_0..T-1[, log lambda3]) with a sign; ``np.bincount``
+        adds in index order, whatever the BLAS thread count.  Pairs of
+        entries i <= j fill half the Hessian, the transpose the rest.
+        """
+        t, home, away = self.n_teams, self.home_idx, self.away_idx
+        zero = np.zeros(n, dtype=int)
+        # mu, gamma, home attack, away defence in eta1; mu, away attack, home defence in eta2.
+        coords = [zero, zero + 1, 2 + home, 2 + t + away, zero, 2 + away, 2 + t + home]
+        rows = [0, 0, 0, 0, 1, 1, 1]
+        signs = [1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
+        if self.correlated:
+            coords, rows, signs = coords + [zero + 2 + 2 * t], rows + [2], signs + [1.0]
+        self.n_full = self.n_params + 2  # with the last team's attack and defence
+        coords, self.entry_rows, signs = np.array(coords), np.array(rows), np.array(signs)
+        self.g_bins = coords.ravel()
+        self.g_signs = signs[:, None]
+        i, j = np.triu_indices(len(rows))
+        # The independent model's Hessian is diagonal in (eta1, eta2).
+        keep = (self.entry_rows[i] == self.entry_rows[j]) | self.correlated
+        i, j = i[keep], j[keep]
+        self.h_bins = (coords[i] * self.n_full + coords[j]).ravel()
+        self.h_cells = _CELL[self.entry_rows[i], self.entry_rows[j]]
+        # A pair of an entry with itself counts half: the transpose adds it again.
+        self.h_signs = (signs[i] * signs[j] * np.where(i == j, 0.5, 1.0))[:, None]
+
     @property
     def n_params(self) -> int:
         return 2 + 2 * (self.n_teams - 1) + (1 if self.correlated else 0)
@@ -225,10 +259,25 @@ class _PoissonObjective:
         lambda3 = math.exp(float(theta[-1])) if self.correlated else 0.0
         return mu, gamma, att, dfn, lambda3
 
-    def __call__(self, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+    def log_rates(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Each match's log lambda1 and log lambda2 at ``theta``, and lambda3."""
         mu, gamma, att, dfn, lambda3 = self.unpack(theta)
         log_l1 = mu + att[self.home_idx] - dfn[self.away_idx] + gamma
         log_l2 = mu + att[self.away_idx] - dfn[self.home_idx]
+        return log_l1, log_l2, lambda3
+
+    def _to_free(self, full: np.ndarray) -> np.ndarray:
+        """Chain rule through the eliminated last team, along the first axis."""
+        t = self.n_teams
+        return np.concatenate((
+            full[:2],
+            full[2 : t + 1] - full[t + 1],
+            full[t + 2 : 2 * t + 1] - full[2 * t + 1],
+            full[2 * t + 2 :],
+        ))
+
+    def __call__(self, theta: np.ndarray):
+        log_l1, log_l2, lambda3 = self.log_rates(theta)
         l1 = np.exp(log_l1)
         l2 = np.exp(log_l2)
 
@@ -241,7 +290,7 @@ class _PoissonObjective:
                 - self.lgamma_y2
             )
             nll = -float(ll.sum())
-            rel = s = None
+            assert not self.correlated  # the box keeps lambda3 >= exp(-30)
         else:
             log_terms = (
                 self.y1_cell * log_l1[self.rows]
@@ -260,34 +309,32 @@ class _PoissonObjective:
             log_sum = top + np.log(s)
             ll = -(l1 + l2 + lambda3) + log_sum
             nll = -float(ll.sum())
+            mean_k = (rel @ self.k) / s
 
         def gradient() -> np.ndarray:
-            if rel is None:
-                s1 = self.y1 - l1  # d(log pmf)/d(log lambda1)
-                s2 = self.y2 - l2
-                mean_k = None
-            else:
-                mean_k = (rel @ self.k) / s
-                s1 = (self.y1 - mean_k) - l1
-                s2 = (self.y2 - mean_k) - l2
-            d_mu = -float((s1 + s2).sum())
-            d_gamma = -float(s1.sum())
-            # bincount adds in index order from 0.0, as paired np.add.at calls do.
-            d_att = np.bincount(self.att_idx, np.concatenate((-s1, -s2)), self.n_teams)
-            d_def = np.bincount(self.def_idx, np.concatenate((s1, s2)), self.n_teams)
-            # Chain rule through the eliminated last team.
-            t = self.n_teams
-            grad = np.empty(self.n_params)
-            grad[0] = d_mu
-            grad[1] = d_gamma
-            grad[2 : t + 1] = d_att[:-1] - d_att[-1]
-            grad[t + 1 : 2 * t] = d_def[:-1] - d_def[-1]
+            # Per match in (eta1, eta2[, log lambda3]); y - 0.0 is y exactly.
+            shared = mean_k if self.correlated else 0.0
+            eta_grad = [l1 - (self.y1 - shared), l2 - (self.y2 - shared)]
             if self.correlated:
-                assert mean_k is not None
-                grad[-1] = -float((mean_k - lambda3).sum())
-            return grad
+                eta_grad.append(lambda3 - mean_k)
+            # bincount adds in index order from 0.0, entry by entry.
+            weights = (np.stack(eta_grad)[self.entry_rows] * self.g_signs).ravel()
+            return self._to_free(np.bincount(self.g_bins, weights, self.n_full))
 
-        return nll, gradient
+        def hessian() -> np.ndarray:
+            if not self.correlated:
+                cells = np.stack((l1, l2))
+            else:
+                # Var[k] as the mean squared deviation over each match's cells.
+                dev = self.k - mean_k[:, None]
+                var = (rel * dev * dev).sum(axis=1) / s
+                cells = np.stack((l1 - var, l2 - var, lambda3 - var, -var, var))
+            weights = (cells[self.h_cells] * self.h_signs).ravel()
+            half = np.bincount(self.h_bins, weights, self.n_full**2).reshape(self.n_full, -1)
+            full = half + half.T
+            return self._to_free(self._to_free(full).T)
+
+        return nll, gradient, hessian
 
 
 def poisson_fit(
@@ -295,15 +342,23 @@ def poisson_fit(
 ) -> FitReport[TeamStrengths]:
     """Maximum-likelihood team strengths; ``correlated=False`` pins lambda3 = 0.
 
-    Strengths running off toward infinity (separable data, or a shared
-    component the data rules out) come back flagged in ``boundary_flags``.
+    The correlated fit starts from the independent one.  There the score in
+    lambda3 at lambda3 = 0 is sum(y1 * y2 / (lambda1 * lambda2) - 1), and
+    every other score is 0; a score <= 0 puts the constrained MLE on the
+    edge lambda3 = 0, and the independent fit is returned with lambda3 = 0
+    exactly and the ``lambda3`` flag.  Strengths running off toward
+    infinity (separable data) come back flagged in ``boundary_flags``.
     """
     teams = fit_teams(matches)
-    objective = _PoissonObjective(teams, matches, correlated)
-    x0 = np.zeros(objective.n_params)
+    objective = _PoissonObjective(teams, matches, correlated=False)
+    result = minimize(objective, np.zeros(objective.n_params))
     if correlated:
-        x0[-1] = math.log(0.1)  # small positive shared component to start
-    result = minimize(objective, x0)
+        log_l1, log_l2, _ = objective.log_rates(result.x)
+        score = float((objective.y1 * objective.y2 / np.exp(log_l1 + log_l2) - 1.0).sum())
+        if score > 0.0:
+            objective = _PoissonObjective(teams, matches, correlated=True)
+            # From there, with a small positive shared component.
+            result = minimize(objective, np.append(result.x, math.log(0.1)))
 
     mu, gamma, att, dfn, lambda3 = objective.unpack(result.x)
     strengths = TeamStrengths(
@@ -319,6 +374,7 @@ def poisson_fit(
         **{f"att:{t}": float(a) for t, a in zip(teams, att)},
         **{f"def:{t}": float(d) for t, d in zip(teams, dfn)},
     }
-    if correlated:
+    if objective.correlated:
         log_scale["lambda3"] = float(result.x[-1])
-    return fit_report(strengths, result, log_scale)
+    on_edge = ["lambda3"] if correlated and not objective.correlated else []
+    return fit_report(strengths, result, log_scale, on_edge)

@@ -43,14 +43,13 @@ class _Model:
     harness records it missing); ``fit`` is the refit behind them, if any,
     and ``settings`` what was chosen for the season.  A fixture the forecast
     cannot serve fails the matchday; the error then names the fit's boundary
-    parameters, if any.  A ``parallel_refit`` row reads only its context, so
-    ``evaluate`` may run it in a worker; its forecast carries the fit.
+    parameters, if any.  The :class:`Forecast` returned carries ``fit`` and
+    ``settings``.
     """
 
-    def __init__(self, name: str, read, parallel_refit: bool = False):
+    def __init__(self, name: str, read):
         self.name = name
         self._read = read
-        self.parallel_refit = parallel_refit
 
     def predict(self, ctx: PredictionContext) -> Forecast:
         forecast, fit, settings = self._read(ctx)
@@ -107,7 +106,7 @@ def _refit(name: str, fit, forecast) -> _Model:
         fitted = fit(ctx)
         return lambda f: forecast(fitted.params, f.home, f.away), fitted, {}
 
-    return _Model(name, read, parallel_refit=True)
+    return _Model(name, read)
 
 
 def _poisson_forecast(params, home: str, away: str) -> Prediction:

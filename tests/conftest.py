@@ -35,9 +35,9 @@ def two_seasons(rng):
 def boundary_season():
     """4-team double round robin whose first three matchdays fit to a boundary.
 
-    The correlated Poisson fit on them sends gamma to the -30 clamp,
-    def:t2 to -19.5 and the derived att:t3 to -15.7, and gives t1 an away
-    rate near 1e13 at t2.
+    The Poisson fit on them sends gamma to -24.6 and def:t2 to -19.1, and
+    gives t1 an away rate near 1e11 at t2; its lambda3 score is negative,
+    so the correlated fit is that fit with lambda3 = 0.
     """
     from matchcast.data import MatchRecord
     from matchcast.selftest import double_round_robin

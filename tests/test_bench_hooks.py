@@ -9,7 +9,6 @@ import importlib.util
 from pathlib import Path
 
 import matchcast.cli as cli
-import matchcast.evaluation as evaluation
 from matchcast.data import first_half_rounds, second_half_matchdays
 from matchcast.dirichlet import GridSpec
 from matchcast.predictors import KNOWN_MODELS
@@ -47,9 +46,7 @@ def test_count_model_hooks_count_one_tally_per_matchday(two_seasons):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
 
 
-def test_every_model_hook_counts_its_calls(two_seasons, monkeypatch):
-    # Counts taken in a worker process do not come back, so every refit runs inline.
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+def test_every_model_hook_counts_its_calls(two_seasons):
     tracer = _load_spans().Tracer()
     tracer.install()
     patched = list(tracer._patched)

@@ -522,8 +522,8 @@ class TestEvaluate:
 
 
 def test_cli_import_loads_no_scipy():
-    # evaluate imports the pool only where it starts one, and every command,
-    # `selftest` included, runs on numpy alone (scipy.stats costs most of a cold start).
+    # evaluate runs in one process, and every command, `selftest` included,
+    # runs on numpy alone (scipy.stats costs most of a cold start).
     src = str(Path(matchcast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

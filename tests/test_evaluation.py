@@ -1,19 +1,10 @@
 import dataclasses
 import math
-import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import threading
-import time
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import matchcast
 import matchcast.evaluation as evaluation
 from matchcast.data import (
     CountVector,
@@ -31,18 +22,13 @@ from matchcast.dirichlet import GridSpec, cv_select, mn_dir1_predict, mn_dir2_pr
 from matchcast.evaluation import (
     Forecast,
     PredictionContext,
-    SkippedMatchday,
     check_evaluable,
     context_for,
     evaluate,
 )
-from matchcast.predictors import (
-    KNOWN_MODELS,
-    build_predictor,
-    parse_prediction_rows,
-)
+from matchcast.predictors import build_predictor, parse_prediction_rows
 from matchcast.poisson import link_rates, outcome_probs, poisson_fit
-from matchcast.reports import reports_to_csv, reports_to_json, write_reports
+from matchcast.reports import reports_to_csv, reports_to_json
 from matchcast.selftest import simulate_played_season
 
 
@@ -560,6 +546,19 @@ def poisson_forecast(strengths, home, away):
     return outcome_probs(link_rates(strengths, home, away))
 
 
+def relabel(m, table):
+    return dataclasses.replace(m, home=table[m.home], away=table[m.away])
+
+
+def reverse_team_names(seasons):
+    """``seasons`` with t0..t5 renamed r5..r0, so every order by team name is
+    reversed; with the renaming and its inverse."""
+    names = sorted({t for s in seasons for t in s.teams})
+    rename = dict(zip(names, (f"r{k}" for k in reversed(range(len(names))))))
+    back = {new: old for old, new in rename.items()}
+    return [build_season([relabel(m, rename) for m in s.matches]) for s in seasons], rename, back
+
+
 class TestRefitRows:
     """Each refit model is its engine's fit on its window, then the engine's forecast."""
 
@@ -582,6 +581,31 @@ class TestRefitRows:
         assert len(rolling.predictions) == 3
         for fixture, prediction in rolling.predictions.items():
             assert prediction == forecast(direct.params, fixture.home, fixture.away)
+
+
+    @pytest.mark.parametrize("spec", ["poisson-lee", "poisson-biv"])
+    def test_renaming_teams_moves_no_poisson_prediction_past_1e_11(self, spec, two_seasons):
+        # Reversed names eliminate another team by the zero-sum constraint and
+        # add every sum in another order, so only rounding may move a fit.
+        # Strengths drifting toward the box have no finite MLE and are exempt;
+        # lambda3 = 0 fits are not.
+        renamed, rename, _ = reverse_team_names(two_seasons)
+        compared = []
+        for season, moved_season in zip(two_seasons, renamed):
+            for md in second_half_matchdays(season):
+                a = build_predictor(spec).predict(context_for(two_seasons, season, md))
+                b = build_predictor(spec).predict(context_for(renamed, moved_season, md))
+                edge = "lambda3" in a.fit.boundary_flags
+                assert edge == ("lambda3" in b.fit.boundary_flags)
+                if set(a.fit.boundary_flags) - {"lambda3"}:
+                    continue
+                assert abs(a.fit.params.lambda3 - b.fit.params.lambda3) <= 1e-11
+                assert len(a.predictions) == len(b.predictions) == 3
+                for fixture, p in a.predictions.items():
+                    q = b.predictions[relabel(fixture, rename)]
+                    assert max(abs(x - y) for x, y in zip(p.as_tuple(), q.as_tuple())) <= 1e-11
+                compared.append(edge)
+        assert len(compared) >= 5
 
 
 class TestCountRows:
@@ -609,15 +633,7 @@ class TestCountRows:
         assert len(mn_dir1.predictions) == len(mn_dir2.predictions) == 3
 
     def test_renaming_teams_moves_no_count_model_bit(self, two_seasons, tmp_path, rng):
-        # t0..t5 become r5..r0, so every order by team name is reversed.
-        names = sorted({t for s in two_seasons for t in s.teams})
-        rename = dict(zip(names, (f"r{k}" for k in reversed(range(len(names))))))
-        back = {new: old for old, new in rename.items()}
-
-        def relabel(m, table):
-            return dataclasses.replace(m, home=table[m.home], away=table[m.away])
-
-        renamed = [build_season([relabel(m, rename) for m in s.matches]) for s in two_seasons]
+        renamed, rename, back = reverse_team_names(two_seasons)
         matches = [m for s in two_seasons for m in s.matches]
         probs = rng.dirichlet((2.0, 1.0, 1.5), len(matches)).tolist()
 
@@ -630,7 +646,7 @@ class TestCountRows:
             specs = ("trivial", "mn-dir1", "mn-dir2", f"external:{path}")
             return [build_predictor(spec) for spec in specs]
 
-        same = {t: t for t in names}
+        same = {t: t for t in rename}
         original = evaluate(models("original.csv", same), two_seasons)
         moved = evaluate(models("renamed.csv", rename), renamed)
         assert len(original) == len(moved) == 4
@@ -641,194 +657,6 @@ class TestCountRows:
             ]
             assert a.settings_by_year == b.settings_by_year
         assert set(original[2].settings_by_year) == {2013, 2014}
-
-
-class TestRefitPool:
-    """The refit models' calls on worker processes give the inline reports."""
-
-    @staticmethod
-    def on_cpus(monkeypatch, cpus):
-        # 2 starts a pool even on a one-CPU machine; 1 runs every call inline.
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
-
-    @staticmethod
-    def record_bt_fit_pids(monkeypatch, path):
-        """Make every ``bt_fit`` append its process id to ``path``; returns their reader."""
-        import matchcast.predictors as predictors
-
-        real = predictors.bt_fit
-
-        def recording(matches):
-            # The fork hands this patch to the workers; an append of one line is atomic.
-            with open(path, "a", encoding="utf-8") as f:
-                f.write(f"{os.getpid()}\n")
-            return real(matches)
-
-        monkeypatch.setattr(predictors, "bt_fit", recording)
-        return lambda: {int(pid) for pid in path.read_text(encoding="utf-8").split()}
-
-    def test_pooled_reports_equal_the_inline_ones_byte_for_byte(
-        self, tmp_path, two_seasons, monkeypatch
-    ):
-        external = tmp_path / "oracle.csv"
-        external.write_text(oracle_csv(two_seasons), encoding="utf-8")
-        specs = (*KNOWN_MODELS, f"external:{external}")
-        written = []
-        for cpus in (2, 1):
-            self.on_cpus(monkeypatch, cpus)
-            fit_pids = self.record_bt_fit_pids(monkeypatch, tmp_path / f"bt-pids{cpus}")
-            predictors = [build_predictor(spec) for spec in specs]
-            reports = evaluate(predictors, two_seasons)
-            # The external oracle's certain forecasts leave expected counts at zero.
-            assert assert_zero_expected_terms_counted(reports[-1]) > 0
-            assert multiprocessing.active_children() == []
-            assert [r.model for r in reports] == list(specs)
-            # A pooled refit is fitted in a worker, not in this process.
-            pids = fit_pids()
-            assert pids and (os.getpid() in pids) == (cpus == 1)
-            paths = write_reports(reports, tmp_path / f"cpus{cpus}")
-            written.append([path.read_bytes() for path in paths])
-        assert written[0] == written[1]
-
-    def test_no_worker_outlives_an_evaluate_that_raises(self, two_seasons, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
-
-        def failing(match, prediction):
-            raise RuntimeError("scoring failed")
-
-        monkeypatch.setattr(evaluation, "score_match", failing)
-        with pytest.raises(RuntimeError, match="scoring failed"):
-            evaluate([build_predictor("bt"), build_predictor("poisson-biv")], two_seasons)
-        assert multiprocessing.active_children() == []
-
-    def test_refits_run_inline_while_another_thread_runs(
-        self, tmp_path, two_seasons, monkeypatch
-    ):
-        self.on_cpus(monkeypatch, 2)
-        fit_pids = self.record_bt_fit_pids(monkeypatch, tmp_path / "bt-pids")
-        predictor = build_predictor("bt")
-        caller = threading.Thread(target=evaluate, args=([predictor], two_seasons))
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert fit_pids() == {os.getpid()}  # fitted here, not in a worker
-
-    def test_a_pooled_forecast_carries_the_inline_fit(self, two_seasons, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
-        predictors = [build_predictor(spec) for spec in ("bt", "poisson-lee", "poisson-biv")]
-        matchdays = [(s, d) for s in two_seasons for d in second_half_matchdays(s)]
-        with evaluation._refit_pool(predictors, two_seasons, matchdays) as refits:
-            assert len(refits) == len(matchdays) * len(predictors)
-            for (k, i), future in refits.items():
-                pooled = future.result()
-                inline = predictors[i].predict(context_for(two_seasons, *matchdays[k]))
-                assert pooled.fit is not None
-                assert pooled == inline
-
-    def test_a_fit_failing_in_a_worker_reads_as_inline(self, two_seasons, monkeypatch):
-        import matchcast.predictors as predictors
-
-        real = predictors.poisson_fit
-
-        def failing(matches, **kwargs):
-            # The fork hands this patch to the workers.
-            if max((m.season, m.matchday) for m in matches) == (2014, 7):
-                raise ValueError("no fit before 2014 matchday 8")
-            return real(matches, **kwargs)
-
-        monkeypatch.setattr(predictors, "poisson_fit", failing)
-        runs = []
-        for cpus in (2, 1):
-            self.on_cpus(monkeypatch, cpus)
-            specs = ("trivial", "mn-dir2", "bt", "poisson-lee", "poisson-biv")
-            runs.append(evaluate([build_predictor(spec) for spec in specs], two_seasons))
-        pooled, inline = runs
-        assert reports_to_json(pooled) == reports_to_json(inline)
-        assert reports_to_csv(pooled) == reports_to_csv(inline)
-        skip = SkippedMatchday(2014, 8, "ValueError: no fit before 2014 matchday 8")
-        assert [r.skipped_matchdays for r in pooled] == [(), (), (), (skip,), (skip,)]
-        assert [r.aggregates.n_scored for r in pooled] == [30, 30, 30, 27, 27]
-
-    def test_a_worker_that_dies_flags_its_matchdays_and_never_hangs(
-        self, two_seasons, monkeypatch
-    ):
-        import matchcast.predictors as predictors
-
-        parent = os.getpid()
-        real = predictors.bt_fit
-
-        def dying(matches):
-            # A worker dies in the fit for 2014 matchday 10, the last one.
-            if os.getpid() != parent and max((m.season, m.matchday) for m in matches) == (2014, 9):
-                os._exit(3)
-            return real(matches)
-
-        def hung(signum, frame):
-            raise TimeoutError("evaluate hung on a dead worker")
-
-        monkeypatch.setattr(predictors, "bt_fit", dying)
-        self.on_cpus(monkeypatch, 2)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            trivial, bt = evaluate([build_predictor("trivial"), build_predictor("bt")], two_seasons)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
-        assert trivial.aggregates.n_scored == 30
-        # Calls still unanswered when the pool broke are skipped, the dead one included.
-        broken = [(s.season, s.matchday) for s in bt.skipped_matchdays]
-        assert (2014, 10) in broken
-        assert all(s.reason.startswith("BrokenProcessPool: ") for s in bt.skipped_matchdays)
-        assert bt.aggregates.n_scored + 3 * len(broken) == 30
-
-    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # Each worker stalls in its first fit after writing its pid; the
-        # parent then dies without running any cleanup.
-        script = (
-            "import os, sys, time\n"
-            "import numpy as np\n"
-            "import matchcast.evaluation as evaluation, matchcast.predictors as predictors\n"
-            "from matchcast.selftest import simulate_played_season\n"
-            "def stalled(matches):\n"
-            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
-            "    time.sleep(120)\n"
-            "evaluation._usable_cpus = lambda: 2\n"
-            "predictors.bt_fit = stalled\n"
-            "rng = np.random.default_rng(1)\n"
-            "teams = [f't{k}' for k in range(4)]\n"
-            "seasons = [simulate_played_season(teams, 2014, rng)]\n"
-            "evaluation.evaluate([predictors.build_predictor('bt')], seasons)\n"
-        )
-        src = str(Path(matchcast.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
-        try:
-            deadline = time.monotonic() + 60
-            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            parent.kill()
-            parent.wait()
-        workers = [int(path.name) for path in tmp_path.iterdir()]
-        assert len(workers) == 2
-
-        def running(pid):
-            # An exited worker nobody reaps lingers as a zombie ("Z").
-            try:
-                stat = Path(f"/proc/{pid}/stat").read_text()
-            except FileNotFoundError:
-                return False
-            return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-        deadline = time.monotonic() + 30
-        while any(map(running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        left = [pid for pid in workers if running(pid)]
-        for pid in left:
-            os.kill(pid, signal.SIGKILL)
-        assert not left
 
 
 class TestReportContents:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from matchcast.data import MatchRecord
 from matchcast.optimize import (
     BOX,
     DRIFT_LIMIT,
+    NEWTON_TOL,
     OptimResult,
     OptimSettings,
     _norm,
@@ -35,6 +38,29 @@ def rosenbrock(x):
         ]
     )
     return float(f), lambda: g
+
+
+def rosenbrock_with_hessian(x):
+    b = 100.0
+    h = np.array(
+        [
+            [2 - 4 * b * (x[1] - x[0] ** 2) + 8 * b * x[0] ** 2, -4 * b * x[0]],
+            [-4 * b * x[0], 2 * b],
+        ]
+    )
+    return (*rosenbrock(x), lambda: h)
+
+
+# f(x) = (x - c)^T A (x - c), with gradient 2 A (x - c) and Hessian 2 A.
+_A = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.0], [0.5, 0.0, 1.0]])
+
+
+def quadratic_with_hessian(center):
+    def objective(x):
+        d = x - center
+        return float(d @ _A @ d), lambda: 2.0 * _A @ d, lambda: 2.0 * _A
+
+    return objective
 
 
 class TestMinimize:
@@ -78,6 +104,37 @@ class TestMinimize:
         assert np.array_equal(a.x, b.x)
         assert a.iterations == b.iterations
 
+    def test_newton_solves_a_quadratic_in_one_step(self):
+        center = np.array([1.5, -2.0, 0.25])
+        result = minimize(quadratic_with_hessian(center), np.zeros(3))
+        assert result.converged
+        assert result.iterations == 1
+        assert result.x == pytest.approx(center, rel=0.0, abs=1e-14)
+        assert result.grad_norm <= NEWTON_TOL
+
+    def test_newton_shifts_an_indefinite_hessian(self):
+        # At (0, 1) the Hessian's first diagonal entry is -398.
+        x0 = np.array([0.0, 1.0])
+        assert np.linalg.eigvalsh(rosenbrock_with_hessian(x0)[2]()).min() < 0.0
+        result = minimize(rosenbrock_with_hessian, x0)
+        assert result.converged
+        assert result.grad_norm <= NEWTON_TOL
+        assert result.x == pytest.approx([1.0, 1.0], rel=0.0, abs=1e-10)
+
+    def test_newton_stopped_by_the_cap_is_not_converged(self):
+        result = minimize(rosenbrock_with_hessian, np.array([-1.2, 1.0]), OptimSettings(max_iter=3))
+        assert result.iterations == 3
+        assert not result.converged
+        assert result.grad_norm > NEWTON_TOL
+
+    def test_newton_stops_at_a_box_face(self):
+        # The unconstrained minimum of the first coordinate lies at 50.
+        center = np.array([50.0, 0.5, -1.0])
+        result = minimize(quadratic_with_hessian(center), np.zeros(3))
+        assert result.converged
+        assert result.x[0] == BOX
+        assert fit_report(None, result, {"x": result.x[0]}).boundary_flags == ("x",)
+
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             OptimSettings(tol=0.0)
@@ -104,6 +161,29 @@ class TestFitTeams:
             fit(window)
 
 
+@pytest.mark.parametrize("correlated", [False, True])
+def test_a_poisson_fit_stopped_by_the_cap_is_not_converged(poisson_first_half, correlated):
+    window = poisson_first_half
+    objective = poisson_module._PoissonObjective(fit_teams(window), window, correlated)
+    result = minimize(objective, np.zeros(objective.n_params), OptimSettings(max_iter=2))
+    assert result.iterations == 2
+    assert not result.converged
+    full = minimize(objective, result.x)
+    assert full.converged and full.grad_norm <= NEWTON_TOL
+
+
+def test_a_flat_boundary_fit_stops_short_of_the_cap():
+    # No finite MLE: the correlated fit pins mu and a defence at the box and
+    # ends on a flat floor, where steps that lower the value by rounding
+    # alone would creep on for all 500 iterations.
+    scores = [("t0", "t3", 3, 3), ("t1", "t2", 1, 3), ("t1", "t0", 1, 1),
+              ("t3", "t2", 0, 0), ("t0", "t2", 1, 0), ("t3", "t1", 1, 1)]
+    records = [MatchRecord(2014, 1 + i // 2, *score) for i, score in enumerate(scores)]
+    fit = poisson_module.poisson_fit(records, correlated=True)
+    assert "mu" in fit.boundary_flags and not fit.converged
+    assert fit.iterations < OptimSettings().max_iter
+
+
 def test_fit_teams_lists_each_team_once_sorted():
     window = [MatchRecord(2014, 1, "c", "a", 1, 0), MatchRecord(2014, 2, "b", "c", 2, 2)]
     assert fit_teams(window) == ["a", "b", "c"]
@@ -119,32 +199,33 @@ def _bt_all_home_wins():
     return davidson_module.bt_fit(records)
 
 
+def _poisson_two_matchdays():
+    """Two matchdays of a 4-team season, with no finite MLE."""
+    scores = [("t0", "t3", 0, 1), ("t1", "t2", 0, 0), ("t1", "t0", 0, 1), ("t3", "t2", 2, 1)]
+    records = [MatchRecord(2014, 1 + i // 2, *score) for i, score in enumerate(scores)]
+    return poisson_module.poisson_fit(records)
+
+
 @pytest.mark.parametrize(
-    "module, fit, flags, gamma_at, gamma_clamped",
+    "module, fit, flags, clamped_at, clamped",
     [
         # gamma drifts to 21.4 inside the box; with no draw, nu is flagged
         # wherever it stops.
-        (davidson_module, lambda season: _bt_all_home_wins(), ("gamma", "nu"), -2, False),
-        # gamma is clamped at -30; def:t2 drifts to -19.5, and the derived
-        # last team's att:t3 to -15.7.
-        (
-            poisson_module,
-            lambda season: poisson_module.poisson_fit(season.matches_before(4), correlated=True),
-            ("att:t3", "def:t2", "gamma"),
-            1,
-            True,
-        ),
+        (davidson_module, _bt_all_home_wins, ("gamma", "nu"), -2, False),
+        # gamma is clamped at -30; def:t0 drifts to 17.5, and the derived
+        # last team's att:t3 to 16.0.
+        (poisson_module, _poisson_two_matchdays, ("att:t3", "def:t0", "gamma"), 1, True),
     ],
     ids=["bt_fit", "poisson_fit"],
 )
 def test_boundary_flags_mark_clamp_and_drift(
-    module, fit, flags, gamma_at, gamma_clamped, boundary_season, record_minimize
+    module, fit, flags, clamped_at, clamped, record_minimize
 ):
     results = record_minimize(module)
-    assert fit(boundary_season).boundary_flags == flags
+    assert fit().boundary_flags == flags
     x = np.abs(results[-1].x)
     assert ((x >= DRIFT_LIMIT) & (x < BOX)).any()  # drift inside the box is flagged
-    assert (x[gamma_at] == BOX) == gamma_clamped  # and so is a clamped gamma
+    assert (x[clamped_at] == BOX) == clamped  # and so is a clamped parameter
 
 
 def _eager_projected_gradient(x, grad):
@@ -219,36 +300,40 @@ def _eager_minimize(objective, x0, settings=None):
     return done(_norm(pg) <= cfg.tol, grad)
 
 
-def _fit_problem(monkeypatch, module, fit):
-    """The objective, start and settings that ``fit()`` hands to ``module.minimize``."""
+def _bt(matches, monkeypatch):
+    """The objective, start and settings that ``bt_fit`` hands to ``minimize``."""
     seen = []
-    real = module.minimize
+    real = davidson_module.minimize
 
     def capture(objective, x0, settings=None):
         seen.append((objective, np.array(x0), settings))
         return real(objective, x0, settings)
 
-    monkeypatch.setattr(module, "minimize", capture)
-    fit()
+    monkeypatch.setattr(davidson_module, "minimize", capture)
+    davidson_module.bt_fit(matches)
     return seen[0]
 
 
-def _bt(matches):
-    return davidson_module, lambda: davidson_module.bt_fit(matches)
-
-
 def _poisson(correlated):
-    def problem(matches):
-        return poisson_module, lambda: poisson_module.poisson_fit(matches, correlated=correlated)
+    def problem(matches, monkeypatch):
+        """The Poisson likelihood with its Hessian withheld, from the fits' former BFGS start."""
+        objective = poisson_module._PoissonObjective(fit_teams(matches), matches, correlated)
+        x0 = np.zeros(objective.n_params)
+        if correlated:
+            x0[-1] = math.log(0.1)
+        return (lambda x: objective(x)[:2]), x0, None
 
     return problem
 
 
 class TestEagerParity:
-    """Gradients only at accepted points retrace the eager solver bit for bit."""
+    """Gradients only at accepted points retrace the eager solver bit for bit.
 
-    def _solve_both(self, monkeypatch, module, fit):
-        objective, x0, settings = _fit_problem(monkeypatch, module, fit)
+    The Poisson likelihoods, their Hessians withheld, are BFGS problems of
+    up to 40 parameters; ``bt``'s are the ones BFGS serves.
+    """
+
+    def _solve_both(self, objective, x0, settings):
         counts = {"values": 0, "gradients": 0}
 
         def counted(x):
@@ -280,7 +365,7 @@ class TestEagerParity:
         ids=["davidson", "poisson-independent", "poisson-correlated"],
     )
     def test_first_half_fits(self, problem, poisson_first_half, monkeypatch):
-        got, counts = self._solve_both(monkeypatch, *problem(poisson_first_half))
+        got, counts = self._solve_both(*problem(poisson_first_half, monkeypatch))
         # A converged fit did not stall, so its last accepted point is its x.
         assert got.converged
         assert counts["gradients"] == got.iterations + 1
@@ -296,7 +381,7 @@ class TestEagerParity:
             if before is not None
             else list(boundary_season.matches)
         )
-        got, counts = self._solve_both(monkeypatch, *problem(matches))
+        got, counts = self._solve_both(*problem(matches, monkeypatch))
         # The first three matchdays stall short of the iteration cap, and a
         # stalled line search accepts no point in its last iteration.
         stalled = not got.converged and got.iterations < OptimSettings().max_iter

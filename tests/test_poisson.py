@@ -21,6 +21,7 @@ from matchcast.poisson import (
     score_grid,
 )
 from matchcast.evaluation import context_for, evaluate
+from matchcast.optimize import fit_teams
 from matchcast.predictors import build_predictor
 from matchcast.selftest import double_round_robin, simulate_poisson_matches
 
@@ -356,6 +357,56 @@ class TestFit:
                     fd = (objective(up)[0] - objective(down)[0]) / (2 * h)
                     assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1.0) < 1e-5
 
+    @pytest.mark.parametrize("log_lambda3", [None, 0.5, -1.5, -12.0])
+    def test_hessian_matches_central_differences_of_the_gradient(self, rng, log_lambda3):
+        # None is the independent model; -12 puts lambda3 near 0.
+        records = simulate_poisson_matches(_true_strengths(0.2), list("abcd"), 6, rng)
+        objective = _PoissonObjective(list("abcd"), records, log_lambda3 is not None)
+        for _ in range(5):
+            theta = rng.uniform(-0.8, 0.8, size=objective.n_params)
+            if log_lambda3 is not None:
+                theta[-1] = log_lambda3
+            hessian = objective(theta)[2]()
+            for i in range(theta.size):
+                h = 1e-6 * max(1.0, abs(theta[i]))
+                up, down = theta.copy(), theta.copy()
+                up[i] += h
+                down[i] -= h
+                fd = (objective(up)[1]() - objective(down)[1]()) / (2 * h)
+                scale = np.maximum(np.maximum(np.abs(hessian[:, i]), np.abs(fd)), 1.0)
+                assert (np.abs(hessian[:, i] - fd) / scale).max() < 1e-6, i
+
+    def test_lambda3_score_at_most_zero_returns_the_independent_fit(self):
+        # Two double round robins drawn with lambda3 = 0; this draw's score is -2.3.
+        rng = np.random.default_rng(4)
+        window = simulate_poisson_matches(_true_strengths(), list("abcd"), 2, rng)
+        independent = poisson_fit(window)
+        correlated = poisson_fit(window, correlated=True)
+        strengths = independent.params
+        score = math.fsum(
+            m.home_goals * m.away_goals / (rates.lambda1 * rates.lambda2) - 1.0
+            for m in window
+            for rates in [link_rates(strengths, m.home, m.away)]
+        )
+        assert score <= 0.0
+        assert independent.converged and not independent.boundary_flags
+        assert correlated.params == strengths and strengths.lambda3 == 0.0
+        assert correlated.boundary_flags == ("lambda3",)
+        assert correlated.log_likelihood == independent.log_likelihood
+        # A small shared component only lowers the likelihood.
+        teams = fit_teams(window)
+        objective = _PoissonObjective(teams, window, correlated=True)
+        theta = np.array([
+            strengths.mu,
+            strengths.gamma_home,
+            *(strengths.attack[t] for t in teams[:-1]),
+            *(strengths.defense[t] for t in teams[:-1]),
+            0.0,
+        ])
+        for log_lambda3 in (-3.0, -8.0):
+            theta[-1] = log_lambda3
+            assert -objective(theta)[0] < independent.log_likelihood
+
     def test_recovers_known_strengths(self, rng):
         true = _true_strengths()
         records = simulate_poisson_matches(true, list("abcd"), 250, rng)
@@ -415,6 +466,7 @@ class _DenseObjective(_PoissonObjective):
 
     It evaluates the shared-component sum on the whole match x k grid,
     masked past min(y1, y2), and scatters the gradient with np.add.at.
+    Its Hessian is the kernel's, so fits compare the value and gradient.
     """
 
     def __init__(self, teams, matches, correlated):
@@ -467,21 +519,21 @@ class _DenseObjective(_PoissonObjective):
             mean_k = (rel @ self.k) / s
             s1 = (self.y1 - mean_k) - l1
             s2 = (self.y2 - mean_k) - l2
-        d_mu = -float((s1 + s2).sum())
-        d_gamma = -float(s1.sum())
-        d_att = np.zeros(self.n_teams)
-        d_def = np.zeros(self.n_teams)
-        np.add.at(d_att, self.home_idx, -s1)
-        np.add.at(d_att, self.away_idx, -s2)
-        np.add.at(d_def, self.away_idx, s1)
-        np.add.at(d_def, self.home_idx, s2)
-        grad = [d_mu, d_gamma]
-        grad.extend(d_att[:-1] - d_att[-1])
-        grad.extend(d_def[:-1] - d_def[-1])
+        t, home, away = self.n_teams, self.home_idx, self.away_idx
+        full = np.zeros(2 + 2 * t + (1 if self.correlated else 0))
+        # Each coordinate adds its terms in the kernel's order: eta1's mu,
+        # gamma, home attack and away defence, then eta2's, then lambda3's.
+        for at, value in (
+            (0, -s1), (1, -s1), (2 + home, -s1), (2 + t + away, s1),
+            (0, -s2), (2 + away, -s2), (2 + t + home, s2),
+        ):
+            np.add.at(full, np.broadcast_to(at, value.shape), value)
         if self.correlated:
-            grad.append(-float((mean_k - lambda3).sum()))
-        grad = np.asarray(grad)
-        return nll, lambda: grad
+            np.add.at(full, np.full(len(s1), 2 + 2 * t), lambda3 - mean_k)
+        grad = [*full[:2], *(full[2 : t + 1] - full[t + 1])]
+        grad.extend(full[t + 2 : 2 * t + 1] - full[2 * t + 1])
+        grad = np.asarray(grad + list(full[2 * t + 2 :]))
+        return nll, lambda: grad, super().__call__(theta)[2]
 
 
 def _score_window(scores):
@@ -502,8 +554,8 @@ class TestKernelMatchesDenseReference:
             fast = _PoissonObjective(teams, matches, correlated)
             dense = _DenseObjective(teams, matches, correlated)
             for theta in box_thetas(fast.n_params):
-                nll, gradient = fast(theta)
-                want_nll, want_gradient = dense(theta)
+                nll, gradient, _ = fast(theta)
+                want_nll, want_gradient, _ = dense(theta)
                 grad, want_grad = gradient(), want_gradient()
                 assert nll == want_nll
                 assert np.array_equal(grad, want_grad)
@@ -542,11 +594,14 @@ class TestKernelMatchesDenseReference:
         got = poisson_fit(poisson_first_half, correlated=correlated)
         monkeypatch.setattr(poisson_module, "_PoissonObjective", _DenseObjective)
         want = poisson_fit(poisson_first_half, correlated=correlated)
-        fast, dense = results
-        assert np.array_equal(fast.x, dense.x)
-        assert (fast.fun, fast.iterations, fast.converged) == (
-            dense.fun, dense.iterations, dense.converged
-        )
+        # A correlated fit solves the independent model first.
+        half = len(results) // 2
+        assert half == (2 if correlated else 1)
+        for fast, dense in zip(results[:half], results[half:]):
+            assert np.array_equal(fast.x, dense.x)
+            assert (fast.fun, fast.iterations, fast.converged) == (
+                dense.fun, dense.iterations, dense.converged
+            )
         assert got == want
 
 
@@ -595,7 +650,7 @@ class TestRollingPredict:
         (skipped,) = report.skipped_matchdays
         assert skipped.matchday == 4
         assert skipped.reason.startswith("ValueError: rates ")
-        assert skipped.reason.endswith("goals per side (boundary fit: att:t3, def:t2, gamma)")
+        assert skipped.reason.endswith("goals per side (boundary fit: def:t2, gamma, lambda3)")
 
 
 class TestCsvExport:
