@@ -32,15 +32,15 @@ P = TypeVar("P")
 BOX = 30.0          # iterates clamped to [-BOX, BOX]^d
 DRIFT_LIMIT = 15.0  # |x| past any plausible finite MLE on a log scale
 NEWTON_TOL = 1e-10  # Newton's stop on the projected gradient norm
+BFGS_TOL = 1e-8     # BFGS's stop on the projected gradient norm
 
 
 @dataclass(frozen=True)
 class OptimSettings:
-    tol: float = 1e-8          # on the projected gradient norm
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not (0 < self.tol < math.inf and self.max_iter >= 1):
+        if self.max_iter < 1:
             raise ValueError(f"invalid optimizer settings: {self}")
 
 
@@ -154,7 +154,7 @@ def minimize(
 
     With a Hessian, each step is Newton's, and the run converges when the
     2-norm of the projected gradient drops to ``NEWTON_TOL``; otherwise
-    steps are BFGS's, converging at ``settings.tol``.  A line search that
+    steps are BFGS's, converging at ``BFGS_TOL``.  A line search that
     finds no descent, or the iteration cap, stops the run non-converged.
     The derivatives are taken at ``x0`` and at each accepted point.
     """
@@ -162,7 +162,7 @@ def minimize(
     x = _clamp(np.asarray(x0, dtype=float))
     f, *derivatives = objective(x)
     newton = len(derivatives) == 2
-    tol = NEWTON_TOL if newton else cfg.tol
+    tol = NEWTON_TOL if newton else BFGS_TOL
     grad = derivatives[0]()
     hess = derivatives[1]() if newton else None
     eye = np.eye(x.size)

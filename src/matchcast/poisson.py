@@ -171,8 +171,7 @@ class _PoissonObjective:
 
     Every data-only term is built once here.  The shared-component sum of
     the correlated model runs over the live cells k <= min(y1, y2) only,
-    row-major by match; its row sums are taken on the dense match x k
-    layout, whose reduction order fixes the rounding of the fits.  A call
+    row-major by match, and each match's sums reduce its own cells.  A call
     returns the value and two callables that finish the gradient and the
     Hessian from that call's arrays.  In (eta1, eta2, log lambda3), with
     eta = log lambda, a match's Hessian is
@@ -194,18 +193,10 @@ class _PoissonObjective:
         self.lgamma_y2 = _LOG_FACTORIALS[self.y2.astype(int)]
         self._scatter(len(matches))
         if correlated:
-            n = len(self.y1)
             n_cells = np.minimum(self.y1, self.y2).astype(int) + 1
-            # Dense width min(max y1, max y2) + 1, not the widest live row:
-            # BLAS rounds ``rel @ k`` differently at another width.
-            kmax = int(min(self.y1.max(), self.y2.max()))
-            self.k = np.arange(kmax + 1, dtype=float)
             self.row_start = np.concatenate(([0], np.cumsum(n_cells)[:-1]))
-            self.rows = np.repeat(np.arange(n), n_cells)
-            k_cell = np.arange(int(n_cells.sum())) - self.row_start[self.rows]
-            self.dense_at = self.rows * self.k.size + k_cell
-            self.dense_shape = (n, self.k.size)
-            self.k_cell = k_cell.astype(float)
+            self.rows = np.repeat(np.arange(len(n_cells)), n_cells)
+            self.k_cell = (np.arange(int(n_cells.sum())) - self.row_start[self.rows]).astype(float)
             self.y1_cell = self.y1[self.rows] - self.k_cell
             self.y2_cell = self.y2[self.rows] - self.k_cell
             self.lgamma_y1_cell = _LOG_FACTORIALS[self.y1_cell.astype(int)]
@@ -302,14 +293,11 @@ class _PoissonObjective:
             )
             # Every match has its k = 0 cell, so no row is empty.
             top = np.maximum.reduceat(log_terms, self.row_start)
-            rel = np.zeros(self.dense_shape)
-            with np.errstate(invalid="ignore"):
-                rel.ravel()[self.dense_at] = np.exp(log_terms - top[self.rows])
-            s = rel.sum(axis=1)
-            log_sum = top + np.log(s)
-            ll = -(l1 + l2 + lambda3) + log_sum
+            rel = np.exp(log_terms - top[self.rows])
+            s = np.add.reduceat(rel, self.row_start)
+            ll = -(l1 + l2 + lambda3) + top + np.log(s)
             nll = -float(ll.sum())
-            mean_k = (rel @ self.k) / s
+            mean_k = np.add.reduceat(rel * self.k_cell, self.row_start) / s
 
         def gradient() -> np.ndarray:
             # Per match in (eta1, eta2[, log lambda3]); y - 0.0 is y exactly.
@@ -326,8 +314,8 @@ class _PoissonObjective:
                 cells = np.stack((l1, l2))
             else:
                 # Var[k] as the mean squared deviation over each match's cells.
-                dev = self.k - mean_k[:, None]
-                var = (rel * dev * dev).sum(axis=1) / s
+                dev = self.k_cell - mean_k[self.rows]
+                var = np.add.reduceat(rel * dev * dev, self.row_start) / s
                 cells = np.stack((l1 - var, l2 - var, lambda3 - var, -var, var))
             weights = (cells[self.h_cells] * self.h_signs).ravel()
             half = np.bincount(self.h_bins, weights, self.n_full**2).reshape(self.n_full, -1)

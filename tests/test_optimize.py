@@ -7,6 +7,7 @@ import matchcast.davidson as davidson_module
 import matchcast.poisson as poisson_module
 from matchcast.data import MatchRecord
 from matchcast.optimize import (
+    BFGS_TOL,
     BOX,
     DRIFT_LIMIT,
     NEWTON_TOL,
@@ -137,12 +138,7 @@ class TestMinimize:
 
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
-            OptimSettings(tol=0.0)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_non_finite_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError):
-            OptimSettings(tol=tol)
+            OptimSettings(max_iter=0)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +257,7 @@ def _eager_minimize(objective, x0, settings=None):
 
     for iterations in range(1, cfg.max_iter + 1):
         pg = _eager_projected_gradient(x, grad)
-        if _norm(pg) <= cfg.tol:
+        if _norm(pg) <= BFGS_TOL:
             iterations -= 1
             return done(True, grad)
 
@@ -282,7 +278,7 @@ def _eager_minimize(objective, x0, settings=None):
                     break
             step *= 0.5
         if x_new is None:
-            return done(_norm(pg) <= cfg.tol, grad)
+            return done(_norm(pg) <= BFGS_TOL, grad)
 
         s = x_new - x
         y = grad_new - grad
@@ -297,7 +293,7 @@ def _eager_minimize(objective, x0, settings=None):
         x, f, grad = x_new, f_new, grad_new
 
     pg = _eager_projected_gradient(x, grad)
-    return done(_norm(pg) <= cfg.tol, grad)
+    return done(_norm(pg) <= BFGS_TOL, grad)
 
 
 def _bt(matches, monkeypatch):

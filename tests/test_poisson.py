@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import poisson as poisson_dist
 
 import matchcast.poisson as poisson_module
+import mle_oracle
 from matchcast.data import MAX_GOALS, MatchRecord
 from matchcast.poisson import (
     _LOG_FACTORIALS,
@@ -21,9 +22,23 @@ from matchcast.poisson import (
     score_grid,
 )
 from matchcast.evaluation import context_for, evaluate
-from matchcast.optimize import fit_teams
+from matchcast.optimize import NEWTON_TOL, fit_teams
 from matchcast.predictors import build_predictor
 from matchcast.selftest import double_round_robin, simulate_poisson_matches
+from test_oracle import TOL as ORACLE_TOL
+
+
+def _shared_terms(rates, y1, y2):
+    """The pmf's k-terms in exact rational arithmetic, k = 0 .. min(y1, y2):
+    lambda1^(y1-k) lambda2^(y2-k) lambda3^k / ((y1-k)! (y2-k)! k!)."""
+    l1, l2, l3 = (Fraction(r) for r in (rates.lambda1, rates.lambda2, rates.lambda3))
+    return [
+        l1 ** (y1 - k)
+        * l2 ** (y2 - k)
+        * l3**k
+        / (math.factorial(y1 - k) * math.factorial(y2 - k) * math.factorial(k))
+        for k in range(min(y1, y2) + 1)
+    ]
 
 
 def pmf_by_exact_summation(params, y1, y2):
@@ -32,40 +47,59 @@ def pmf_by_exact_summation(params, y1, y2):
     Only the final exp factor is floating point, so the comparison isolates
     the rounding of the likelihood's shared-component sum.
     """
-    l1 = Fraction(params.lambda1)
-    l2 = Fraction(params.lambda2)
-    l3 = Fraction(params.lambda3)
-    total = Fraction(0)
-    for k in range(min(y1, y2) + 1):
-        total += (
-            l1 ** (y1 - k)
-            * l2 ** (y2 - k)
-            * l3**k
-            / (
-                Fraction(math.factorial(y1 - k))
-                * Fraction(math.factorial(y2 - k))
-                * Fraction(math.factorial(k))
-            )
-        )
     scale = math.exp(-(params.lambda1 + params.lambda2 + params.lambda3))
-    return scale * float(total)
+    return scale * float(sum(_shared_terms(params, y1, y2)))
 
 
-def _likelihood_and_oracle(matches, theta, correlated=True):
-    """The objective's value at ``theta``, and minus the oracle's log-pmf summed over
-    ``matches`` at the rates ``link_rates`` gives each match at ``theta``."""
+def _exact_oracle(matches, theta, correlated=True):
+    """The window's objective, and the oracles' value, gradient and per-coordinate
+    sum of term magnitudes at ``theta``, each match at the rates ``link_rates`` gives.
+
+    The value is minus ``pmf_by_exact_summation``'s log summed over
+    ``matches``, with the log taken of the exact k-sum.  A
+    match's score in (eta1, eta2, log lambda3) is (lambda1 - y1 + E[k],
+    lambda2 - y2 + E[k], lambda3 - E[k]), for E[k] the shared count's mean
+    under the exact k-terms, rounded once.  The chain rule carries each
+    term to mu, gamma, the two teams' attack and defence (the last team's
+    on every free coordinate, negated) and log lambda3, where
+    ``math.fsum`` adds them.
+    """
     teams = sorted({t for m in matches for t in (m.home, m.away)})
     objective = _PoissonObjective(teams, matches, correlated)
     mu, gamma, att, dfn, lambda3 = objective.unpack(theta)
     strengths = TeamStrengths(mu, dict(zip(teams, att)), dict(zip(teams, dfn)), gamma, lambda3)
-    want = math.fsum(
-        -math.log(
-            pmf_by_exact_summation(
-                link_rates(strengths, m.home, m.away), m.home_goals, m.away_goals
-            )
-        )
-        for m in matches
-    )
+    log_pmfs, terms = [], {}
+    for m in matches:
+        rates = link_rates(strengths, m.home, m.away)
+        k_terms = _shared_terms(rates, m.home_goals, m.away_goals)
+        total = sum(k_terms)
+        # The log of the sum scaled by a power of two into [1/2, 2): no float
+        # range limits it, as rates at the box faces would.
+        e = total.numerator.bit_length() - total.denominator.bit_length()
+        log_total = math.log(total / Fraction(2) ** e) + e * math.log(2.0)
+        log_pmfs.append(log_total - (rates.lambda1 + rates.lambda2 + rates.lambda3))
+        mean_k = float(sum(k * term for k, term in enumerate(k_terms)) / total)
+        eta1 = (rates.lambda1, -m.home_goals, mean_k)
+        eta2 = (rates.lambda2, -m.away_goals, mean_k)
+        chain = [("mu", 1, eta1), ("gamma", 1, eta1), (("att", m.home), 1, eta1)]
+        chain += [(("def", m.away), -1, eta1), ("mu", 1, eta2), (("att", m.away), 1, eta2)]
+        chain += [(("def", m.home), -1, eta2), ("lambda3", 1, (rates.lambda3, -mean_k))]
+        for coordinate, sign, eta in chain:
+            terms.setdefault(coordinate, []).extend(sign * x for x in eta)
+    free = [terms["mu"], terms["gamma"]]
+    for side in ("att", "def"):
+        last = [-x for x in terms.get((side, teams[-1]), [])]
+        free += [terms.get((side, t), []) + last for t in teams[:-1]]
+    if correlated:
+        free.append(terms["lambda3"])
+    want_grad = np.array([math.fsum(c) for c in free])
+    scale = np.array([math.fsum(abs(x) for x in c) for c in free])
+    return objective, -math.fsum(log_pmfs), want_grad, scale
+
+
+def _likelihood_and_oracle(matches, theta, correlated=True):
+    """The objective's value at ``theta``, and the oracle's."""
+    objective, want, _, _ = _exact_oracle(matches, theta, correlated)
     return objective(theta)[0], want
 
 
@@ -461,81 +495,6 @@ class TestFit:
         assert first == second
 
 
-class _DenseObjective(_PoissonObjective):
-    """The dense formulation, kept as the kernel's reference.
-
-    It evaluates the shared-component sum on the whole match x k grid,
-    masked past min(y1, y2), and scatters the gradient with np.add.at.
-    Its Hessian is the kernel's, so fits compare the value and gradient.
-    """
-
-    def __init__(self, teams, matches, correlated):
-        super().__init__(teams, matches, correlated)
-        kmax = int(min(self.y1.max(), self.y2.max()))
-        self.k = np.arange(kmax + 1, dtype=float)
-        self.k_ok = self.k[None, :] <= np.minimum(self.y1, self.y2)[:, None]
-        y1k = np.where(self.k_ok, self.y1[:, None] - self.k[None, :], 0.0)
-        y2k = np.where(self.k_ok, self.y2[:, None] - self.k[None, :], 0.0)
-        self.lgamma_y1k = _LOG_FACTORIALS[y1k.astype(int)]
-        self.lgamma_y2k = _LOG_FACTORIALS[y2k.astype(int)]
-        self.lgamma_k = np.array([math.lgamma(k + 1) for k in range(kmax + 1)])
-
-    def __call__(self, theta):
-        mu, gamma, att, dfn, lambda3 = self.unpack(theta)
-        log_l1 = mu + att[self.home_idx] - dfn[self.away_idx] + gamma
-        log_l2 = mu + att[self.away_idx] - dfn[self.home_idx]
-        l1 = np.exp(log_l1)
-        l2 = np.exp(log_l2)
-        if lambda3 == 0.0:
-            ll = (
-                -(l1 + l2)
-                + self.y1 * log_l1
-                + self.y2 * log_l2
-                - self.lgamma_y1k[:, 0]
-                - self.lgamma_y2k[:, 0]
-            )
-            s1 = self.y1 - l1
-            s2 = self.y2 - l2
-            nll = -float(ll.sum())
-            mean_k = None
-        else:
-            log_terms = (
-                (self.y1[:, None] - self.k[None, :]) * log_l1[:, None]
-                + (self.y2[:, None] - self.k[None, :]) * log_l2[:, None]
-                + self.k[None, :] * math.log(lambda3)
-                - self.lgamma_y1k
-                - self.lgamma_y2k
-                - self.lgamma_k[None, :]
-            )
-            log_terms = np.where(self.k_ok, log_terms, -np.inf)
-            top = log_terms.max(axis=1)
-            with np.errstate(invalid="ignore"):
-                rel = np.exp(log_terms - top[:, None])
-            rel = np.where(self.k_ok, rel, 0.0)
-            s = rel.sum(axis=1)
-            log_sum = top + np.log(s)
-            ll = -(l1 + l2 + lambda3) + log_sum
-            nll = -float(ll.sum())
-            mean_k = (rel @ self.k) / s
-            s1 = (self.y1 - mean_k) - l1
-            s2 = (self.y2 - mean_k) - l2
-        t, home, away = self.n_teams, self.home_idx, self.away_idx
-        full = np.zeros(2 + 2 * t + (1 if self.correlated else 0))
-        # Each coordinate adds its terms in the kernel's order: eta1's mu,
-        # gamma, home attack and away defence, then eta2's, then lambda3's.
-        for at, value in (
-            (0, -s1), (1, -s1), (2 + home, -s1), (2 + t + away, s1),
-            (0, -s2), (2 + away, -s2), (2 + t + home, s2),
-        ):
-            np.add.at(full, np.broadcast_to(at, value.shape), value)
-        if self.correlated:
-            np.add.at(full, np.full(len(s1), 2 + 2 * t), lambda3 - mean_k)
-        grad = [*full[:2], *(full[2 : t + 1] - full[t + 1])]
-        grad.extend(full[t + 2 : 2 * t + 1] - full[2 * t + 1])
-        grad = np.asarray(grad + list(full[2 * t + 2 :]))
-        return nll, lambda: grad, super().__call__(theta)[2]
-
-
 def _score_window(scores):
     """Played matches with the given (home, away) goals, cycling over six teams."""
     teams = [f"t{k}" for k in range(6)]
@@ -545,64 +504,71 @@ def _score_window(scores):
     ]
 
 
-class TestKernelMatchesDenseReference:
-    """The live-cell objective returns the dense formulation's bits exactly."""
+class TestKernelMatchesExactSums:
+    """The value and gradient agree with the exact-sum oracles, both models.
 
-    def _assert_same(self, matches, box_thetas):
+    The value is within 1e-12 of the oracle's, relatively; every -log P is
+    positive, so no sum cancels.  A gradient component is within 1e-12 of
+    the sum of its terms' magnitudes, which bounds the rounding of any
+    order of adding them; where large terms cancel, no relative bound can
+    hold.
+    """
+
+    def _assert_exact(self, matches, box_thetas):
         teams = sorted({t for m in matches for t in (m.home, m.away)})
         for correlated in (False, True):
-            fast = _PoissonObjective(teams, matches, correlated)
-            dense = _DenseObjective(teams, matches, correlated)
-            for theta in box_thetas(fast.n_params):
-                nll, gradient, _ = fast(theta)
-                want_nll, want_gradient, _ = dense(theta)
-                grad, want_grad = gradient(), want_gradient()
-                assert nll == want_nll
-                assert np.array_equal(grad, want_grad)
+            n_params = 2 * len(teams) + correlated
+            for theta in box_thetas(n_params):
+                objective, want, want_grad, scale = _exact_oracle(matches, theta, correlated)
+                nll, gradient, _ = objective(theta)
+                assert nll == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert (np.abs(gradient() - want_grad) <= 1e-12 * scale).all()
 
     def test_simulated_seasons(self, rng, box_thetas):
         records = simulate_poisson_matches(_true_strengths(0.2), list("abcd"), 6, rng)
-        self._assert_same(records, box_thetas)
+        self._assert_exact(records, box_thetas)
 
     def test_twenty_team_first_half(self, poisson_first_half, box_thetas):
-        self._assert_same(poisson_first_half, box_thetas)
+        self._assert_exact(poisson_first_half, box_thetas)
 
     @pytest.mark.parametrize(
         "scores",
         [
-            # min(y1, y2) = 0 everywhere: one live cell per match in a grid
-            # min(max y1, max y2) + 1 = 3 wide...
+            # min(y1, y2) = 0 everywhere: one live cell per match...
             [(1, 0), (0, 2), (0, 0), (3, 0), (0, 1), (2, 0)] * 3,
-            # ...and, with no away goal at all, a grid one cell wide.
+            # ...and no away goal at all.
             [(1, 0), (0, 0), (3, 0), (2, 0), (1, 0), (0, 0)] * 3,
         ],
     )
     def test_no_match_with_both_sides_scoring(self, scores, box_thetas):
-        self._assert_same(_score_window(scores), box_thetas)
+        self._assert_exact(_score_window(scores), box_thetas)
 
-    def test_wide_rows_use_the_pairwise_row_sum(self, box_thetas):
-        # An 8-8 and an 11-9 score give rows of 9 and 10 live cells, past
-        # the 8-element blocks of NumPy's pairwise summation.
+    def test_wide_rows(self, box_thetas):
+        # An 8-8 and an 11-9 score give rows of 9 and 10 live cells.
         scores = [(8, 8), (1, 1), (0, 2), (11, 9), (2, 3), (4, 4), (1, 0), (3, 5), (6, 2)] * 2
-        self._assert_same(_score_window(scores), box_thetas)
+        self._assert_exact(_score_window(scores), box_thetas)
 
     @pytest.mark.parametrize("correlated", [False, True])
-    def test_fits_equal_dense_reference_fits(
-        self, poisson_first_half, correlated, monkeypatch, record_minimize
-    ):
+    def test_fits_reach_the_oracle_mle(self, poisson_first_half, correlated, record_minimize):
         results = record_minimize(poisson_module)
-        got = poisson_fit(poisson_first_half, correlated=correlated)
-        monkeypatch.setattr(poisson_module, "_PoissonObjective", _DenseObjective)
-        want = poisson_fit(poisson_first_half, correlated=correlated)
-        # A correlated fit solves the independent model first.
-        half = len(results) // 2
-        assert half == (2 if correlated else 1)
-        for fast, dense in zip(results[:half], results[half:]):
-            assert np.array_equal(fast.x, dense.x)
-            assert (fast.fun, fast.iterations, fast.converged) == (
-                dense.fun, dense.iterations, dense.converged
+        report = poisson_fit(poisson_first_half, correlated=correlated)
+        # A correlated fit solves the independent model first; both converge.
+        assert len(results) == (2 if correlated else 1)
+        assert all(r.converged and r.grad_norm <= NEWTON_TOL for r in results)
+        assert report.converged and not report.boundary_flags
+        oracle = mle_oracle.fit("bivariate" if correlated else "poisson", poisson_first_half)
+        teams = oracle.model.teams
+        worst = max(
+            abs(p - q)
+            for h in teams
+            for a in teams
+            if h != a
+            for p, q in zip(
+                outcome_probs(link_rates(report.params, h, a)).as_tuple(),
+                oracle.prediction(h, a),
             )
-        assert got == want
+        )
+        assert worst <= ORACLE_TOL
 
 
 def rolling_predict(seasons, season, matchday):
